@@ -3,7 +3,8 @@
 The package splits into:
 
   geometry         band configuration, stereographic projection, conformal
-                   coefficients, metric-aware quadrature
+                   coefficients, metric-aware quadratures (integral_dsigma,
+                   integral_flat; band_integral wraps the first)
   grids            the log-radial x periodic grid and field containers
   sturm_liouville  regular Sturm-Liouville spectra (matrix + Pruefer
                    shooting), Rayleigh quotients, eigenfunction expansions

@@ -18,7 +18,7 @@ errors. Exit codes: 0 ok, 1 invalid configuration, 2 numerical failure,
 import argparse
 import math
 import sys
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -219,16 +219,48 @@ def _write_summary(out, records):
 
 
 def run_mode_evolve(spec, out):
+    ckpt_dir = out / "checkpoints"
+    ckpt_dir.mkdir(exist_ok=True)
+    return _evolve(spec, out, str(ckpt_dir), ())
+
+
+def run_mode_stability(spec, out):
+    if spec.config.lam > 0:
+        print(
+            "warning: lambda > 0 gives no stability guarantee; "
+            "the identity is still tracked",
+            file=sys.stderr,
+        )
+    with open(out / "stability.csv", "w", newline="") as fh:
+        fh.write("t,lhs,rhs,defect\n")
+        rhs = []  # the identity's right side: the lhs of the t = 0 record
+
+        def observer(s, rec):
+            lhs = rec.stability_lhs
+            if not rhs:
+                rhs.append(lhs)
+            fh.write(f"{float(s.t)!r},{float(lhs)!r},{float(rhs[0])!r},"
+                     f"{float(lhs - rhs[0])!r}\n")
+            fh.flush()
+
+        return _evolve(spec, out, None, (observer,))
+
+
+def _evolve(spec, out, checkpoint_dir, observers):
+    """Evolve the (perturbed) zonal state, write diagnostics.csv and
+    summary.json, and check the scheme's invariants.
+
+    Returns 2 if max|xi| exceeded the transport bound or the inner-wall
+    circulation drifted, else 0.
+    """
     grid = AnnulusGrid.from_band(spec.config, spec.n_rho, spec.n_phi)
     state = _initial_state(spec, grid)
     reference = euler2d.zonal_initial_state(spec.config, grid)
-    ckpt_dir = out / "checkpoints"
-    ckpt_dir.mkdir(exist_ok=True)
     _, records = euler2d.run(
         spec.config, grid, state.zeta, state.lambda_circ,
         t_end=spec.t_end, dt=spec.dt, output_stride=spec.output_stride,
-        csv_path=out / "diagnostics.csv", checkpoint_dir=str(ckpt_dir),
-        reference=reference,
+        csv_path=out / "diagnostics.csv", checkpoint_dir=checkpoint_dir,
+        reference=reference, observers=observers,
     )
     _write_summary(out, records)
     bound = euler2d.xi_bound(spec.config, state.zeta.values)
@@ -241,36 +273,6 @@ def run_mode_evolve(spec, out):
     if breaches:
         print("invariant breach: " + "; ".join(breaches), file=sys.stderr)
         return 2
-    return 0
-
-
-def run_mode_stability(spec, out):
-    if spec.config.lam > 0:
-        print(
-            "warning: lambda > 0 gives no stability guarantee; "
-            "the identity is still tracked",
-            file=sys.stderr,
-        )
-    grid = AnnulusGrid.from_band(spec.config, spec.n_rho, spec.n_phi)
-    reference = euler2d.zonal_initial_state(spec.config, grid)
-    state = _initial_state(spec, grid)
-    rhs = diagnostics.stability_lhs(state, reference)
-    with open(out / "stability.csv", "w", newline="") as fh:
-        fh.write("t,lhs,rhs,defect\n")
-
-        def observer(s, rec):
-            lhs = rec.stability_lhs
-            fh.write(f"{float(s.t)!r},{float(lhs)!r},{float(rhs)!r},"
-                     f"{float(lhs - rhs)!r}\n")
-            fh.flush()
-
-        _, records = euler2d.run(
-            spec.config, grid, state.zeta, state.lambda_circ,
-            t_end=spec.t_end, dt=spec.dt, output_stride=spec.output_stride,
-            csv_path=out / "diagnostics.csv", reference=reference,
-            observers=(observer,),
-        )
-    _write_summary(out, records)
     return 0
 
 
@@ -360,6 +362,23 @@ def dispatch(spec: RunSpec) -> int:
     return runner(spec, out)
 
 
+_EXIT_CODES = (
+    (ConfigError, 1, "configuration error"),
+    (NumericalError, 2, "numerical failure"),
+    (AccBandError, 2, "error"),
+    (OSError, 3, "i/o failure"),
+)
+
+
+def _exit_code(err) -> int:
+    """Report a failure on stderr and return its documented exit code."""
+    for kind, code, label in _EXIT_CODES:
+        if isinstance(err, kind):
+            print(f"{label}: {err}", file=sys.stderr)
+            return code
+    raise err
+
+
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
@@ -368,35 +387,17 @@ def main(argv=None) -> int:
             lams = [float(tok) for tok in args.sweep.split(",") if tok.strip()]
             if not lams:
                 raise ValidationError("--sweep needs at least one lambda value")
-            results = {}
-
-            def worker(lam_value):
-                sub = replace(
-                    spec,
-                    config=replace(spec.config, lam=lam_value),
-                    out_dir=f"{spec.out_dir}/sweep_{lam_value:g}",
-                )
-                results[lam_value] = dispatch(sub)
-
-            threads = [threading.Thread(target=worker, args=(v,)) for v in lams]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            return max(results.values(), default=0)
+            # one worker thread per lambda; each runs to completion and the
+            # worst exit code wins
+            subs = [replace(spec, config=replace(spec.config, lam=v),
+                            out_dir=f"{spec.out_dir}/sweep_{v:g}") for v in lams]
+            with ThreadPoolExecutor(max_workers=len(subs)) as pool:
+                futures = [pool.submit(dispatch, sub) for sub in subs]
+            return max(_exit_code(f.exception()) if f.exception() else f.result()
+                       for f in futures)
         return dispatch(spec)
-    except ConfigError as err:
-        print(f"configuration error: {err}", file=sys.stderr)
-        return 1
-    except NumericalError as err:
-        print(f"numerical failure: {err}", file=sys.stderr)
-        return 2
-    except AccBandError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
-        print(f"i/o failure: {err}", file=sys.stderr)
-        return 3
+    except (AccBandError, OSError) as err:
+        return _exit_code(err)
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
 """Conserved quantities and stability diagnostics.
 
 All functionals are spherical-band integrals evaluated on the projected
-grid with the same quadrature as geometry.band_integral (trapezoid in
-rho, exact periodic sum in phi). The useful reductions, with
+grid with geometry's quadratures: integral_dsigma against the spherical
+area element and integral_flat against drho dphi (both trapezoid in rho,
+exact periodic sum in phi). The useful reductions, with
 s = -zeta the absolute vorticity and psi the full stream function:
 
   energy            1/2 int (u^2 + v^2) dsigma  =  1/2 int |grad psi|^2 drho dphi
@@ -31,55 +32,29 @@ from typing import Optional
 import numpy as np
 
 from .errors import GridMismatch, ValidationError
-from .geometry import alpha_of_rho, beta_of_rho
+from .geometry import alpha_of_rho, beta_of_rho, integral_dsigma, integral_flat
 from . import euler2d
 from .euler2d import (
     SimState,
     boundary_circulations,
-    dphi,
+    d2rho,
     drho,
+    grad_square_flat,
     laplacian_values,
+    stream_of,
 )
 
 CSV_HEADER = "t,energy,circ1,circ2,casimir2,casimir3,stability_identity,max_xi,lambda_circ"
 
 
 # ==================================================================
-# Quadratures
-# ==================================================================
-
-def integral_dsigma(values, grid):
-    """Band integral with the spherical area element (dtype-preserving)."""
-    w = grid.radial_weights * np.cos(grid.theta) ** 2
-    return grid.d_phi * np.sum(w[:, None] * values)
-
-
-def integral_flat(values, grid):
-    """Integral against drho dphi (gradient-type integrands)."""
-    return grid.d_phi * np.sum(grid.radial_weights[:, None] * values)
-
-
-def grad_square_flat(psi_values, grid):
-    """|grad psi|^2 dA collapsed to the flat measure: psi_rho^2 + psi_phi^2."""
-    return drho(psi_values, grid) ** 2 + dphi(psi_values, grid) ** 2
-
-
-# ==================================================================
 # Individual functionals
 # ==================================================================
 
-def _stream_of(state: SimState):
-    """Full stream function; the Poisson part is cached on the state."""
-    return euler2d.stream_of(state)
-
-
-def energy_from_stream(psi_values, grid) -> float:
-    return 0.5 * integral_flat(grad_square_flat(psi_values, grid), grid)
-
-
 def energy(state: SimState) -> float:
     """Kinetic energy 1/2 int (u^2 + v^2) dsigma."""
-    return energy_from_stream(_stream_of(state), state.grid)
+    grid = state.grid
+    return 0.5 * integral_flat(grad_square_flat(stream_of(state), grid), grid)
 
 
 def energy_zonal_profile(profile) -> float:
@@ -91,9 +66,15 @@ def energy_zonal_profile(profile) -> float:
 
 def circulations(state: SimState):
     """Spherical circulations int psi_theta dphi at (theta1, theta2)."""
-    c1p, c2p = boundary_circulations(_stream_of(state), state.grid)
-    th = state.grid.theta
-    return -c1p / math.cos(th[0]), -c2p / math.cos(th[-1])
+    return _spherical_circulations(
+        boundary_circulations(stream_of(state), state.grid), state.grid
+    )
+
+
+def _spherical_circulations(planar, grid):
+    """Planar wall circulations -> int psi_theta dphi on each wall."""
+    th = grid.theta
+    return -planar[0] / math.cos(th[0]), -planar[1] / math.cos(th[-1])
 
 
 def absolute_vorticity(state: SimState):
@@ -135,14 +116,14 @@ def en_functional(state: SimState, n: int, upsilon: Optional[float] = None) -> f
 # Lyapunov functional
 # ==================================================================
 
-def _lyapunov_terms(psi_values, s_values, config, grid):
-    """Assemble E from a stream function and the absolute vorticity."""
+def _lyapunov_terms(grad_sq, planar_circ, s_values, config, grid):
+    """Assemble E from int |grad psi|^2 drho dphi, the planar wall
+    circulations of psi and the absolute vorticity."""
     lam = config.lam
     quad = 0.5 * (
-        -lam * integral_flat(grad_square_flat(psi_values, grid), grid)
-        + integral_dsigma((s_values - config.upsilon) ** 2, grid)
+        -lam * grad_sq + integral_dsigma((s_values - config.upsilon) ** 2, grid)
     )
-    c1p, c2p = boundary_circulations(psi_values, grid)
+    c1p, c2p = planar_circ
     # a_w int psi_theta|theta2 dphi + b_w int psi_theta|theta1 dphi with the
     # critical weights a_w = psi2 cos(theta2), b_w = -psi1 cos(theta1),
     # rewritten through the planar circulations.
@@ -150,10 +131,16 @@ def _lyapunov_terms(psi_values, s_values, config, grid):
     return quad + boundary
 
 
+def _lyapunov_of(psi_values, s_values, config, grid):
+    return _lyapunov_terms(integral_flat(grad_square_flat(psi_values, grid), grid),
+                           boundary_circulations(psi_values, grid),
+                           s_values, config, grid)
+
+
 def lyapunov(state: SimState) -> float:
     """E evaluated on a simulation state (zeta is the prognostic field)."""
-    return _lyapunov_terms(_stream_of(state), absolute_vorticity(state),
-                           state.config, state.grid)
+    return _lyapunov_of(stream_of(state), absolute_vorticity(state),
+                        state.config, state.grid)
 
 
 def lyapunov_of_stream(psi_values, config, grid) -> float:
@@ -165,7 +152,7 @@ def lyapunov_of_stream(psi_values, config, grid) -> float:
     a = alpha_of_rho(grid.rho)[:, None]
     b = beta_of_rho(grid.rho, config.omega)[:, None]
     s_values = a * laplacian_values(psi_values, grid) - b
-    return _lyapunov_terms(psi_values, s_values, config, grid)
+    return _lyapunov_of(psi_values, s_values, config, grid)
 
 
 def _solve_dense_longdouble(a, b):
@@ -193,28 +180,6 @@ def _solve_dense_longdouble(a, b):
     return x
 
 
-def _radial_derivative_matrices(grid):
-    """Dense matrices of the radial d/drho and d2/drho2 stencils.
-
-    Rows match drho/d2rho exactly (centered interior, one-sided walls),
-    so quadratic forms built from them agree with lyapunov_of_stream to
-    round-off.
-    """
-    n = grid.n_rho
-    h = grid.d_rho
-    d1 = np.zeros((n, n))
-    d2 = np.zeros((n, n))
-    for i in range(1, n - 1):
-        d1[i, i - 1] = -0.5 / h
-        d1[i, i + 1] = 0.5 / h
-        d2[i, i - 1 : i + 2] = np.array([1.0, -2.0, 1.0]) / h**2
-    d1[0, :3] = np.array([-3.0, 4.0, -1.0]) / (2 * h)
-    d1[-1, -3:] = np.array([1.0, -4.0, 3.0]) / (2 * h)
-    d2[0, :4] = np.array([2.0, -5.0, 4.0, -1.0]) / h**2
-    d2[-1, -4:] = np.array([-1.0, 4.0, -5.0, 2.0]) / h**2
-    return d1, d2
-
-
 def zonal_critical_stream(config, grid, dtype=float) -> np.ndarray:
     """Exact critical point of the discrete E over zonal stream functions.
 
@@ -236,10 +201,10 @@ def zonal_critical_stream(config, grid, dtype=float) -> np.ndarray:
     # assembly and elimination in extended precision: the interior block
     # is bi-Laplacian-like (condition ~ h^-4, entries ~ h^-4), and float64
     # assembly alone would shift the critical point enough to leave an
-    # O(eps * ||A||) first variation
-    d1_f, d2_f = _radial_derivative_matrices(grid)
-    d1 = d1_f.astype(np.longdouble)
-    d2 = d2_f.astype(np.longdouble)
+    # O(eps * ||A||) first variation. D1, D2 are the grid's own radial
+    # stencils applied to the identity.
+    d1 = drho(np.eye(n), grid).astype(np.longdouble)
+    d2 = d2rho(np.eye(n), grid).astype(np.longdouble)
     a = alpha_of_rho(grid.rho).astype(np.longdouble)
     b_row = beta_of_rho(grid.rho, config.omega).astype(np.longdouble)
     m = (a * np.exp(-2.0 * grid.rho))[:, None] * d2
@@ -270,10 +235,13 @@ def zonal_critical_stream(config, grid, dtype=float) -> np.ndarray:
 
 def velocity_distance_squared(state: SimState, reference: SimState) -> float:
     """||u - u*||^2_{L2(band)}: conformally flat, so a planar integral."""
+    return _velocity_distance_squared(state, stream_of(state), reference)
+
+
+def _velocity_distance_squared(state, psi, reference):
     if not state.grid.compatible_with(reference.grid):
         raise GridMismatch("state and reference live on different grids")
-    psi = _stream_of(state)
-    psi_ref = _stream_of(reference)
+    psi_ref = stream_of(reference)
     return integral_flat(grad_square_flat(psi - psi_ref, state.grid), state.grid)
 
 
@@ -286,9 +254,13 @@ def vorticity_distance_squared(state: SimState, reference: SimState) -> float:
 
 
 def stability_lhs(state: SimState, reference: SimState) -> float:
+    return _stability_lhs(state, stream_of(state), reference)
+
+
+def _stability_lhs(state, psi, reference):
     lam = state.config.lam
     return (
-        -lam * velocity_distance_squared(state, reference)
+        -lam * _velocity_distance_squared(state, psi, reference)
         + vorticity_distance_squared(state, reference)
     )
 
@@ -318,8 +290,7 @@ class DiagnosticRecord:
     def csv_row(self) -> str:
         stab = float("nan") if self.stability_lhs is None else self.stability_lhs
         cells = [self.t, self.energy, self.circ1, self.circ2,
-                 self.casimirs.get(2, float("nan")),
-                 self.casimirs.get(3, float("nan")),
+                 self.casimirs[2], self.casimirs[3],
                  stab, self.max_xi, self.lambda_circ]
         return ",".join(repr(float(v)) for v in cells)
 
@@ -401,18 +372,28 @@ def summary(records) -> dict:
     return out
 
 
-def record(state: SimState, reference: SimState = None,
-           casimir_powers=(2, 3)) -> DiagnosticRecord:
-    """Evaluate the full diagnostic suite on one state."""
-    c1, c2 = circulations(state)
+def record(state: SimState, reference: SimState = None) -> DiagnosticRecord:
+    """Evaluate the full diagnostic suite on one state.
+
+    The stream function, its flat gradient integral and its wall
+    circulations are computed once and shared by the energy, the
+    circulations, the Lyapunov functional and the stability identity.
+    """
+    grid = state.grid
+    psi = stream_of(state)
+    grad_sq = integral_flat(grad_square_flat(psi, grid), grid)
+    planar_circ = boundary_circulations(psi, grid)
+    c1, c2 = _spherical_circulations(planar_circ, grid)
     rec = DiagnosticRecord(
         t=state.t,
-        energy=energy(state),
+        energy=0.5 * grad_sq,
         circ1=c1,
         circ2=c2,
-        casimirs={k: casimir(state, k) for k in casimir_powers},
-        lyapunov=lyapunov(state),
-        stability_lhs=None if reference is None else stability_lhs(state, reference),
+        casimirs={k: casimir(state, k) for k in (2, 3)},
+        lyapunov=_lyapunov_terms(grad_sq, planar_circ, absolute_vorticity(state),
+                                 state.config, grid),
+        stability_lhs=(None if reference is None
+                       else _stability_lhs(state, psi, reference)),
         max_xi=state.max_xi(),
         lambda_circ=state.lambda_circ,
     )

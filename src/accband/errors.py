@@ -72,10 +72,6 @@ class MaxIterExceeded(NumericalError):
     """Fixed-point iteration hit its iteration cap before the tolerance."""
 
 
-class SingularMode(NumericalError):
-    """Defensive: a Fourier-mode tridiagonal solve lost its pivot."""
-
-
 class DegenerateNormalization(NumericalError):
     """Defensive: harmonic-field normalization is numerically zero."""
 

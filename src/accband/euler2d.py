@@ -50,12 +50,11 @@ from .errors import (
     CflViolation,
     DegenerateNormalization,
     GridMismatch,
-    SingularMode,
     ValidationError,
 )
-from .geometry import alpha_of_rho, beta_of_rho
+from .geometry import alpha_of_rho, beta_of_rho, integral_flat
 from .grids import AnnulusGrid, ScalarField, VectorField
-from .zonal import solve_fd_rho
+from .zonal import _solve_pinned, solve_fd_rho
 
 CFL_LIMIT = 0.8
 
@@ -69,7 +68,6 @@ def dphi(values, grid):
     spec = np.fft.rfft(values, axis=1)
     m = np.arange(spec.shape[1])
     if grid.n_phi % 2 == 0:
-        m = m.copy()
         m[-1] = 0  # Nyquist mode has no representable first derivative
     return np.fft.irfft(spec * (1j * m)[None, :], n=grid.n_phi, axis=1)
 
@@ -105,37 +103,27 @@ def laplacian_values(values, grid):
     return np.exp(-2.0 * grid.rho)[:, None] * (d2rho(values, grid) + d2phi(values, grid))
 
 
+def grad_square_flat(psi_values, grid):
+    """|grad psi|^2 dA collapsed to the flat measure: psi_rho^2 + psi_phi^2."""
+    return drho(psi_values, grid) ** 2 + dphi(psi_values, grid) ** 2
+
+
 # ==================================================================
 # Poisson solver (Dirichlet Green operator)
 # ==================================================================
 
 def _poisson_values(source, grid):
-    """Solve Delta psi = -source with psi = 0 on both walls."""
-    rhs = -np.exp(2.0 * grid.rho)[:, None] * source
-    rhs_hat = np.fft.rfft(rhs, axis=1)
+    """Solve Delta psi = -source with psi = 0 on both walls.
+
+    FFT in phi, then one tridiagonal solve in rho for all modes at once.
+    """
+    rhs_hat = np.fft.rfft(-np.exp(2.0 * grid.rho)[:, None] * source, axis=1)
     n = grid.n_rho
     h = grid.d_rho
     m = np.arange(rhs_hat.shape[1])
-
+    off = np.full(n, 1.0 / h**2)
     diag = np.full((n, len(m)), -2.0 / h**2) - (m * m)[None, :]
-    lower = 1.0 / h**2
-    b = rhs_hat.copy()
-    b[0] = 0.0
-    b[-1] = 0.0
-
-    # Thomas sweep over interior rows, all modes at once (cp[0] = dp[0] = 0
-    # encodes the zero Dirichlet value at the inner wall)
-    cp = np.zeros((n, len(m)))
-    dp = np.zeros((n, len(m)), dtype=complex)
-    for i in range(1, n - 1):
-        piv = diag[i] - lower * cp[i - 1]
-        if np.any(np.abs(piv) < 1e-14 / h**2):
-            raise SingularMode("tridiagonal pivot vanished in a Fourier mode")
-        cp[i] = lower / piv
-        dp[i] = (b[i] - lower * dp[i - 1]) / piv
-    psi_hat = np.zeros_like(rhs_hat)
-    for i in range(n - 2, 0, -1):
-        psi_hat[i] = dp[i] - cp[i] * psi_hat[i + 1]
+    psi_hat = _solve_pinned(off, diag, off, rhs_hat, 0.0, 0.0)
     return np.fft.irfft(psi_hat, n=grid.n_phi, axis=1)
 
 
@@ -227,25 +215,12 @@ def bar_stream_of(state: SimState):
     return cached
 
 
-def _with_harmonic(psi_bar, lambda_circ, config, grid):
-    n = harmonic_normalization(grid)
-    return psi_bar + config.psi2 + (lambda_circ / n) * harmonic_profile(grid)[:, None]
-
-
-def stream_values(zeta_values, lambda_circ, config, grid):
-    """Full stream function: G xi + psi2 + (lambda_circ/N) psi_star."""
-    return _with_harmonic(
-        bar_stream_values(zeta_values, config, grid), lambda_circ, config, grid
-    )
-
-
 def stream_of(state: SimState):
-    return _with_harmonic(bar_stream_of(state), state.lambda_circ,
-                          state.config, state.grid)
-
-
-def stream_function(state: SimState) -> ScalarField:
-    return ScalarField(state.grid, stream_of(state))
+    """Full stream function: G xi + psi2 + (lambda_circ/N) psi_star."""
+    grid = state.grid
+    n = harmonic_normalization(grid)
+    return (bar_stream_of(state) + state.config.psi2
+            + (state.lambda_circ / n) * harmonic_profile(grid)[:, None])
 
 
 def velocity_from_stream(psi_values, grid):
@@ -316,7 +291,7 @@ def _cubic_weights(t):
     )
 
 
-def _interp_bicubic_clipped(values, rho_f, phi_f, grid, clip=True):
+def _interp_bicubic_clipped(values, rho_f, phi_f, grid):
     """Clipped cubic Lagrange interpolation at foot points.
 
     Periodic in phi; the radial stencil is clamped at the walls. The
@@ -345,11 +320,10 @@ def _interp_bicubic_clipped(values, rho_f, phi_f, grid, clip=True):
         for b in range(4):
             block = values[rows[a], cols[b]]
             row_acc += wy[b] * block
-            if clip:
-                lo = block if lo is None else np.minimum(lo, block)
-                hi = np.maximum(hi, block) if hi is not None else block
+            lo = block if lo is None else np.minimum(lo, block)
+            hi = np.maximum(hi, block) if hi is not None else block
         result += wx[a] * row_acc
-    return np.clip(result, lo, hi) if clip else result
+    return np.clip(result, lo, hi)
 
 
 def _interp_bilinear(values, rho_f, phi_f, grid):
@@ -370,16 +344,14 @@ def _interp_bilinear(values, rho_f, phi_f, grid):
     )
 
 
-def advect_values(zeta_values, w_rho, w_phi, dt, grid, clip=True):
+def advect_values(zeta_values, w_rho, w_phi, dt, grid):
     """One semi-Lagrangian transport step; returns (new values, clamps).
 
     Trajectories are traced backwards with the explicit midpoint rule:
     a half-step with the node velocity locates the midpoint, where the
     velocity is re-sampled (bilinear) for the full step. Radial foot
     points beyond the walls are clamped (tangential flow cannot exit;
-    the count is a quality metric). clip=False disables the monotone
-    limiter (diagnostic use only: it trades the exact range bound for
-    plain interpolation error).
+    the count is a quality metric).
     """
     cfl = cfl_number(w_rho, w_phi, dt, grid)
     if cfl > CFL_LIMIT:
@@ -398,7 +370,7 @@ def advect_values(zeta_values, w_rho, w_phi, dt, grid, clip=True):
     clamps += int(np.sum((rho_f < grid.rho1 - 1e-14) | (rho_f > grid.rho2 + 1e-14)))
     rho_f = np.clip(rho_f, grid.rho1, grid.rho2)
 
-    return _interp_bicubic_clipped(zeta_values, rho_f, phi_f, grid, clip=clip), clamps
+    return _interp_bicubic_clipped(zeta_values, rho_f, phi_f, grid), clamps
 
 
 def advect(state: SimState, velocity: VectorField, dt: float) -> ScalarField:
@@ -444,7 +416,7 @@ def step(state: SimState, dt: float, targets=None) -> SimState:
 
 def run(config, grid, zeta0: ScalarField, lambda_circ0: float, t_end: float,
         dt: float, *, output_stride: int = 1, csv_path=None, checkpoint_dir=None,
-        reference: SimState = None, observers=(), casimir_powers=(2, 3)):
+        reference: SimState = None, observers=()):
     """Drive step() to t_end, collecting diagnostics at the output stride.
 
     Returns (states, records). Partial CSV output is flushed if a step
@@ -467,7 +439,7 @@ def run(config, grid, zeta0: ScalarField, lambda_circ0: float, t_end: float,
             csv.write(diag.CSV_HEADER + "\n")
 
         def emit(s, index):
-            rec = diag.record(s, reference=reference, casimir_powers=casimir_powers)
+            rec = diag.record(s, reference=reference)
             records.append(rec)
             if csv:
                 csv.write(rec.csv_row() + "\n")
@@ -545,14 +517,11 @@ def perturbed_zonal_state(config, grid, amplitude, wavenumber, seed):
     base = zonal_initial_state(config, grid)
     if amplitude == 0.0:
         return base
-    psi_zonal = stream_values(base.zeta.values, base.lambda_circ, config, grid)
+    psi_zonal = stream_of(base)
     dpsi_unit = stream_perturbation(grid, 1.0, wavenumber, seed)
 
     def flat_norm(psi_like):
-        d_r = drho(psi_like, grid)
-        d_p = dphi(psi_like, grid)
-        w = grid.radial_weights[:, None]
-        return math.sqrt(float(np.sum(w * (d_r**2 + d_p**2))) * grid.d_phi)
+        return math.sqrt(integral_flat(grad_square_flat(psi_like, grid), grid))
 
     scale = amplitude * flat_norm(psi_zonal) / flat_norm(dpsi_unit)
     dpsi = scale * dpsi_unit

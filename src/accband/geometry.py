@@ -202,16 +202,26 @@ def vector_to_sphere(big_u, big_v, x, y):
 # Metric-aware quadrature
 # ==================================================================
 
-def band_integral(f: ScalarField) -> float:
-    """Integral of a grid field over the band, weighted by dsigma.
+def integral_dsigma(values, grid):
+    """Integral of grid values over the band, weighted by dsigma.
 
     dsigma = dx dy / alpha = cos^2(theta(rho)) drho dphi on the grid, so
     the rule is trapezoid in rho (second order) and the exact periodic
-    trapezoid in phi (spectrally accurate for smooth integrands).
+    trapezoid in phi (spectrally accurate for smooth integrands). The
+    result keeps the dtype of values.
     """
-    g = f.grid
-    w = g.radial_weights * np.cos(g.theta) ** 2
-    return float(g.d_phi * np.sum(w[:, None] * f.values))
+    w = grid.radial_weights * np.cos(grid.theta) ** 2
+    return grid.d_phi * np.sum(w[:, None] * values)
+
+
+def integral_flat(values, grid):
+    """Integral against drho dphi (gradient-type integrands), same rule."""
+    return grid.d_phi * np.sum(grid.radial_weights[:, None] * values)
+
+
+def band_integral(f: ScalarField) -> float:
+    """integral_dsigma of a grid field, as a float."""
+    return float(integral_dsigma(f.values, f.grid))
 
 
 def band_area(config) -> float:

@@ -144,13 +144,6 @@ class VectorField:
         if self.u_r.shape != shape or self.u_phi.shape != shape:
             raise GridMismatch("vector component shape does not match grid")
 
-    def cartesian(self):
-        """Cartesian components (U, V) on the projection plane."""
-        phi = self.grid.phi[None, :]
-        u = self.u_r * np.cos(phi) - self.u_phi * np.sin(phi)
-        v = self.u_r * np.sin(phi) + self.u_phi * np.cos(phi)
-        return u, v
-
     def __sub__(self, other):
         _check_same_grid(self, other)
         return VectorField(self.grid, self.u_r - other.u_r, self.u_phi - other.u_phi)

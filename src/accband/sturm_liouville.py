@@ -4,7 +4,7 @@ Solves
 
     (p(x) y')' + q(x) y = -mu w(x) y + h(x),   x in (a, b),
 
-with separated boundary conditions, for continuous positive p (C^1) and w.
+with Dirichlet boundary conditions, for continuous positive p (C^1) and w.
 Two independent routes to the spectrum are provided:
 
   * a matrix route: second-order conservative differences of the
@@ -26,7 +26,7 @@ homogenize_boundary, which shifts the band's Dirichlet data to zero.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -40,15 +40,15 @@ from .errors import (
 )
 
 RESONANCE_RTOL = 1e-8  # below this relative separation the expansion is meaningless
+MAX_REFINEMENTS = 2  # grid doublings eigen_solve tries before giving up
 
 
 @dataclass
 class SLProblem:
     """One regular Sturm-Liouville problem.
 
-    Boundary conditions are alpha*y(a) + beta*y'(a) = 0 and
-    gamma*y(b) + delta*y'(b) = 0; only Dirichlet (beta = delta = 0) is
-    exercised by the band model and supported by the solvers.
+    Boundary conditions are Dirichlet, y(a) = y(b) = 0: the only kind the
+    band model poses.
 
     ln_pw_prime, when given, is the analytic d/dx log(p(x) w(x)); it
     enables the stiffness-free scaled Pruefer angle, which keeps the
@@ -61,15 +61,11 @@ class SLProblem:
     q: Callable
     w: Callable
     h: Optional[Callable] = None
-    bc_a: tuple = (1.0, 0.0)
-    bc_b: tuple = (1.0, 0.0)
     ln_pw_prime: Optional[Callable] = None
 
     def __post_init__(self):
         if not self.a < self.b:
             raise ValidationError(f"need a < b, got ({self.a}, {self.b})")
-        if self.bc_a == (0.0, 0.0) or self.bc_b == (0.0, 0.0):
-            raise ValidationError("boundary coefficient pairs must be nonzero")
         x = np.linspace(self.a, self.b, 257)
         if np.any(self._eval(self.p, x) <= 0) or np.any(self._eval(self.w, x) <= 0):
             raise ValidationError("p and w must be positive on [a, b]")
@@ -77,9 +73,6 @@ class SLProblem:
     @staticmethod
     def _eval(fn, x):
         return np.broadcast_to(np.asarray(fn(x), dtype=float), np.shape(x)).copy()
-
-    def is_dirichlet(self):
-        return self.bc_a[1] == 0.0 and self.bc_b[1] == 0.0
 
     def sample(self, x):
         p = self._eval(self.p, x)
@@ -99,11 +92,6 @@ class SLSpectrum:
 
     def __len__(self):
         return len(self.eigenvalues)
-
-
-def _require_dirichlet(prob, op):
-    if not prob.is_dirichlet():
-        raise ValidationError(f"{op} supports Dirichlet boundary conditions only")
 
 
 # ==================================================================
@@ -137,16 +125,14 @@ def _tridiagonal_eigen(prob, n_max, grid_size):
     return vals, funcs, x
 
 
-def eigen_solve(prob: SLProblem, n_max: int, grid_size: int = 1025,
-                verify: bool = True, max_refinements: int = 2) -> SLSpectrum:
+def eigen_solve(prob: SLProblem, n_max: int, grid_size: int = 1025) -> SLSpectrum:
     """First n_max eigenpairs of the homogeneous problem.
 
     The matrix spectrum is validated against the Pruefer angle: at the
     k-th eigenvalue the angle at b must sit in ((k-1/2)pi, (k+1/2)pi).
-    On an index mismatch the grid is doubled and the solve repeated;
-    persistent disagreement raises ConvergenceFailure.
+    On an index mismatch the grid is doubled and the solve repeated, up to
+    MAX_REFINEMENTS times; persistent disagreement raises ConvergenceFailure.
     """
-    _require_dirichlet(prob, "eigen_solve")
     if prob.h is not None:
         raise ValidationError("eigen_solve expects the homogeneous problem (h absent)")
     if grid_size < 64:
@@ -155,10 +141,8 @@ def eigen_solve(prob: SLProblem, n_max: int, grid_size: int = 1025,
         raise ValidationError("need 1 <= n_max <= grid_size - 2")
 
     size = grid_size
-    for attempt in range(max_refinements + 1):
+    for attempt in range(MAX_REFINEMENTS + 1):
         vals, funcs, x = _tridiagonal_eigen(prob, n_max, size)
-        if not verify:
-            return SLSpectrum(vals, funcs, x, prob)
         angles = prufer_angle(prob, vals, n_steps=max(2048, 64 * n_max))
         k = np.arange(1, n_max + 1)
         ok = np.all(np.abs(angles - k * np.pi) < 0.5 * np.pi)
@@ -191,12 +175,10 @@ def prufer_angle(prob: SLProblem, mus, n_steps: int = 4096) -> np.ndarray:
     large eigenvalues. The plain fallback inflates the step count with
     max|q + mu w| to stay resolved.
     """
-    _require_dirichlet(prob, "prufer_angle")
     mus = np.atleast_1d(np.asarray(mus, dtype=float))
     scaled = prob.ln_pw_prime is not None and np.all(mus > 0)
 
     if not scaled:
-        qmax = 0.0
         xs_probe = np.linspace(prob.a, prob.b, 257)
         _, qp, wp = prob.sample(xs_probe)
         qmax = float(np.max(np.abs(qp[None, :] + mus[:, None] * wp[None, :])))
@@ -245,7 +227,6 @@ def prufer_eigenvalues(prob: SLProblem, n_max: int, n_steps: int = 8192,
     pass with a bracket a thousand times tighter polishes the roots.
     Independent of the LAPACK route used by eigen_solve.
     """
-    _require_dirichlet(prob, "prufer_eigenvalues")
     if guesses is None:
         guesses = _tridiagonal_eigen(prob, n_max, 513)[0]
     mus = np.asarray(guesses, dtype=float).copy()
@@ -281,12 +262,13 @@ def prufer_eigenvalues(prob: SLProblem, n_max: int, n_steps: int = 8192,
 # Functionals and expansions
 # ==================================================================
 
-def _derivative(y, x):
-    """Fourth-order differences on uniform grids, np.gradient otherwise."""
-    h = x[1] - x[0]
-    if len(y) < 7 or np.max(np.abs(np.diff(x) - h)) > 1e-10 * abs(h):
-        return np.gradient(y, x, edge_order=2)
-    dy = np.empty_like(y)
+def fourth_order_derivative(y, h):
+    """dy/dx by fourth-order differences on a uniform grid (len(y) >= 5).
+
+    Centered five-point stencil inside, one-sided five-point stencils on
+    the two nodes nearest each end.
+    """
+    dy = np.empty(len(y))
     dy[2:-2] = (y[:-4] - 8 * y[1:-3] + 8 * y[3:-1] - y[4:]) / (12 * h)
     dy[0] = (-25 * y[0] + 48 * y[1] - 36 * y[2] + 16 * y[3] - 3 * y[4]) / (12 * h)
     dy[1] = (-3 * y[0] - 10 * y[1] + 18 * y[2] - 6 * y[3] + y[4]) / (12 * h)
@@ -309,7 +291,11 @@ def rayleigh_quotient(prob: SLProblem, y, x=None) -> float:
     norm = np.trapezoid(w * y * y, x)
     if norm < 1e-14:
         raise ZeroFunction("<y, y>_w is numerically zero")
-    dy = _derivative(y, x)
+    h = x[1] - x[0]
+    if len(y) < 7 or np.max(np.abs(np.diff(x) - h)) > 1e-10 * abs(h):
+        dy = np.gradient(y, x, edge_order=2)
+    else:
+        dy = fourth_order_derivative(y, h)
     boundary = p[0] * y[0] * dy[0] - p[-1] * y[-1] * dy[-1]
     return float((boundary + np.trapezoid(p * dy * dy - q * y * y, x)) / norm)
 
@@ -374,10 +360,7 @@ def homogenize_boundary(config):
             - omg * np.sin(2.0 * theta)
         )
 
-    prob = SLProblem(a=th1, b=th2, p=np.cos, q=lambda t: 0.0 * np.asarray(t),
-                     w=np.cos, h=forcing,
-                     ln_pw_prime=lambda t: -2.0 * np.tan(t))
-    return prob, (a_shift, b_shift)
+    return replace(zonal_homogeneous_problem(config), h=forcing), (a_shift, b_shift)
 
 
 def zonal_homogeneous_problem(config) -> SLProblem:

@@ -41,6 +41,7 @@ from .errors import (
 )
 from .sturm_liouville import (
     eigen_solve,
+    fourth_order_derivative,
     homogenize_boundary,
     solve_inhomogeneous,
     zonal_homogeneous_problem,
@@ -156,28 +157,54 @@ def closed_form_residual(config, thetas) -> np.ndarray:
 # Finite differences
 # ==================================================================
 
-def _thomas(lower, diag, upper, rhs, pivot_rtol=1e-9):
-    """Tridiagonal solve with pivot monitoring (no pivoting)."""
+PIVOT_RTOL = 1e-9  # pivots below this fraction of the matrix scale are singular
+
+
+def _thomas(lower, diag, upper, rhs):
+    """Tridiagonal solve without pivoting, batched over trailing axes.
+
+    Row i reads lower[i] x[i-1] + diag[i] x[i] + upper[i] x[i+1] = rhs[i];
+    lower[0] and upper[-1] are ignored. The pivots are checked once, after
+    the forward sweep: one below PIVOT_RTOL times the matrix scale, or NaN,
+    raises NearEigenvalue.
+    """
     n = len(diag)
     scale = float(np.max(np.abs(diag)) + np.max(np.abs(lower)) + np.max(np.abs(upper)))
-    c = np.empty(n)
-    d = np.empty(n)
-    piv = diag[0]
-    if abs(piv) < pivot_rtol * scale:
-        raise NearEigenvalue(f"tridiagonal pivot {piv:.3e} below threshold")
-    c[0] = upper[0] / piv
-    d[0] = rhs[0] / piv
-    for i in range(1, n):
-        piv = diag[i] - lower[i] * c[i - 1]
-        if abs(piv) < pivot_rtol * scale:
-            raise NearEigenvalue(f"tridiagonal pivot {piv:.3e} below threshold")
-        c[i] = upper[i] / piv if i < n - 1 else 0.0
-        d[i] = (rhs[i] - lower[i] * d[i - 1]) / piv
-    x = np.empty(n)
+    piv = np.empty(np.shape(diag))
+    c = np.empty(np.shape(diag))
+    d = np.empty(np.shape(rhs), dtype=np.result_type(rhs, diag))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        piv[0] = p = diag[0]
+        c[0] = upper[0] / p
+        d[0] = rhs[0] / p
+        for i in range(1, n):
+            piv[i] = p = diag[i] - lower[i] * c[i - 1]
+            c[i] = upper[i] / p
+            d[i] = (rhs[i] - lower[i] * d[i - 1]) / p
+    bad = ~(np.abs(piv) >= PIVOT_RTOL * scale)
+    if np.any(bad):
+        raise NearEigenvalue(
+            f"tridiagonal pivot {np.min(np.abs(piv)):.3e} below threshold"
+        )
+    x = np.empty_like(d)
     x[-1] = d[-1]
     for i in range(n - 2, -1, -1):
         x[i] = d[i] - c[i] * x[i + 1]
     return x
+
+
+def _solve_pinned(lower, diag, upper, rhs, left, right):
+    """Tridiagonal solve with Dirichlet values pinned at both ends.
+
+    Rows 0 and n-1 of the arguments are overwritten in place by identity
+    rows, equilibrated to the largest interior diagonal entry, with
+    right-hand sides left and right.
+    """
+    row_scale = float(np.max(np.abs(diag[1:-1])))
+    upper[0] = lower[-1] = 0.0
+    diag[0] = diag[-1] = row_scale
+    rhs[0], rhs[-1] = left * row_scale, right * row_scale
+    return _thomas(lower, diag, upper, rhs)
 
 
 def solve_fd(config, n: int) -> ZonalProfile:
@@ -187,27 +214,15 @@ def solve_fd(config, n: int) -> ZonalProfile:
     _warn_equal_boundary_values(config)
     th = np.linspace(config.theta1, config.theta2, n)
     h = th[1] - th[0]
-    p_half = np.cos(0.5 * (th[:-1] + th[1:]))
+    # cos at the half nodes, zero-padded so row i uses p_half[i], p_half[i + 1]
+    p_half = np.concatenate(([0.0], np.cos(0.5 * (th[:-1] + th[1:])), [0.0]))
     cos = np.cos(th)
-    rhs_full = config.upsilon * cos - config.omega * np.sin(2.0 * th)
-
-    lower = np.zeros(n)
-    diag = np.zeros(n)
-    upper = np.zeros(n)
-    rhs = np.zeros(n)
-    lower[1:-1] = p_half[:-1] / h**2
-    upper[1:-1] = p_half[1:] / h**2
-    diag[1:-1] = -(p_half[:-1] + p_half[1:]) / h**2 + config.lam * cos[1:-1]
-    rhs[1:-1] = rhs_full[1:-1]
-    # boundary identity rows, equilibrated to the interior row magnitude
-    row_scale = float(np.max(np.abs(diag[1:-1])))
-    diag[0] = diag[-1] = row_scale
-    rhs[0], rhs[-1] = config.psi1 * row_scale, config.psi2 * row_scale
-
-    psi = _thomas(lower, diag, upper, rhs)
-    residual = np.empty(n)
-    residual[0] = residual[-1] = 0.0
-    residual[1:-1] = (
+    lower = p_half[:-1] / h**2
+    upper = p_half[1:] / h**2
+    diag = -(p_half[:-1] + p_half[1:]) / h**2 + config.lam * cos
+    rhs = config.upsilon * cos - config.omega * np.sin(2.0 * th)
+    psi = _solve_pinned(lower, diag, upper, rhs, config.psi1, config.psi2)
+    residual = (
         lower[1:-1] * psi[:-2] + diag[1:-1] * psi[1:-1] + upper[1:-1] * psi[2:]
         - rhs[1:-1]
     )
@@ -230,20 +245,10 @@ def solve_fd_rho(config, rho) -> np.ndarray:
     n = len(rho)
     h = rho[1] - rho[0]
     ch = np.cosh(rho)
-    rhs_full = config.upsilon / ch**2 - 2.0 * config.omega * np.sinh(rho) / ch**3
-
-    lower = np.zeros(n)
-    diag = np.zeros(n)
-    upper = np.zeros(n)
-    rhs = np.zeros(n)
-    lower[1:-1] = 1.0 / h**2
-    upper[1:-1] = 1.0 / h**2
-    diag[1:-1] = -2.0 / h**2 + config.lam / ch[1:-1] ** 2
-    rhs[1:-1] = rhs_full[1:-1]
-    row_scale = float(np.max(np.abs(diag[1:-1])))
-    diag[0] = diag[-1] = row_scale
-    rhs[0], rhs[-1] = config.psi1 * row_scale, config.psi2 * row_scale
-    return _thomas(lower, diag, upper, rhs)
+    off = np.full(n, 1.0 / h**2)
+    diag = -2.0 / h**2 + config.lam / ch**2
+    rhs = config.upsilon / ch**2 - 2.0 * config.omega * np.sinh(rho) / ch**3
+    return _solve_pinned(off, diag, off, rhs, config.psi1, config.psi2)
 
 
 # ==================================================================
@@ -371,17 +376,7 @@ def velocity_profile(profile: ZonalProfile) -> ZonalProfile:
     if np.max(np.abs(np.diff(th) - h)) > 1e-10 * abs(h):
         raise ValidationError("velocity_profile expects a uniform theta grid")
 
-    dpsi = np.empty(n)
-    dpsi[2:-2] = (psi[:-4] - 8 * psi[1:-3] + 8 * psi[3:-1] - psi[4:]) / (12 * h)
-    dpsi[0] = (-25 * psi[0] + 48 * psi[1] - 36 * psi[2]
-               + 16 * psi[3] - 3 * psi[4]) / (12 * h)
-    dpsi[1] = (-3 * psi[0] - 10 * psi[1] + 18 * psi[2]
-               - 6 * psi[3] + psi[4]) / (12 * h)
-    dpsi[-2] = (3 * psi[-1] + 10 * psi[-2] - 18 * psi[-3]
-                + 6 * psi[-4] - psi[-5]) / (12 * h)
-    dpsi[-1] = (25 * psi[-1] - 48 * psi[-2] + 36 * psi[-3]
-                - 16 * psi[-4] + 3 * psi[-5]) / (12 * h)
-    u = -dpsi
+    u = -fourth_order_derivative(psi, h)
     return replace(profile, u=u, u_dimensional=u * profile.config.u_scale)
 
 

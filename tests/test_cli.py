@@ -183,6 +183,31 @@ class TestModes:
         assert (out / "sweep_-10" / "profile.csv").exists()
         assert (out / "sweep_-100" / "profile.csv").exists()
 
+    def test_failing_sweep_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "sweepfail"
+        code = main([
+            "--mode", "evolve", "--out", str(out), "--n-rho", "32",
+            "--n-phi", "32", "--dt", "5", "--t-end", "10",
+            "--sweep=-10,-20", *MILD_BAND,
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.count("numerical failure") == 2
+        for lam in ("-10", "-20"):  # both workers started and wrote t = 0
+            rows = (out / f"sweep_{lam}" / "diagnostics.csv").read_text().splitlines()
+            assert len(rows) == 2
+
+    def test_stability_mode_checks_invariants(self, tmp_path, capsys, monkeypatch):
+        import accband.euler2d as e2
+
+        monkeypatch.setattr(e2, "xi_bound", lambda config, zeta0: -1.0)
+        code = main([
+            "--mode", "stability", "--out", str(tmp_path / "stab"), "--n-rho", "32",
+            "--n-phi", "32", "--dt", "0.002", "--t-end", "0.004",
+            "--amplitude", "0.01", "--lambda", "-10", *MILD_BAND,
+        ])
+        assert code == 2
+        assert "transport bound" in capsys.readouterr().err
+
 
 class TestCsvRoundtrip:
     def test_all_emitted_csvs_parse_back(self, tmp_path):

@@ -310,6 +310,16 @@ class TestRecord:
         parsed = [float(cell) for cell in row.split(",")]
         assert all(math.isfinite(v) for v in parsed)
 
+    def test_fields_equal_individual_functionals(self, mild_neg_lam_config):
+        grid = AnnulusGrid.from_band(mild_neg_lam_config, 48, 48)
+        ref = e2.zonal_initial_state(mild_neg_lam_config, grid)
+        state = e2.perturbed_zonal_state(mild_neg_lam_config, grid, 0.01, 2, seed=1)
+        rec = dg.record(state, reference=ref)
+        assert rec.energy == dg.energy(state)
+        assert (rec.circ1, rec.circ2) == dg.circulations(state)
+        assert rec.lyapunov == dg.lyapunov(state)
+        assert rec.stability_lhs == dg.stability_lhs(state, ref)
+
     def test_stability_column_nan_without_reference(self, mild_config):
         grid = AnnulusGrid.from_band(mild_config, 48, 48)
         state = e2.zonal_initial_state(mild_config, grid)
