@@ -23,11 +23,16 @@ need the absolute vorticity therefore evaluate s = -zeta.
 Discretization, in (rho, phi) = (log r, azimuth):
 
   * spectral d/dphi (FFT), second-order d/drho (one-sided at walls);
-  * Poisson: FFT in phi + one tridiagonal solve per mode in rho;
+  * Poisson: FFT in phi + one tridiagonal solve per mode in rho; the
+    radial factorisation depends only on the grid and is cached on it
+    (AnnulusGrid.poisson_factor);
   * transport: semi-Lagrangian, two-stage midpoint trajectories with the
     time-midpoint velocity taken from a predictor step, cubic Lagrange
     interpolation clipped to the local 4x4 stencil range (preserves the
     initial min/max of zeta, hence the |xi| <= A ||zeta0||_inf + B bound);
+    each foot point's cell is located once per interpolation, and its
+    stencil is gathered with flat takes from a padded copy of the field
+    (edge rows at the walls, periodic columns);
   * characteristics in these coordinates: d(rho)/ds = cosh^2(rho) psi_phi,
     d(phi)/ds = -cosh^2(rho) psi_rho, since alpha e^{-2 rho} = cosh^2(rho).
 
@@ -40,8 +45,10 @@ is advanced by one driver at a time; finished states are immutable
 snapshots safe to hand to diagnostic consumers on other threads.
 """
 
+import contextlib
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +61,7 @@ from .errors import (
 )
 from .geometry import alpha_of_rho, beta_of_rho, integral_flat
 from .grids import AnnulusGrid, ScalarField, VectorField
-from .zonal import _solve_pinned, solve_fd_rho
+from .zonal import _thomas_solve, solve_fd_rho
 
 CFL_LIMIT = 0.8
 
@@ -115,15 +122,11 @@ def grad_square_flat(psi_values, grid):
 def _poisson_values(source, grid):
     """Solve Delta psi = -source with psi = 0 on both walls.
 
-    FFT in phi, then one tridiagonal solve in rho for all modes at once.
+    FFT in phi, then one tridiagonal solve in rho for all modes at once,
+    through the grid's cached factor.
     """
     rhs_hat = np.fft.rfft(-np.exp(2.0 * grid.rho)[:, None] * source, axis=1)
-    n = grid.n_rho
-    h = grid.d_rho
-    m = np.arange(rhs_hat.shape[1])
-    off = np.full(n, 1.0 / h**2)
-    diag = np.full((n, len(m)), -2.0 / h**2) - (m * m)[None, :]
-    psi_hat = _solve_pinned(off, diag, off, rhs_hat, 0.0, 0.0)
+    psi_hat = _thomas_solve(grid.poisson_factor, rhs_hat, 0.0, 0.0)
     return np.fft.irfft(psi_hat, n=grid.n_phi, axis=1)
 
 
@@ -291,6 +294,22 @@ def _cubic_weights(t):
     )
 
 
+def _foot_cells(x, phi_f, grid):
+    """Cell (i0, j0) and in-cell offsets (tx, ty) of each foot point.
+
+    x is the radial position in cell units; i0 is clamped to the last
+    full cell and phi wraps periodically into [0, 2 pi).
+    """
+    i0 = np.clip(np.floor(x).astype(int), 0, grid.n_rho - 2)
+    # np.mod returns phi itself on (0, 2 pi), so only the rest needs it
+    wrapped = phi_f.copy()
+    outside = ~((phi_f > 0.0) & (phi_f < 2.0 * np.pi))
+    wrapped[outside] = np.mod(phi_f[outside], 2.0 * np.pi)
+    y = wrapped / grid.d_phi
+    floor_y = np.floor(y)
+    return i0, x - i0, floor_y.astype(int) % grid.n_phi, y - floor_y
+
+
 def _interp_bicubic_clipped(values, rho_f, phi_f, grid):
     """Clipped cubic Lagrange interpolation at foot points.
 
@@ -298,17 +317,16 @@ def _interp_bicubic_clipped(values, rho_f, phi_f, grid):
     result is clipped to the min/max of its own 4x4 stencil, which keeps
     the global range of the field inside the initial range exactly.
     """
-    h_r = grid.d_rho
-    h_p = grid.d_phi
-    x = (rho_f - grid.rho1) / h_r
-    i0 = np.clip(np.floor(x).astype(int), 0, grid.n_rho - 2)
-    tx = x - i0
-    y = np.mod(phi_f, 2.0 * np.pi) / h_p
-    j0 = np.floor(y).astype(int) % grid.n_phi
-    ty = y - np.floor(y)
-
-    rows = [np.clip(i0 + k, 0, grid.n_rho - 1) for k in (-1, 0, 1, 2)]
-    cols = [(j0 + k) % grid.n_phi for k in (-1, 0, 1, 2)]
+    x = (rho_f - grid.rho1) / grid.d_rho
+    i0, tx, j0, ty = _foot_cells(x, phi_f, grid)
+    # One edge row at each wall repeats it (the radial clamp); periodic
+    # columns, 1 left and 2 right, hold stencil columns j0 - 1 .. j0 + 2.
+    # Stencil entry (a, b) then sits at flat offset a * width + b from base.
+    padded = np.pad(np.pad(values, ((1, 1), (0, 0)), mode="edge"),
+                    ((0, 0), (1, 2)), mode="wrap")
+    width = grid.n_phi + 3
+    flat = padded.ravel()
+    base = i0 * width + j0
     wx = _cubic_weights(tx)
     wy = _cubic_weights(ty)
 
@@ -318,7 +336,7 @@ def _interp_bicubic_clipped(values, rho_f, phi_f, grid):
     for a in range(4):
         row_acc = np.zeros_like(rho_f)
         for b in range(4):
-            block = values[rows[a], cols[b]]
+            block = flat[a * width + b:].take(base)
             row_acc += wy[b] * block
             lo = block if lo is None else np.minimum(lo, block)
             hi = np.maximum(hi, block) if hi is not None else block
@@ -326,22 +344,23 @@ def _interp_bicubic_clipped(values, rho_f, phi_f, grid):
     return np.clip(result, lo, hi)
 
 
-def _interp_bilinear(values, rho_f, phi_f, grid):
-    """Bilinear interpolation (used for mid-trajectory velocities)."""
+def _interp_bilinear_pair(u, v, rho_f, phi_f, grid):
+    """Bilinear interpolation of two fields at the same foot points."""
     x = np.clip((rho_f - grid.rho1) / grid.d_rho, 0.0, grid.n_rho - 1.0)
-    i0 = np.clip(np.floor(x).astype(int), 0, grid.n_rho - 2)
-    tx = x - i0
-    y = np.mod(phi_f, 2.0 * np.pi) / grid.d_phi
-    j0 = np.floor(y).astype(int) % grid.n_phi
-    ty = y - np.floor(y)
-    j1 = (j0 + 1) % grid.n_phi
-    v00 = values[i0, j0]
-    v01 = values[i0, j1]
-    v10 = values[i0 + 1, j0]
-    v11 = values[i0 + 1, j1]
-    return (
-        (1 - tx) * ((1 - ty) * v00 + ty * v01) + tx * ((1 - ty) * v10 + ty * v11)
-    )
+    i0, tx, j0, ty = _foot_cells(x, phi_f, grid)
+    width = grid.n_phi + 1  # one periodic pad column wraps j0 + 1
+    base = i0 * width + j0
+    sx = 1 - tx
+    sy = 1 - ty
+    out = []
+    for values in (u, v):
+        flat = np.pad(values, ((0, 0), (0, 1)), mode="wrap").ravel()
+        v00 = flat.take(base)
+        v01 = flat[1:].take(base)
+        v10 = flat[width:].take(base)
+        v11 = flat[width + 1:].take(base)
+        out.append(sx * (sy * v00 + ty * v01) + tx * (sy * v10 + ty * v11))
+    return out
 
 
 def advect_values(zeta_values, w_rho, w_phi, dt, grid):
@@ -357,14 +376,14 @@ def advect_values(zeta_values, w_rho, w_phi, dt, grid):
     if cfl > CFL_LIMIT:
         raise CflViolation(cfl, dt, CFL_LIMIT * abs(dt) / cfl)
 
-    rho_n, phi_n = grid.mesh()
+    rho_n = grid.rho[:, None]
+    phi_n = grid.phi[None, :]
     rho_h = rho_n - 0.5 * dt * w_rho
     phi_h = phi_n - 0.5 * dt * w_phi
     clamps = int(np.sum((rho_h < grid.rho1 - 1e-14) | (rho_h > grid.rho2 + 1e-14)))
     rho_h = np.clip(rho_h, grid.rho1, grid.rho2)
 
-    w_rho_h = _interp_bilinear(w_rho, rho_h, phi_h, grid)
-    w_phi_h = _interp_bilinear(w_phi, rho_h, phi_h, grid)
+    w_rho_h, w_phi_h = _interp_bilinear_pair(w_rho, w_phi, rho_h, phi_h, grid)
     rho_f = rho_n - dt * w_rho_h
     phi_f = phi_n - dt * w_phi_h
     clamps += int(np.sum((rho_f < grid.rho1 - 1e-14) | (rho_f > grid.rho2 + 1e-14)))
@@ -537,8 +556,17 @@ def perturbed_zonal_state(config, grid, amplitude, wavenumber, seed):
 CHECKPOINT_KEYS = ("n_rho", "n_phi", "theta1", "theta2", "omega", "t", "lambda_circ")
 
 
+def _checkpoint_row(row):
+    """One line of checkpoint payload: the shortest round-trip repr of each float."""
+    return " ".join(map(repr, row))
+
+
 def write_checkpoint(path, state: SimState):
-    """Text dump: one JSON header line, then row-major zeta values."""
+    """Text dump: one JSON header line, then row-major zeta values.
+
+    Written to path + ".tmp" and renamed over path, so a failed or killed
+    write never leaves a truncated checkpoint under the final name.
+    """
     grid = state.grid
     header = {
         "n_rho": grid.n_rho,
@@ -549,10 +577,17 @@ def write_checkpoint(path, state: SimState):
         "t": state.t,
         "lambda_circ": state.lambda_circ,
     }
-    with open(path, "w", newline="") as fh:
-        fh.write(json.dumps(header) + "\n")
-        for row in state.zeta.values:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fh.write(json.dumps(header) + "\n")
+            for row in state.zeta.values.tolist():
+                fh.write(_checkpoint_row(row) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def read_checkpoint(path):

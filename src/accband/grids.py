@@ -78,6 +78,25 @@ class AnnulusGrid:
         w[-1] *= 0.5
         return w
 
+    @cached_property
+    def poisson_factor(self):
+        """Pinned radial factor of the Poisson solve, built once per grid.
+
+        One tridiagonal d^2/drho^2 - m^2 per rfft mode m of n_phi, with
+        Dirichlet rows pinned at both walls (see zonal._thomas_factor).
+        """
+        # Imported on first use: grids sits below zonal, and a module-level
+        # import here moved scipy's import earlier and added about 50 ms to
+        # every process start (numpy.f2py's import slowed; measured, not
+        # explained).
+        from .zonal import _thomas_factor
+
+        h = self.d_rho
+        m = np.arange(self.n_phi // 2 + 1)
+        off = np.full(self.n_rho, 1.0 / h**2)
+        diag = np.full((self.n_rho, len(m)), -2.0 / h**2) - (m * m)[None, :]
+        return _thomas_factor(off, diag, off)
+
     # -- field constructors -------------------------------------------
 
     def scalar_field(self, values):

@@ -160,51 +160,59 @@ def closed_form_residual(config, thetas) -> np.ndarray:
 PIVOT_RTOL = 1e-9  # pivots below this fraction of the matrix scale are singular
 
 
-def _thomas(lower, diag, upper, rhs):
-    """Tridiagonal solve without pivoting, batched over trailing axes.
+def _thomas_factor(lower, diag, upper):
+    """Pin the Dirichlet rows, then eliminate: a tridiagonal factor.
 
-    Row i reads lower[i] x[i-1] + diag[i] x[i] + upper[i] x[i+1] = rhs[i];
-    lower[0] and upper[-1] are ignored. The pivots are checked once, after
-    the forward sweep: one below PIVOT_RTOL times the matrix scale, or NaN,
+    Row i reads lower[i] x[i-1] + diag[i] x[i] + upper[i] x[i+1], batched
+    over trailing axes of diag. Rows 0 and n-1 are overwritten in place by
+    identity rows, equilibrated to the largest interior diagonal entry.
+    The factor depends on the matrix only, so one factor serves every
+    right-hand side (see _thomas_solve). The pivots are checked once,
+    after the sweep: one below PIVOT_RTOL times the matrix scale, or NaN,
     raises NearEigenvalue.
     """
+    row_scale = float(np.max(np.abs(diag[1:-1])))
+    upper[0] = lower[-1] = 0.0
+    diag[0] = diag[-1] = row_scale
     n = len(diag)
     scale = float(np.max(np.abs(diag)) + np.max(np.abs(lower)) + np.max(np.abs(upper)))
     piv = np.empty(np.shape(diag))
     c = np.empty(np.shape(diag))
-    d = np.empty(np.shape(rhs), dtype=np.result_type(rhs, diag))
     with np.errstate(divide="ignore", invalid="ignore"):
         piv[0] = p = diag[0]
         c[0] = upper[0] / p
-        d[0] = rhs[0] / p
         for i in range(1, n):
             piv[i] = p = diag[i] - lower[i] * c[i - 1]
             c[i] = upper[i] / p
-            d[i] = (rhs[i] - lower[i] * d[i - 1]) / p
     bad = ~(np.abs(piv) >= PIVOT_RTOL * scale)
     if np.any(bad):
         raise NearEigenvalue(
             f"tridiagonal pivot {np.min(np.abs(piv)):.3e} below threshold"
         )
-    x = np.empty_like(d)
-    x[-1] = d[-1]
-    for i in range(n - 2, -1, -1):
-        x[i] = d[i] - c[i] * x[i + 1]
+    return lower, piv, c, row_scale
+
+
+def _thomas_solve(factor, rhs, left, right):
+    """Forward and back substitution through a _thomas_factor.
+
+    Rows 0 and n-1 of rhs are overwritten in place by the wall values
+    left and right.
+    """
+    lower, piv, c, row_scale = factor
+    rhs[0], rhs[-1] = left * row_scale, right * row_scale
+    x = np.empty(np.shape(rhs), dtype=np.result_type(rhs, piv))
+    x[0] = d = rhs[0] / piv[0]
+    for i in range(1, len(piv)):
+        x[i] = d = (rhs[i] - lower[i] * d) / piv[i]
+    for i in range(len(piv) - 2, -1, -1):
+        x[i] = d = x[i] - c[i] * d
     return x
 
 
 def _solve_pinned(lower, diag, upper, rhs, left, right):
-    """Tridiagonal solve with Dirichlet values pinned at both ends.
-
-    Rows 0 and n-1 of the arguments are overwritten in place by identity
-    rows, equilibrated to the largest interior diagonal entry, with
-    right-hand sides left and right.
-    """
-    row_scale = float(np.max(np.abs(diag[1:-1])))
-    upper[0] = lower[-1] = 0.0
-    diag[0] = diag[-1] = row_scale
-    rhs[0], rhs[-1] = left * row_scale, right * row_scale
-    return _thomas(lower, diag, upper, rhs)
+    """Tridiagonal solve with Dirichlet values left and right pinned at
+    both ends; the arguments are overwritten in place."""
+    return _thomas_solve(_thomas_factor(lower, diag, upper), rhs, left, right)
 
 
 def solve_fd(config, n: int) -> ZonalProfile:

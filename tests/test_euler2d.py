@@ -9,12 +9,87 @@ import pytest
 from accband.errors import CflViolation, ValidationError
 from accband.geometry import BandConfig, alpha_of_rho, beta_of_rho
 from accband.grids import AnnulusGrid, ScalarField
+from accband import zonal
 from accband.zonal import solve_closed_form_lambda0
 import accband.euler2d as e2
 
 
 def make_grid(config, n_rho=64, n_phi=64):
     return AnnulusGrid.from_band(config, n_rho, n_phi)
+
+
+# ------------------------------------------------------------------
+# References: the Poisson solve that factors on every call, and the
+# interpolations by 2-D fancy indexing. The library must match them
+# bit for bit.
+# ------------------------------------------------------------------
+
+def ref_poisson_values(source, grid):
+    rhs_hat = np.fft.rfft(-np.exp(2.0 * grid.rho)[:, None] * source, axis=1)
+    n = grid.n_rho
+    h = grid.d_rho
+    m = np.arange(rhs_hat.shape[1])
+    off = np.full(n, 1.0 / h**2)
+    diag = np.full((n, len(m)), -2.0 / h**2) - (m * m)[None, :]
+    psi_hat = zonal._solve_pinned(off, diag, off, rhs_hat, 0.0, 0.0)
+    return np.fft.irfft(psi_hat, n=grid.n_phi, axis=1)
+
+
+def ref_bicubic_clipped(values, rho_f, phi_f, grid):
+    x = (rho_f - grid.rho1) / grid.d_rho
+    i0 = np.clip(np.floor(x).astype(int), 0, grid.n_rho - 2)
+    tx = x - i0
+    y = np.mod(phi_f, 2.0 * np.pi) / grid.d_phi
+    j0 = np.floor(y).astype(int) % grid.n_phi
+    ty = y - np.floor(y)
+    rows = [np.clip(i0 + k, 0, grid.n_rho - 1) for k in (-1, 0, 1, 2)]
+    cols = [(j0 + k) % grid.n_phi for k in (-1, 0, 1, 2)]
+    wx = e2._cubic_weights(tx)
+    wy = e2._cubic_weights(ty)
+    result = np.zeros_like(rho_f)
+    lo = None
+    hi = None
+    for a in range(4):
+        row_acc = np.zeros_like(rho_f)
+        for b in range(4):
+            block = values[rows[a], cols[b]]
+            row_acc += wy[b] * block
+            lo = block if lo is None else np.minimum(lo, block)
+            hi = np.maximum(hi, block) if hi is not None else block
+        result += wx[a] * row_acc
+    return np.clip(result, lo, hi)
+
+
+def ref_bilinear(values, rho_f, phi_f, grid):
+    x = np.clip((rho_f - grid.rho1) / grid.d_rho, 0.0, grid.n_rho - 1.0)
+    i0 = np.clip(np.floor(x).astype(int), 0, grid.n_rho - 2)
+    tx = x - i0
+    y = np.mod(phi_f, 2.0 * np.pi) / grid.d_phi
+    j0 = np.floor(y).astype(int) % grid.n_phi
+    ty = y - np.floor(y)
+    j1 = (j0 + 1) % grid.n_phi
+    v00 = values[i0, j0]
+    v01 = values[i0, j1]
+    v10 = values[i0 + 1, j0]
+    v11 = values[i0 + 1, j1]
+    return (
+        (1 - tx) * ((1 - ty) * v00 + ty * v01) + tx * ((1 - ty) * v10 + ty * v11)
+    )
+
+
+def ref_advect_values(zeta_values, w_rho, w_phi, dt, grid):
+    rho_n, phi_n = grid.mesh()
+    rho_h = rho_n - 0.5 * dt * w_rho
+    phi_h = phi_n - 0.5 * dt * w_phi
+    clamps = int(np.sum((rho_h < grid.rho1 - 1e-14) | (rho_h > grid.rho2 + 1e-14)))
+    rho_h = np.clip(rho_h, grid.rho1, grid.rho2)
+    w_rho_h = ref_bilinear(w_rho, rho_h, phi_h, grid)
+    w_phi_h = ref_bilinear(w_phi, rho_h, phi_h, grid)
+    rho_f = rho_n - dt * w_rho_h
+    phi_f = phi_n - dt * w_phi_h
+    clamps += int(np.sum((rho_f < grid.rho1 - 1e-14) | (rho_f > grid.rho2 + 1e-14)))
+    rho_f = np.clip(rho_f, grid.rho1, grid.rho2)
+    return ref_bicubic_clipped(zeta_values, rho_f, phi_f, grid), clamps
 
 
 class TestPoisson:
@@ -50,6 +125,40 @@ class TestPoisson:
         c1, c2 = np.linalg.solve(mat, np.array([r1**2 / 4, r2**2 / 4]))
         exact = -(r**2) / 4 + c1 * np.log(r) + c2
         assert np.max(np.abs(psi - exact[:, None])) <= 5e-6
+
+
+class TestPoissonFactorCache:
+    @pytest.mark.parametrize("shape", [(64, 64), (64, 63)])
+    def test_cached_solve_matches_fresh_factorisation(self, mild_config, rng, shape):
+        grid = make_grid(mild_config, *shape)
+        for _ in range(2):  # the second solve reuses the factor
+            src = rng.standard_normal(shape)
+            assert np.array_equal(e2._poisson_values(src, grid),
+                                  ref_poisson_values(src, grid))
+
+    def test_factor_built_once_per_grid(self, mild_config, rng, monkeypatch):
+        calls = []
+        factor = zonal._thomas_factor
+
+        def counting(*args):
+            calls.append(1)
+            return factor(*args)
+
+        monkeypatch.setattr(zonal, "_thomas_factor", counting)
+        grid = make_grid(mild_config, 48, 40)
+        src = rng.standard_normal((48, 40))
+        first = e2._poisson_values(src, grid)
+        assert len(calls) == 1
+        assert np.array_equal(e2._poisson_values(src, grid), first)
+        assert len(calls) == 1
+
+    def test_grids_do_not_share_a_factor(self, mild_config):
+        a = make_grid(mild_config, 64, 64)
+        b = make_grid(mild_config, 64, 63)
+        _, piv_a, _, _ = a.poisson_factor
+        _, piv_b, _, _ = b.poisson_factor
+        assert piv_a.shape == (64, 33) and piv_b.shape == (64, 32)
+        assert make_grid(mild_config, 64, 64).poisson_factor is not a.poisson_factor
 
 
 class TestHarmonicComponent:
@@ -239,6 +348,73 @@ class TestAdvection:
         assert errs[0] <= 60.0 * 0.03**3
 
 
+class TestInterpolationReference:
+    """The padded-flat gathers against the 2-D fancy-index reference."""
+
+    def foot_points(self, grid, rng):
+        """Seeded foot points plus the edge cases of the stencil lookup."""
+        n = 500
+        rho_f = rng.uniform(grid.rho1, grid.rho2, n)
+        phi_f = rng.uniform(-1.0, 2.0 * np.pi + 1.0, n)
+        j = rng.integers(0, grid.n_phi, grid.n_rho)
+        rho_f = np.concatenate([
+            rho_f,
+            [grid.rho1, grid.rho1 + 0.3 * grid.d_rho, grid.rho2,
+             grid.rho2 - 0.3 * grid.d_rho],           # both walls
+            grid.rho,                                 # exactly on nodes
+            np.full(6, grid.rho[3]),
+        ])
+        phi_f = np.concatenate([
+            phi_f,
+            [0.1, 1.0, 2.0, 3.0],
+            grid.phi[j],
+            [-1e-17, -0.0, -grid.d_phi, 2.0 * np.pi, 2.0 * np.pi + 1e-9,
+             4.0 * np.pi + 0.5],                      # phi < 0 and >= 2 pi
+        ])
+        x = (rho_f - grid.rho1) / grid.d_rho
+        i0 = np.clip(np.floor(x).astype(int), 0, grid.n_rho - 2)
+        assert i0.min() == 0 and i0.max() == grid.n_rho - 2
+        y = np.mod(phi_f, 2.0 * np.pi) / grid.d_phi
+        assert np.sum((x == np.floor(x)) & (y == np.floor(y))) >= 2  # tx = ty = 0
+        assert np.any(phi_f < 0.0) and np.any(phi_f >= 2.0 * np.pi)
+        return rho_f, phi_f
+
+    @pytest.mark.parametrize("shape", [(32, 48), (24, 31)])
+    def test_bicubic_matches_reference(self, mild_config, rng, shape):
+        grid = make_grid(mild_config, *shape)
+        values = rng.standard_normal(shape)
+        rho_f, phi_f = self.foot_points(grid, rng)
+        assert np.array_equal(e2._interp_bicubic_clipped(values, rho_f, phi_f, grid),
+                              ref_bicubic_clipped(values, rho_f, phi_f, grid))
+
+    @pytest.mark.parametrize("shape", [(32, 48), (24, 31)])
+    def test_bilinear_pair_matches_reference(self, mild_config, rng, shape):
+        grid = make_grid(mild_config, *shape)
+        u = rng.standard_normal(shape)
+        v = rng.standard_normal(shape)
+        rho_f, phi_f = self.foot_points(grid, rng)
+        # the bilinear stage also clips x itself, so feed it foot points
+        # beyond the walls as well
+        rho_f = np.concatenate([rho_f, [grid.rho1 - 0.1, grid.rho2 + 0.1]])
+        phi_f = np.concatenate([phi_f, [0.5, 0.5]])
+        got_u, got_v = e2._interp_bilinear_pair(u, v, rho_f, phi_f, grid)
+        assert np.array_equal(got_u, ref_bilinear(u, rho_f, phi_f, grid))
+        assert np.array_equal(got_v, ref_bilinear(v, rho_f, phi_f, grid))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_advect_matches_reference(self, mild_neg_lam_config, sign):
+        grid = make_grid(mild_neg_lam_config, 48, 40)
+        state = e2.perturbed_zonal_state(mild_neg_lam_config, grid, 0.05, 3, seed=6)
+        w_rho, w_phi = e2.advecting_velocity(e2.stream_of(state), grid)
+        # an outward radial drift pushes foot points across a wall
+        w_rho = w_rho + 0.2 * np.max(np.abs(w_phi)) * grid.d_rho / grid.d_phi
+        dt = sign * 0.6 / e2.cfl_number(w_rho, w_phi, 1.0, grid)
+        got, got_clamps = e2.advect_values(state.zeta.values, w_rho, w_phi, dt, grid)
+        want, want_clamps = ref_advect_values(state.zeta.values, w_rho, w_phi, dt, grid)
+        assert np.array_equal(got, want)
+        assert got_clamps == want_clamps > 0
+
+
 class TestStepAndRun:
     def test_zonal_state_is_discrete_fixed_point(self, mild_neg_lam_config):
         grid = make_grid(mild_neg_lam_config, 96, 96)
@@ -332,6 +508,61 @@ class TestCheckpoints:
         other = BandConfig(psi1=-0.2, psi2=0.2, omega=3.0, upsilon=1.0)
         with pytest.raises(ValidationError):
             e2.state_from_checkpoint(path, other)
+
+
+    def test_failed_write_leaves_nothing(self, mild_config, tmp_path, monkeypatch):
+        grid = make_grid(mild_config, 32, 16)
+        state = e2.zonal_initial_state(mild_config, grid)
+        path = tmp_path / "checkpoint_000001.txt"
+        row = e2._checkpoint_row
+        rows_written = []
+
+        def failing(values):
+            if len(rows_written) == 5:
+                raise OSError("disk full")
+            rows_written.append(1)
+            return row(values)
+
+        monkeypatch.setattr(e2, "_checkpoint_row", failing)
+        with pytest.raises(OSError):
+            e2.write_checkpoint(path, state)
+        assert not path.exists()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_keeps_previous_file(self, mild_config, tmp_path, monkeypatch):
+        grid = make_grid(mild_config, 32, 16)
+        state = e2.zonal_initial_state(mild_config, grid)
+        path = tmp_path / "state.txt"
+        e2.write_checkpoint(path, state)
+        before = path.read_bytes()
+
+        def failing(values):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(e2, "_checkpoint_row", failing)
+        with pytest.raises(OSError):
+            e2.write_checkpoint(path, state)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["state.txt"]
+
+    def test_bytes_match_per_value_format(self, mild_neg_lam_config, tmp_path):
+        grid = make_grid(mild_neg_lam_config, 32, 16)
+        state = e2.perturbed_zonal_state(mild_neg_lam_config, grid, 0.02, 2, seed=9)
+        state.zeta.values[0, 0] = -0.0
+
+        def per_value_writer(path, state):
+            header = {"n_rho": grid.n_rho, "n_phi": grid.n_phi,
+                      "theta1": state.config.theta1, "theta2": state.config.theta2,
+                      "omega": state.config.omega, "t": state.t,
+                      "lambda_circ": state.lambda_circ}
+            with open(path, "w", newline="") as fh:
+                fh.write(json.dumps(header) + "\n")
+                for row in state.zeta.values:
+                    fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+
+        e2.write_checkpoint(tmp_path / "new.txt", state)
+        per_value_writer(tmp_path / "old.txt", state)
+        assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
 
 
 class TestTransportBound:

@@ -29,6 +29,7 @@ from accband.zonal import (
     write_profile_csv,
     zeta_particular,
     _closed_form_constants,
+    _solve_pinned,
 )
 
 OMEGA_OFF = 1e-30  # stand-in for a switched-off rotation (config needs omega > 0)
@@ -113,6 +114,41 @@ class TestFiniteDifference:
         with pytest.raises(NearEigenvalue):
             # matching grid makes the tridiagonal matrix genuinely singular
             solve_fd(bad, n)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_split_thomas_matches_one_pass_sweep(self, rng, dtype):
+        """Factor-then-solve is bit-identical to eliminating the rhs in the
+        same sweep as the matrix (the arithmetic of each row is unchanged)."""
+        n, modes = 40, 7
+        lower = rng.uniform(0.5, 1.0, n)
+        upper = lower.copy()
+        diag = -2.5 - rng.uniform(0.0, 1.0, (n, modes))
+        rhs = rng.standard_normal((n, modes)).astype(dtype)
+        if dtype is complex:
+            rhs += 1j * rng.standard_normal((n, modes))
+
+        row_scale = float(np.max(np.abs(diag[1:-1])))
+        lo, dg, up, b = lower.copy(), diag.copy(), upper.copy(), rhs.copy()
+        up[0] = lo[-1] = 0.0
+        dg[0] = dg[-1] = row_scale
+        b[0], b[-1] = 0.3 * row_scale, -0.7 * row_scale
+        piv = np.empty(dg.shape)
+        c = np.empty(dg.shape)
+        d = np.empty(b.shape, dtype=b.dtype)
+        piv[0] = p = dg[0]
+        c[0] = up[0] / p
+        d[0] = b[0] / p
+        for i in range(1, n):
+            piv[i] = p = dg[i] - lo[i] * c[i - 1]
+            c[i] = up[i] / p
+            d[i] = (b[i] - lo[i] * d[i - 1]) / p
+        want = np.empty_like(d)
+        want[-1] = d[-1]
+        for i in range(n - 2, -1, -1):
+            want[i] = d[i] - c[i] * want[i + 1]
+
+        got = _solve_pinned(lower, diag, upper, rhs, 0.3, -0.7)
+        assert np.array_equal(got, want)
 
     def test_linear_system_residual_tiny(self, fig1_config):
         prof = solve_fd(fig1_config, n=1001)
