@@ -10,16 +10,18 @@ Modes:
              zonal-stability identity
 
 Configuration comes from an INI-style file (sections [band], [grid],
-[run]; '#' comments) and/or flags, flags winning. Unknown keys are hard
-errors. Exit codes: 0 ok, 1 invalid configuration, 2 numerical failure,
-3 I/O failure.
+[run]; '#' comments) and/or flags, flags winning. Every setting is one
+OPTIONS entry; its flag is the file key with '_' -> '-' (n_rho is
+--n-rho). Unknown keys and malformed flags are configuration errors.
+Exit codes: 0 ok, 1 invalid configuration, 2 numerical failure, 3 I/O
+failure.
 """
 
 import argparse
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import make_dataclass, replace
 
 import numpy as np
 
@@ -31,47 +33,53 @@ from .sturm_liouville import eigen_solve, zonal_homogeneous_problem
 
 MODES = ("zonal", "evolve", "stability", "spectrum")
 ZONAL_METHODS = ("fd", "closed_form", "picard", "sl_expansion")
+_CHOICES = {"mode": MODES, "method": ZONAL_METHODS}
 
-_SCHEMA = {
-    "band": {
-        "theta1_deg": float, "theta2_deg": float, "psi1": float, "psi2": float,
-        "omega": float, "lambda": float, "upsilon": float, "u_scale": float,
-    },
-    "grid": {"n_rho": int, "n_phi": int, "n_zonal": int},
-    "run": {
-        "mode": str, "dt": float, "t_end": float, "output_stride": int,
-        "method": str, "amplitude": float, "wavenumber": int, "seed": int,
-    },
+# Every setting, declared once: key -> (section, type, default). The
+# scenario-file key, its flag (--key with '_' -> '-') and, outside [band],
+# its RunSpec field are all derived from this table.
+OPTIONS = {
+    "theta1_deg": ("band", float, -60.0),
+    "theta2_deg": ("band", float, -50.0),
+    "psi1": ("band", float, -5.0),
+    "psi2": ("band", float, -25.0),
+    "omega": ("band", float, 4650.0),
+    "lambda": ("band", float, 0.0),
+    "upsilon": ("band", float, 0.0),
+    "u_scale": ("band", float, 0.1),
+    "n_rho": ("grid", int, 128),
+    "n_phi": ("grid", int, 128),
+    "n_zonal": ("grid", int, 2001),
+    "mode": ("run", str, None),
+    "dt": ("run", float, 0.0),
+    "t_end": ("run", float, 1.0),
+    "output_stride": ("run", int, 1),
+    "method": ("run", str, "fd"),
+    "amplitude": ("run", float, 0.0),
+    "wavenumber": ("run", int, 3),
+    "seed": ("run", int, 0),
 }
 
-_DEFAULTS = {
-    "theta1_deg": -60.0, "theta2_deg": -50.0, "psi1": -5.0, "psi2": -25.0,
-    "omega": 4650.0, "lambda": 0.0, "upsilon": 0.0, "u_scale": 0.1,
-    "n_rho": 128, "n_phi": 128, "n_zonal": 2001,
-    "mode": None, "dt": 0.0, "t_end": 1.0, "output_stride": 1,
-    "method": "fd", "amplitude": 0.0, "wavenumber": 3, "seed": 0,
-}
+# The [band] settings become one BandConfig; every other one is a field.
+_RUN_KEYS = [key for key, (section, _, _) in OPTIONS.items() if section != "band"]
+RunSpec = make_dataclass(
+    "RunSpec",
+    [(key, OPTIONS[key][1]) for key in _RUN_KEYS] + [("config", BandConfig), ("out_dir", str)],
+    namespace={"__module__": __name__, "__doc__": "One resolved run: settings, band, output."},
+)
 
 
-@dataclass
-class RunSpec:
-    mode: str
-    config: BandConfig
-    n_rho: int
-    n_phi: int
-    n_zonal: int
-    dt: float
-    t_end: float
-    output_stride: int
-    method: str
-    amplitude: float
-    wavenumber: int
-    seed: int
-    out_dir: str
+def _convert(key, text, line):
+    """Type one setting's text as OPTIONS says; ParseError if it cannot be."""
+    try:
+        return OPTIONS[key][1](text)
+    except ValueError:
+        raise ParseError(f"cannot parse value {text!r}", line=line, key=key) from None
 
 
 def _parse_file(path):
     """Strict key = value reader with line numbers."""
+    sections = {section for section, _, _ in OPTIONS.values()}
     values = {}
     section = None
     with open(path) as fh:
@@ -81,7 +89,7 @@ def _parse_file(path):
                 continue
             if line.startswith("[") and line.endswith("]"):
                 section = line[1:-1].strip()
-                if section not in _SCHEMA:
+                if section not in sections:
                     raise ParseError(f"unknown section [{section}]", line=lineno)
                 continue
             if "=" not in line:
@@ -90,31 +98,24 @@ def _parse_file(path):
                 raise ParseError("key outside of any section", line=lineno)
             key, _, text = line.partition("=")
             key = key.strip()
-            text = text.strip()
-            if key not in _SCHEMA[section]:
+            if key not in OPTIONS or OPTIONS[key][0] != section:
                 raise ParseError(f"unknown key in [{section}]", line=lineno, key=key)
-            try:
-                values[key] = _SCHEMA[section][key](text)
-            except ValueError:
-                raise ParseError(f"cannot parse value {text!r}", line=lineno, key=key)
+            values[key] = _convert(key, text.strip(), lineno)
     return values
 
 
 def parse_config(path=None, overrides=None, out_dir="accband_out") -> RunSpec:
     """Merge defaults, an optional config file, and flag overrides."""
-    values = dict(_DEFAULTS)
+    values = {key: default for key, (_, _, default) in OPTIONS.items()}
     if path is not None:
         values.update(_parse_file(path))
     for key, val in (overrides or {}).items():
         if val is not None:
             values[key] = val
 
-    if values["mode"] is None:
-        raise ValidationError("mode is required (zonal, evolve, stability, spectrum)")
-    if values["mode"] not in MODES:
-        raise ValidationError(f"mode must be one of {MODES}, got {values['mode']!r}")
-    if values["method"] not in ZONAL_METHODS:
-        raise ValidationError(f"method must be one of {ZONAL_METHODS}")
+    for key, choices in _CHOICES.items():
+        if values[key] not in choices:
+            raise ValidationError(f"{key} must be one of {choices}, got {values[key]!r}")
     if values["mode"] in ("evolve", "stability") and not values["dt"] > 0:
         raise ValidationError("dt must be positive for evolve/stability runs")
     if values["amplitude"] < 0:
@@ -129,14 +130,8 @@ def parse_config(path=None, overrides=None, out_dir="accband_out") -> RunSpec:
         lam=values["lambda"], upsilon=values["upsilon"],
         u_scale=values["u_scale"],
     )
-    return RunSpec(
-        mode=values["mode"], config=config,
-        n_rho=values["n_rho"], n_phi=values["n_phi"], n_zonal=values["n_zonal"],
-        dt=values["dt"], t_end=values["t_end"],
-        output_stride=values["output_stride"], method=values["method"],
-        amplitude=values["amplitude"], wavenumber=values["wavenumber"],
-        seed=values["seed"], out_dir=str(out_dir),
-    )
+    return RunSpec(config=config, out_dir=str(out_dir),
+                   **{key: values[key] for key in _RUN_KEYS})
 
 
 # ==================================================================
@@ -303,49 +298,29 @@ def read_csv(path):
     return header, columns
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a malformed command line as a ParseError, so it exits 1."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def build_arg_parser():
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="accband",
         description="Zonal jets and barotropic dynamics on a spherical band",
     )
-    parser.add_argument("--mode", choices=MODES)
     parser.add_argument("--config", help="INI-style scenario file")
     parser.add_argument("--out", default="accband_out", help="output directory")
-    parser.add_argument("--n-rho", type=int, dest="n_rho")
-    parser.add_argument("--n-phi", type=int, dest="n_phi")
-    parser.add_argument("--n-zonal", type=int, dest="n_zonal")
-    parser.add_argument("--dt", type=float)
-    parser.add_argument("--t-end", type=float, dest="t_end")
-    parser.add_argument("--output-stride", type=int, dest="output_stride")
-    parser.add_argument("--method", choices=ZONAL_METHODS)
-    parser.add_argument("--lambda", type=float, dest="lambda_")
-    parser.add_argument("--upsilon", type=float)
-    parser.add_argument("--psi1", type=float)
-    parser.add_argument("--psi2", type=float)
-    parser.add_argument("--theta1-deg", type=float, dest="theta1_deg")
-    parser.add_argument("--theta2-deg", type=float, dest="theta2_deg")
-    parser.add_argument("--omega", type=float)
-    parser.add_argument("--u-scale", type=float, dest="u_scale")
-    parser.add_argument("--amplitude", type=float)
-    parser.add_argument("--wavenumber", type=int)
-    parser.add_argument("--seed", type=int)
+    for key, (section, _, default) in OPTIONS.items():
+        choices = _CHOICES.get(key)
+        parser.add_argument(
+            "--" + key.replace("_", "-"), dest=key,
+            metavar="{" + ",".join(choices) + "}" if choices else None,
+            help=f"[{section}] {key}" + ("" if default is None else f", default {default}"),
+        )
     parser.add_argument("--sweep", help="comma-separated lambda values to fan out")
     return parser
-
-
-def _overrides_from_args(args):
-    mapping = {
-        "mode": args.mode, "n_rho": args.n_rho, "n_phi": args.n_phi,
-        "n_zonal": args.n_zonal, "dt": args.dt, "t_end": args.t_end,
-        "output_stride": args.output_stride, "method": args.method,
-        "lambda": args.lambda_, "upsilon": args.upsilon,
-        "psi1": args.psi1, "psi2": args.psi2,
-        "theta1_deg": args.theta1_deg, "theta2_deg": args.theta2_deg,
-        "omega": args.omega, "u_scale": args.u_scale,
-        "amplitude": args.amplitude, "wavenumber": args.wavenumber,
-        "seed": args.seed,
-    }
-    return mapping
 
 
 def dispatch(spec: RunSpec) -> int:
@@ -380,17 +355,23 @@ def _exit_code(err) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_arg_parser().parse_args(argv)
     try:
-        spec = parse_config(args.config, _overrides_from_args(args), args.out)
+        args = build_arg_parser().parse_args(argv)
+        overrides = {key: _convert(key, text, None) for key, text in vars(args).items()
+                     if key in OPTIONS and text is not None}
+        spec = parse_config(args.config, overrides, args.out)
         if args.sweep:
-            lams = [float(tok) for tok in args.sweep.split(",") if tok.strip()]
+            lams = [_convert("lambda", tok, None) for tok in args.sweep.split(",") if tok.strip()]
             if not lams:
                 raise ValidationError("--sweep needs at least one lambda value")
             # one worker thread per lambda; each runs to completion and the
             # worst exit code wins
             subs = [replace(spec, config=replace(spec.config, lam=v),
                             out_dir=f"{spec.out_dir}/sweep_{v:g}") for v in lams]
+            dirs = [sub.out_dir for sub in subs]
+            shared = sorted({d for d in dirs if dirs.count(d) > 1})
+            if shared:
+                raise ValidationError(f"--sweep lambdas share output directories {shared}")
             with ThreadPoolExecutor(max_workers=len(subs)) as pool:
                 futures = [pool.submit(dispatch, sub) for sub in subs]
             return max(_exit_code(f.exception()) if f.exception() else f.result()

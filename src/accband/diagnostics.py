@@ -103,11 +103,11 @@ def casimir(state: SimState, moment) -> float:
     return integral_dsigma(f(absolute_vorticity(state)), state.grid)
 
 
-def en_functional(state: SimState, n: int, upsilon: Optional[float] = None) -> float:
+def en_functional(state: SimState, n: int) -> float:
     """The lam = 0 conserved family: int [-ups (n+1)/n s^n + s^(n+1)] dsigma."""
     if n < 1:
         raise ValidationError("n must be at least 1")
-    ups = state.config.upsilon if upsilon is None else upsilon
+    ups = state.config.upsilon
     s = absolute_vorticity(state)
     return integral_dsigma(-ups * (n + 1) / n * s**n + s ** (n + 1), state.grid)
 
@@ -233,12 +233,8 @@ def zonal_critical_stream(config, grid, dtype=float) -> np.ndarray:
 # Stability identity
 # ==================================================================
 
-def velocity_distance_squared(state: SimState, reference: SimState) -> float:
-    """||u - u*||^2_{L2(band)}: conformally flat, so a planar integral."""
-    return _velocity_distance_squared(state, stream_of(state), reference)
-
-
 def _velocity_distance_squared(state, psi, reference):
+    """||u - u*||^2_{L2(band)}: conformally flat, so a planar integral."""
     if not state.grid.compatible_with(reference.grid):
         raise GridMismatch("state and reference live on different grids")
     psi_ref = stream_of(reference)

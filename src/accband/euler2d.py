@@ -53,12 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CflViolation,
-    DegenerateNormalization,
-    GridMismatch,
-    ValidationError,
-)
+from .errors import CflViolation, DegenerateNormalization, ValidationError
 from .geometry import alpha_of_rho, beta_of_rho, integral_flat
 from .grids import AnnulusGrid, ScalarField, VectorField
 from .zonal import _thomas_solve, solve_fd_rho
@@ -130,11 +125,9 @@ def _poisson_values(source, grid):
     return np.fft.irfft(psi_hat, n=grid.n_phi, axis=1)
 
 
-def poisson_solve(phi_field: ScalarField, grid: AnnulusGrid = None) -> ScalarField:
+def poisson_solve(phi_field: ScalarField) -> ScalarField:
     """Green operator: psi with Delta psi = -phi, psi|walls = 0."""
-    grid = grid or phi_field.grid
-    if not grid.compatible_with(phi_field.grid):
-        raise GridMismatch("source field lives on a different grid")
+    grid = phi_field.grid
     return ScalarField(grid, _poisson_values(phi_field.values, grid))
 
 
@@ -406,13 +399,13 @@ def advect(state: SimState, velocity: VectorField, dt: float) -> ScalarField:
 # Time stepping
 # ==================================================================
 
-def step(state: SimState, dt: float, targets=None) -> SimState:
+def step(state: SimState, dt: float, targets) -> SimState:
     """Advance one step: predictor velocity, midpoint velocity, transport.
 
-    Deterministic: identical inputs give bit-identical outputs.
+    targets are the run's circulation_targets of its initial state, held
+    fixed over every step. Deterministic: identical inputs give
+    bit-identical outputs.
     """
-    if targets is None:
-        targets = circulation_targets(state)
     grid = state.grid
     config = state.config
 

@@ -17,6 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GridMismatch, ValidationError
+from . import zonal
 
 
 @dataclass(frozen=True)
@@ -85,17 +86,11 @@ class AnnulusGrid:
         One tridiagonal d^2/drho^2 - m^2 per rfft mode m of n_phi, with
         Dirichlet rows pinned at both walls (see zonal._thomas_factor).
         """
-        # Imported on first use: grids sits below zonal, and a module-level
-        # import here moved scipy's import earlier and added about 50 ms to
-        # every process start (numpy.f2py's import slowed; measured, not
-        # explained).
-        from .zonal import _thomas_factor
-
         h = self.d_rho
         m = np.arange(self.n_phi // 2 + 1)
         off = np.full(self.n_rho, 1.0 / h**2)
         diag = np.full((self.n_rho, len(m)), -2.0 / h**2) - (m * m)[None, :]
-        return _thomas_factor(off, diag, off)
+        return zonal._thomas_factor(off, diag, off)
 
     # -- field constructors -------------------------------------------
 
@@ -118,11 +113,6 @@ class AnnulusGrid:
         )
 
 
-def _check_same_grid(a, b):
-    if a.grid is not b.grid and not a.grid.compatible_with(b.grid):
-        raise GridMismatch("fields live on different grids")
-
-
 @dataclass
 class ScalarField:
     """Grid sample of a scalar (zeta, psi, source terms, ...)."""
@@ -138,17 +128,6 @@ class ScalarField:
                 f"({self.grid.n_rho}, {self.grid.n_phi})"
             )
 
-    def copy(self):
-        return ScalarField(self.grid, self.values.copy())
-
-    def __add__(self, other):
-        _check_same_grid(self, other)
-        return ScalarField(self.grid, self.values + other.values)
-
-    def __sub__(self, other):
-        _check_same_grid(self, other)
-        return ScalarField(self.grid, self.values - other.values)
-
 
 @dataclass
 class VectorField:
@@ -162,7 +141,3 @@ class VectorField:
         shape = (self.grid.n_rho, self.grid.n_phi)
         if self.u_r.shape != shape or self.u_phi.shape != shape:
             raise GridMismatch("vector component shape does not match grid")
-
-    def __sub__(self, other):
-        _check_same_grid(self, other)
-        return VectorField(self.grid, self.u_r - other.u_r, self.u_phi - other.u_phi)

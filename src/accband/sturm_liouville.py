@@ -30,7 +30,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import (
     ConvergenceFailure,
@@ -41,6 +40,11 @@ from .errors import (
 
 RESONANCE_RTOL = 1e-8  # below this relative separation the expansion is meaningless
 MAX_REFINEMENTS = 2  # grid doublings eigen_solve tries before giving up
+# prufer_eigenvalues: RK4 steps per angle, first bracket half-width
+# (relative to |mu|), and bracket samples per eigenvalue
+SHOOT_STEPS = 8192
+SHOOT_BRACKET_REL = 2e-2
+SHOOT_GRID = 17
 
 
 @dataclass
@@ -100,6 +104,10 @@ class SLSpectrum:
 
 def _tridiagonal_eigen(prob, n_max, grid_size):
     """Symmetric tridiagonal generalized eigenproblem on a uniform grid."""
+    # imported here, so that runs solving no spectrum (evolve, stability)
+    # never load scipy
+    from scipy.linalg import eigh_tridiagonal
+
     x = np.linspace(prob.a, prob.b, grid_size)
     hgrid = x[1] - x[0]
     p_half = prob._eval(prob.p, 0.5 * (x[:-1] + x[1:]))
@@ -158,7 +166,7 @@ def eigen_solve(prob: SLProblem, n_max: int, grid_size: int = 1025) -> SLSpectru
 # Shooting route (Pruefer angle)
 # ==================================================================
 
-def prufer_angle(prob: SLProblem, mus, n_steps: int = 4096) -> np.ndarray:
+def prufer_angle(prob: SLProblem, mus, n_steps: int) -> np.ndarray:
     """Pruefer angle theta(b; mu), vectorized over an array of mu.
 
     theta(a) = 0 encodes y(a) = 0, and theta(b; mu) is strictly
@@ -216,9 +224,7 @@ def prufer_angle(prob: SLProblem, mus, n_steps: int = 4096) -> np.ndarray:
     return theta
 
 
-def prufer_eigenvalues(prob: SLProblem, n_max: int, n_steps: int = 8192,
-                       bracket_rel: float = 2e-2, n_grid: int = 17,
-                       guesses=None) -> np.ndarray:
+def prufer_eigenvalues(prob: SLProblem, n_max: int, guesses=None) -> np.ndarray:
     """Shooting eigenvalues: solve theta(b; mu) = k pi for k = 1..n_max.
 
     theta(b; mu) is integrated once for a bracket of mu values around each
@@ -234,14 +240,14 @@ def prufer_eigenvalues(prob: SLProblem, n_max: int, n_steps: int = 8192,
 
     from scipy.interpolate import CubicSpline
 
-    rel = bracket_rel
+    rel = SHOOT_BRACKET_REL
     for sweep in range(2):
         for attempt in range(8):
             scale = np.maximum(np.abs(mus), 1.0)
-            grid = mus[:, None] + np.linspace(-1.0, 1.0, n_grid)[None, :] * (
+            grid = mus[:, None] + np.linspace(-1.0, 1.0, SHOOT_GRID)[None, :] * (
                 rel * scale[:, None]
             )
-            angles = prufer_angle(prob, grid.ravel(), n_steps).reshape(grid.shape)
+            angles = prufer_angle(prob, grid.ravel(), SHOOT_STEPS).reshape(grid.shape)
             covered = (angles[:, 0] < targets) & (targets < angles[:, -1])
             if np.all(covered):
                 break
@@ -277,7 +283,7 @@ def fourth_order_derivative(y, h):
     return dy
 
 
-def rayleigh_quotient(prob: SLProblem, y, x=None) -> float:
+def rayleigh_quotient(prob: SLProblem, y, x) -> float:
     """Variational quotient recovering an eigenvalue from its function.
 
     ( p y y' |_a  -  p y y' |_b  +  int_a^b [p (y')^2 - q y^2] )
@@ -285,8 +291,6 @@ def rayleigh_quotient(prob: SLProblem, y, x=None) -> float:
     Dirichlet data the boundary terms vanish.
     """
     y = np.asarray(y, dtype=float)
-    if x is None:
-        x = np.linspace(prob.a, prob.b, len(y))
     p, q, w = prob.sample(x)
     norm = np.trapezoid(w * y * y, x)
     if norm < 1e-14:

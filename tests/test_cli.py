@@ -1,16 +1,31 @@
 """CLI: config parsing, run modes, exit codes, determinism."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from accband.cli import main, parse_config
+import accband
+from accband import cli
+from accband.cli import MODES, OPTIONS, ZONAL_METHODS, main, parse_config
 from accband.errors import ParseError, ValidationError
 
 MILD_BAND = [
     "--psi1", "-0.2", "--psi2", "0.2", "--omega", "2.0", "--upsilon", "1.0",
 ]
+
+# One valid, non-default value per option, as it would be typed.
+SAMPLE_VALUES = {
+    "theta1_deg": "-61.5", "theta2_deg": "-48.25", "psi1": "-0.3", "psi2": "0.4",
+    "omega": "3.5", "lambda": "-7", "upsilon": "2.5", "u_scale": "0.2",
+    "n_rho": "40", "n_phi": "36", "n_zonal": "301",
+    "mode": "stability", "dt": "0.004", "t_end": "0.5", "output_stride": "4",
+    "method": "picard", "amplitude": "0.02", "wavenumber": "5", "seed": "11",
+}
 
 
 class TestParseConfig:
@@ -64,6 +79,51 @@ class TestParseConfig:
         spec = parse_config(path, overrides={"omega": 25.0, "mode": "spectrum"})
         assert spec.config.omega == 25.0
         assert spec.mode == "spectrum"
+
+
+class TestOptionTable:
+    """Every setting is one OPTIONS entry: its file key and its flag agree."""
+
+    @pytest.mark.parametrize("key", sorted(OPTIONS))
+    def test_file_and_flag_give_equal_specs(self, key, tmp_path, monkeypatch):
+        specs = []
+        monkeypatch.setattr(cli, "dispatch", lambda spec: specs.append(spec) or 0)
+        settings = {"mode": "evolve", "dt": "0.003", key: SAMPLE_VALUES[key]}
+        sections = {}
+        for name, text in settings.items():
+            sections.setdefault(OPTIONS[name][0], []).append(f"{name} = {text}")
+        path = tmp_path / "scenario.ini"
+        path.write_text("".join(f"[{section}]\n" + "\n".join(lines) + "\n"
+                                for section, lines in sections.items()))
+        flags = [tok for name, text in settings.items()
+                 for tok in ("--" + name.replace("_", "-"), text)]
+        out = str(tmp_path / "out")
+        assert main(["--config", str(path), "--out", out]) == 0
+        assert main([*flags, "--out", out]) == 0
+        from_file, from_flags = specs
+        assert from_file == from_flags
+        baseline = parse_config(overrides={"mode": "evolve", "dt": 0.003}, out_dir=out)
+        assert from_file != baseline  # the setting took effect
+
+    @pytest.mark.parametrize("argv", [
+        ["--mode", "bogus"],
+        ["--mode", "zonal", "--n-rho", "abc"],
+        ["--mode", "zonal", "--n-zonal", "abc"],
+        ["--mode", "zonal", "--sweep=a,b"],
+        ["--mode", "zonal", "--bogus", "3"],
+    ], ids=["mode", "n_rho", "n_zonal", "sweep", "unknown_flag"])
+    def test_malformed_flag_exits_one(self, argv, tmp_path, capsys):
+        assert main([*argv, "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert "Traceback" not in err
+
+    def test_help_exits_zero_and_names_choices(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["--help"])
+        assert stop.value.code == 0
+        out = capsys.readouterr().out
+        assert all(name in out for name in (*MODES, *ZONAL_METHODS))
 
 
 class TestModes:
@@ -182,6 +242,33 @@ class TestModes:
         assert code == 0
         assert (out / "sweep_-10" / "profile.csv").exists()
         assert (out / "sweep_-100" / "profile.csv").exists()
+
+    @pytest.mark.parametrize("lams", ["-10,-10", "1234567,1234568"])
+    def test_sweep_sharing_a_directory_exits_one(self, lams, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        code = main(["--mode", "zonal", "--out", str(out), "--n-zonal", "101",
+                     f"--sweep={lams}", *MILD_BAND])
+        assert code == 1
+        assert "share output directories" in capsys.readouterr().err
+        assert not out.exists()  # rejected before any worker started
+
+    def test_evolve_never_imports_scipy(self, tmp_path):
+        script = (
+            "import sys\n"
+            "from accband import cli\n"
+            f"code = cli.main(['--mode', 'evolve', '--out', {str(tmp_path)!r},\n"
+            "                 '--n-rho', '32', '--n-phi', '32', '--dt', '0.002',\n"
+            f"                 '--t-end', '0.004', *{MILD_BAND!r}])\n"
+            "assert code == 0, code\n"
+            "assert 'scipy' not in sys.modules\n"
+        )
+        src = str(pathlib.Path(accband.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "diagnostics.csv").exists()
 
     def test_failing_sweep_exits_two(self, tmp_path, capsys):
         out = tmp_path / "sweepfail"
