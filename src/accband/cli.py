@@ -18,6 +18,8 @@ failure.
 """
 
 import argparse
+import contextlib
+import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -118,6 +120,8 @@ def parse_config(path=None, overrides=None, out_dir="accband_out") -> RunSpec:
             raise ValidationError(f"{key} must be one of {choices}, got {values[key]!r}")
     if values["mode"] in ("evolve", "stability") and not values["dt"] > 0:
         raise ValidationError("dt must be positive for evolve/stability runs")
+    if values["t_end"] < 0:
+        raise ValidationError("t_end must be nonnegative")
     if values["amplitude"] < 0:
         raise ValidationError("amplitude must be nonnegative")
     if values["output_stride"] < 1:
@@ -205,59 +209,55 @@ def _initial_state(spec, grid):
     return euler2d.zonal_initial_state(spec.config, grid)
 
 
-def _write_summary(out, records):
-    import json
-
-    (out / "summary.json").write_text(
-        json.dumps(diagnostics.summary(records), indent=2, sort_keys=True) + "\n"
-    )
-
-
 def run_mode_evolve(spec, out):
-    ckpt_dir = out / "checkpoints"
-    ckpt_dir.mkdir(exist_ok=True)
-    return _evolve(spec, out, str(ckpt_dir), ())
+    """Evolve the (perturbed) zonal state: the evolve and stability modes.
 
+    Every output state of euler2d.run gets a diagnostics.csv row, then a
+    checkpoint (evolve) or a stability.csv row (stability), whose rhs is
+    the t = 0 stability_lhs. Each row is flushed as it is written, so a
+    step that fails mid-run leaves the rows of every state before it.
+    After the last state come summary.json and the invariant check.
 
-def run_mode_stability(spec, out):
-    if spec.config.lam > 0:
+    Returns 2 if max|xi| exceeded the transport bound or the inner-wall
+    circulation drifted, else 0.
+    """
+    stability = spec.mode == "stability"
+    if stability and spec.config.lam > 0:
         print(
             "warning: lambda > 0 gives no stability guarantee; "
             "the identity is still tracked",
             file=sys.stderr,
         )
-    with open(out / "stability.csv", "w", newline="") as fh:
-        fh.write("t,lhs,rhs,defect\n")
-        rhs = []  # the identity's right side: the lhs of the t = 0 record
-
-        def observer(s, rec):
-            lhs = rec.stability_lhs
-            if not rhs:
-                rhs.append(lhs)
-            fh.write(f"{float(s.t)!r},{float(lhs)!r},{float(rhs[0])!r},"
-                     f"{float(lhs - rhs[0])!r}\n")
-            fh.flush()
-
-        return _evolve(spec, out, None, (observer,))
-
-
-def _evolve(spec, out, checkpoint_dir, observers):
-    """Evolve the (perturbed) zonal state, write diagnostics.csv and
-    summary.json, and check the scheme's invariants.
-
-    Returns 2 if max|xi| exceeded the transport bound or the inner-wall
-    circulation drifted, else 0.
-    """
     grid = AnnulusGrid.from_band(spec.config, spec.n_rho, spec.n_phi)
     state = _initial_state(spec, grid)
     reference = euler2d.zonal_initial_state(spec.config, grid)
-    _, records = euler2d.run(
-        spec.config, grid, state.zeta, state.lambda_circ,
-        t_end=spec.t_end, dt=spec.dt, output_stride=spec.output_stride,
-        csv_path=out / "diagnostics.csv", checkpoint_dir=checkpoint_dir,
-        reference=reference, observers=observers,
+    ckpt_dir = out / "checkpoints"
+    records = []
+    with contextlib.ExitStack() as files:
+        diag_csv = files.enter_context(open(out / "diagnostics.csv", "w", newline=""))
+        diag_csv.write(diagnostics.CSV_HEADER + "\n")
+        if stability:
+            stab_csv = files.enter_context(open(out / "stability.csv", "w", newline=""))
+            stab_csv.write("t,lhs,rhs,defect\n")
+        else:
+            ckpt_dir.mkdir(exist_ok=True)
+        outputs = euler2d.run(state, spec.t_end, spec.dt, spec.output_stride)
+        for index, s in enumerate(outputs):
+            rec = diagnostics.record(s, reference=reference)
+            records.append(rec)
+            diag_csv.write(rec.csv_row() + "\n")
+            diag_csv.flush()
+            if stability:
+                lhs, rhs = rec.stability_lhs, records[0].stability_lhs
+                stab_csv.write(f"{float(s.t)!r},{float(lhs)!r},{float(rhs)!r},"
+                               f"{float(lhs - rhs)!r}\n")
+                stab_csv.flush()
+            else:
+                euler2d.write_checkpoint(ckpt_dir / f"checkpoint_{index:06d}.txt", s)
+
+    (out / "summary.json").write_text(
+        json.dumps(diagnostics.summary(records), indent=2, sort_keys=True) + "\n"
     )
-    _write_summary(out, records)
     bound = euler2d.xi_bound(spec.config, state.zeta.values)
     breaches = []
     if any(rec.max_xi > bound + 1e-10 for rec in records):
@@ -332,7 +332,7 @@ def dispatch(spec: RunSpec) -> int:
         "zonal": run_mode_zonal,
         "spectrum": run_mode_spectrum,
         "evolve": run_mode_evolve,
-        "stability": run_mode_stability,
+        "stability": run_mode_evolve,
     }[spec.mode]
     return runner(spec, out)
 

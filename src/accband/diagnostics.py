@@ -310,7 +310,7 @@ def harmonic_ode_coefficients(state: SimState) -> dict:
     """
     grid = state.grid
     config = state.config
-    psi_bar = euler2d.bar_stream_of(state)
+    psi_bar = state.bar_stream
     u_r, u_phi = euler2d.velocity_from_stream(psi_bar, grid)
     ustar, norm = euler2d.harmonic_component(grid)
     c = ustar.u_phi

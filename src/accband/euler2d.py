@@ -50,6 +50,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -186,6 +187,11 @@ class SimState:
     def max_xi(self) -> float:
         return float(np.max(np.abs(self.xi_values())))
 
+    @cached_property
+    def bar_stream(self):
+        """G xi, solved once per state (zeta never changes after construction)."""
+        return bar_stream_values(self.zeta.values, self.config, self.grid)
+
 
 def xi_bound(config, zeta0_values) -> float:
     """Transport bound A ||zeta0||_inf + B on |xi|."""
@@ -202,20 +208,11 @@ def bar_stream_values(zeta_values, config, grid):
     return _poisson_values((zeta_values - b) / a, grid)
 
 
-def bar_stream_of(state: SimState):
-    """G xi for a state, cached (zeta never changes after construction)."""
-    cached = getattr(state, "_bar_stream_cache", None)
-    if cached is None:
-        cached = bar_stream_values(state.zeta.values, state.config, state.grid)
-        state._bar_stream_cache = cached
-    return cached
-
-
 def stream_of(state: SimState):
     """Full stream function: G xi + psi2 + (lambda_circ/N) psi_star."""
     grid = state.grid
     n = harmonic_normalization(grid)
-    return (bar_stream_of(state) + state.config.psi2
+    return (state.bar_stream + state.config.psi2
             + (state.lambda_circ / n) * harmonic_profile(grid)[:, None])
 
 
@@ -254,7 +251,7 @@ def fix_circulation(state: SimState, targets):
     the outer-wall circulation residual (a discretization diagnostic:
     it is conserved only to O(h^2 + dt^2)).
     """
-    circ1_bar, circ2_bar = boundary_circulations(bar_stream_of(state), state.grid)
+    circ1_bar, circ2_bar = boundary_circulations(state.bar_stream, state.grid)
     lam = targets[0] - circ1_bar
     circ2_residual = (circ2_bar + lam) - targets[1]
     return lam, circ2_residual
@@ -426,60 +423,27 @@ def step(state: SimState, dt: float, targets) -> SimState:
     return new
 
 
-def run(config, grid, zeta0: ScalarField, lambda_circ0: float, t_end: float,
-        dt: float, *, output_stride: int = 1, csv_path=None, checkpoint_dir=None,
-        reference: SimState = None, observers=()):
-    """Drive step() to t_end, collecting diagnostics at the output stride.
+def run(state: SimState, t_end: float, dt: float, output_stride: int):
+    """Step state to t_end, yielding the output states.
 
-    Returns (states, records). Partial CSV output is flushed if a step
-    fails mid-run.
+    Yields state itself, every output_stride-th step and the final one.
+    The last step is shortened to land on t_end exactly. The circulation
+    targets are those of state, held fixed over the run. Only the current
+    state is kept, so a consumer that drops what it was given holds the
+    memory of one state.
     """
-    from . import diagnostics as diag  # late import: diagnostics reads this module
-
     if t_end < 0:
         raise ValidationError("t_end must be nonnegative")
     if t_end > 0 and dt <= 0:
         raise ValidationError("dt must be positive")
 
-    state = SimState(0.0, zeta0, lambda_circ0, config, grid)
     targets = circulation_targets(state)
-    states = [state]
-    records = []
-    csv = open(csv_path, "w", newline="") if csv_path else None
-    try:
-        if csv:
-            csv.write(diag.CSV_HEADER + "\n")
-
-        def emit(s, index):
-            rec = diag.record(s, reference=reference)
-            records.append(rec)
-            if csv:
-                csv.write(rec.csv_row() + "\n")
-                csv.flush()
-            if checkpoint_dir is not None:
-                write_checkpoint(
-                    f"{checkpoint_dir}/checkpoint_{index:06d}.txt", s
-                )
-            for obs in observers:
-                obs(s, rec)
-
-        emit(state, 0)
-        n_steps = 0 if t_end == 0 else max(1, int(math.ceil(t_end / dt - 1e-12)))
-        outputs = 1
-        for k in range(1, n_steps + 1):
-            dt_k = min(dt, t_end - (k - 1) * dt)
-            state = step(state, dt_k, targets)
-            if k % output_stride == 0 or k == n_steps:
-                emit(state, outputs)
-                outputs += 1
-                if k % output_stride == 0 and k != n_steps:
-                    states.append(state)
-        if n_steps > 0:
-            states.append(state)
-    finally:
-        if csv:
-            csv.close()
-    return states, records
+    yield state
+    n_steps = 0 if t_end == 0 else max(1, int(math.ceil(t_end / dt - 1e-12)))
+    for k in range(1, n_steps + 1):
+        state = step(state, min(dt, t_end - (k - 1) * dt), targets)
+        if k % output_stride == 0 or k == n_steps:
+            yield state
 
 
 # ==================================================================

@@ -57,15 +57,11 @@ def dt_for_cfl(state, cfl_target):
 
 
 def evolve(state, t_end, dt, record_stride=10, reference=None):
-    """March to t_end collecting a diagnostic record every record_stride."""
-    targets = e2.circulation_targets(state)
-    records = [dg.record(state, reference=reference)]
-    n_steps = int(math.ceil(t_end / dt - 1e-12))
-    s = state
-    for k in range(1, n_steps + 1):
-        s = e2.step(s, min(dt, t_end - (k - 1) * dt), targets)
-        if k % record_stride == 0 or k == n_steps:
-            records.append(dg.record(s, reference=reference))
+    """March to t_end; returns the final state and a diagnostic record of
+    every output state of e2.run at record_stride."""
+    records = []
+    for s in e2.run(state, t_end, dt, record_stride):
+        records.append(dg.record(s, reference=reference))
     return s, records
 
 

@@ -158,6 +158,13 @@ class TestModes:
         svg = (out / "profile.svg").read_text()
         assert "<polyline" in svg and "latitude" in svg
 
+    def test_negative_t_end_exits_one_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "neg"
+        assert main(["--mode", "evolve", "--out", str(out), "--dt", "0.002",
+                     "--t-end", "-1"]) == 1
+        assert "t_end" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_spectrum_mode(self, tmp_path):
         out = tmp_path / "spec"
         code = main(["--mode", "spectrum", "--out", str(out), *MILD_BAND])
@@ -194,6 +201,22 @@ class TestModes:
         ])
         assert code == 2
         assert "suggested dt" in capsys.readouterr().err
+
+    def test_stability_failing_first_step_keeps_t0_rows(self, tmp_path, capsys):
+        out = tmp_path / "stabfail"
+        code = main([
+            "--mode", "stability", "--out", str(out), "--n-rho", "32",
+            "--n-phi", "32", "--dt", "5", "--t-end", "10",
+            "--amplitude", "0.01", "--lambda", "-10", *MILD_BAND,
+        ])
+        assert code == 2
+        assert "suggested dt" in capsys.readouterr().err
+        for name, header in (("diagnostics.csv", "t,energy,circ1,circ2"),
+                             ("stability.csv", "t,lhs,rhs,defect")):
+            rows = (out / name).read_text().splitlines()
+            assert len(rows) == 2 and rows[0].startswith(header)
+            assert float(rows[1].split(",")[0]) == 0.0
+        assert not (out / "summary.json").exists()
 
     def test_missing_mode_exit_one(self, tmp_path, capsys):
         assert main(["--out", str(tmp_path / "x")]) == 1

@@ -2,6 +2,7 @@
 
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -9,9 +10,14 @@ import pytest
 from accband.errors import CflViolation, ValidationError
 from accband.geometry import BandConfig, alpha_of_rho, beta_of_rho
 from accband.grids import AnnulusGrid, ScalarField
-from accband import zonal
+from accband import cli, zonal
 from accband.zonal import solve_closed_form_lambda0
 import accband.euler2d as e2
+
+
+# The mild_config band as CLI flags.
+MILD_ARGS = ["--psi1", "-0.2", "--psi2", "0.2", "--omega", "2.0", "--upsilon", "1.0",
+             "--lambda", "0"]
 
 
 def make_grid(config, n_rho=64, n_phi=64):
@@ -454,27 +460,39 @@ class TestStepAndRun:
     def test_run_zero_horizon_returns_initial_only(self, mild_config, tmp_path):
         grid = make_grid(mild_config, 48, 48)
         state = e2.zonal_initial_state(mild_config, grid)
-        states, records = e2.run(mild_config, grid, state.zeta, state.lambda_circ,
-                                 t_end=0.0, dt=1e-3,
-                                 csv_path=tmp_path / "diag.csv")
-        assert len(states) == 1 and len(records) == 1
-        header = (tmp_path / "diag.csv").read_text().splitlines()[0]
-        assert header == ("t,energy,circ1,circ2,casimir2,casimir3,"
-                          "stability_identity,max_xi,lambda_circ")
+        assert [s is state for s in e2.run(state, 0.0, 1e-3, 1)] == [True]
+        out = tmp_path / "zero"
+        assert cli.main(["--mode", "evolve", "--out", str(out), "--n-rho", "48",
+                         "--n-phi", "48", "--dt", "0.001", "--t-end", "0",
+                         *MILD_ARGS]) == 0
+        rows = (out / "diagnostics.csv").read_text().splitlines()
+        assert rows[0] == ("t,energy,circ1,circ2,casimir2,casimir3,"
+                           "stability_identity,max_xi,lambda_circ")
+        assert len(rows) == 2
 
-    def test_run_emits_rows_and_checkpoints(self, mild_config, tmp_path):
-        grid = make_grid(mild_config, 48, 48)
-        state = e2.zonal_initial_state(mild_config, grid)
-        ckpt = tmp_path / "ckpts"
-        ckpt.mkdir()
-        states, records = e2.run(mild_config, grid, state.zeta, state.lambda_circ,
-                                 t_end=0.01, dt=2e-3, output_stride=2,
-                                 csv_path=tmp_path / "diag.csv",
-                                 checkpoint_dir=str(ckpt))
-        rows = (tmp_path / "diag.csv").read_text().splitlines()
-        assert len(rows) == 1 + len(records)
-        assert records[-1].t == pytest.approx(0.01)
-        assert len(list(ckpt.glob("checkpoint_*.txt"))) == len(records)
+    def test_run_emits_rows_and_checkpoints(self, tmp_path):
+        out = tmp_path / "strided"
+        assert cli.main(["--mode", "evolve", "--out", str(out), "--n-rho", "48",
+                         "--n-phi", "48", "--dt", "0.002", "--t-end", "0.01",
+                         "--output-stride", "2", *MILD_ARGS]) == 0
+        rows = (out / "diagnostics.csv").read_text().splitlines()[1:]
+        steps = 5  # stride 2 outputs the initial state, steps 2 and 4, and step 5
+        assert len(rows) == 1 + math.ceil(steps / 2)
+        assert len(list((out / "checkpoints").glob("checkpoint_*.txt"))) == len(rows)
+        assert float(rows[-1].split(",")[0]) == pytest.approx(0.01)
+
+    def test_run_keeps_only_the_current_state(self, mild_neg_lam_config):
+        grid = make_grid(mild_neg_lam_config, 32, 32)
+        state = e2.perturbed_zonal_state(mild_neg_lam_config, grid, 0.01, 3, seed=5)
+        refs = []
+        for s in e2.run(state, 0.01, 2e-3, 1):
+            refs.append(weakref.ref(s))
+            # outputs the consumer dropped are gone, except the caller's own
+            assert all(r() is None for r in refs[1:-1])
+        del s
+        assert len(refs) == 6
+        assert refs[0]() is state
+        assert all(r() is None for r in refs[1:])
 
 
 class TestCheckpoints:
