@@ -21,6 +21,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import make_dataclass, replace
@@ -31,7 +32,9 @@ from .errors import AccBandError, ConfigError, NumericalError, ParseError, Valid
 from .geometry import BandConfig
 from .grids import AnnulusGrid
 from . import diagnostics, euler2d, svgplot, zonal
-from .sturm_liouville import eigen_solve, zonal_homogeneous_problem
+# cli no longer calls eigen_solve (zonal.band_spectrum does), but the
+# name stays importable: perfbench/child.py wraps cli.eigen_solve.
+from .sturm_liouville import eigen_solve  # noqa: F401
 
 MODES = ("zonal", "evolve", "stability", "spectrum")
 ZONAL_METHODS = ("fd", "closed_form", "picard", "sl_expansion")
@@ -154,8 +157,8 @@ def _solve_profile(spec, method=None):
 
 
 def _spectrum_report(spec, out, n_eigen=5):
-    prob = zonal_homogeneous_problem(spec.config)
-    spectrum = eigen_solve(prob, n_max=n_eigen, grid_size=2049)
+    spectrum = zonal.band_spectrum(spec.config.theta1, spec.config.theta2,
+                                   n_eigen, 2049)
     lam = spec.config.lam
     lines = ["index,eigenvalue,rel_distance_to_lambda"]
     for k, mu in enumerate(spectrum.eigenvalues, start=1):
@@ -166,7 +169,6 @@ def _spectrum_report(spec, out, n_eigen=5):
     if near:
         lines.append(f"# WARNING lambda={lam} is within rel 1e-6 of {near}")
     (out / "spectrum.csv").write_text("\n".join(lines) + "\n")
-    return spectrum
 
 
 def run_mode_zonal(spec, out):
@@ -364,15 +366,16 @@ def main(argv=None) -> int:
             lams = [_convert("lambda", tok, None) for tok in args.sweep.split(",") if tok.strip()]
             if not lams:
                 raise ValidationError("--sweep needs at least one lambda value")
-            # one worker thread per lambda; each runs to completion and the
-            # worst exit code wins
+            # at most one worker thread per core; each lambda runs to
+            # completion and the worst exit code wins
             subs = [replace(spec, config=replace(spec.config, lam=v),
                             out_dir=f"{spec.out_dir}/sweep_{v:g}") for v in lams]
             dirs = [sub.out_dir for sub in subs]
             shared = sorted({d for d in dirs if dirs.count(d) > 1})
             if shared:
                 raise ValidationError(f"--sweep lambdas share output directories {shared}")
-            with ThreadPoolExecutor(max_workers=len(subs)) as pool:
+            workers = min(len(subs), os.cpu_count() or 1)
+            with ThreadPoolExecutor(max_workers=workers) as pool:
                 futures = [pool.submit(dispatch, sub) for sub in subs]
             return max(_exit_code(f.exception()) if f.exception() else f.result()
                        for f in futures)

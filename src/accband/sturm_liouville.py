@@ -19,7 +19,9 @@ Two independent routes to the spectrum are provided:
     counts eigenvalues below mu, which makes index verification cheap.
 
 Every eigen_solve result is index-checked against the angle count so no
-eigenvalue can be silently skipped.
+eigenvalue can be silently skipped. eigen_solve itself keeps nothing
+between calls: each call solves and checks afresh, and the one cache of
+band spectra lives in zonal.band_spectrum.
 
 The zonal specialization (p = w = cos(theta), q = 0) is produced by
 homogenize_boundary, which shifts the band's Dirichlet data to zero.

@@ -20,11 +20,20 @@ constructions are provided and cross-checked in the tests:
                 r2/r1 <= exp((2|lam|)^{-1/2}).
   sl_expansion  eigenfunction expansion of the homogenized problem.
 
+The band's eigenproblem (y' cos)' = -mu y cos depends on theta1 and theta2
+only, not on lam, upsilon, omega or the boundary values. band_spectrum
+solves it once per (theta1, theta2, n_max, grid_size) in a process and
+hands every later caller the same read-only SLSpectrum, so a lam scan or
+a --sweep on one band pays for one checked eigen_solve per key.
+
 The same ODE on the simulation grid's log-radius nodes (solve_fd_rho)
 seeds the time-dependent solver with a discretely steady state.
 """
 
+import functools
 import math
+import threading
+import types
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -40,6 +49,7 @@ from .errors import (
     ValidationError,
 )
 from .sturm_liouville import (
+    SLSpectrum,
     eigen_solve,
     fourth_order_derivative,
     homogenize_boundary,
@@ -353,16 +363,42 @@ def solve_picard(config, n: int, tol: float = 1e-10,
 # Eigenfunction expansion
 # ==================================================================
 
+SPECTRUM_CACHE_SIZE = 8  # band spectra kept per process (each <= a few MB)
+_SPECTRUM_LOCK = threading.Lock()
+
+
+def band_spectrum(theta1, theta2, n_max, grid_size) -> SLSpectrum:
+    """First n_max eigenpairs of the band (theta1, theta2), solved once.
+
+    The first call for a key runs the full eigen_solve, Pruefer index check
+    included; later calls return the same SLSpectrum, whose arrays are
+    read-only. One lock serializes the lookups, so threads asking for the
+    same key at once still solve it once.
+    """
+    with _SPECTRUM_LOCK:
+        return _band_spectrum(theta1, theta2, n_max, grid_size)
+
+
+@functools.lru_cache(maxsize=SPECTRUM_CACHE_SIZE)
+def _band_spectrum(theta1, theta2, n_max, grid_size):
+    # the homogeneous problem reads the band edges and nothing else
+    band = types.SimpleNamespace(theta1=theta1, theta2=theta2)
+    spectrum = eigen_solve(zonal_homogeneous_problem(band),
+                           n_max=n_max, grid_size=grid_size)
+    for values in (spectrum.eigenvalues, spectrum.eigenfunctions, spectrum.grid):
+        values.flags.writeable = False
+    return spectrum
+
+
 def solve_sl_expansion(config, n_terms: int = 32,
                        grid_size: int = 2049) -> ZonalProfile:
     """Homogenize the boundary data and expand in the band eigenbasis."""
     _warn_equal_boundary_values(config)
     prob, (a_s, b_s) = homogenize_boundary(config)
-    spectrum = eigen_solve(zonal_homogeneous_problem(config),
-                           n_max=n_terms, grid_size=grid_size)
+    spectrum = band_spectrum(config.theta1, config.theta2, n_terms, grid_size)
     shifted = solve_inhomogeneous(prob, mu=config.lam, spectrum=spectrum,
                                   n_terms=n_terms)
-    th = spectrum.grid
+    th = spectrum.grid.copy()  # the profile must not alias the cached grid
     psi = shifted + a_s * th + b_s
     psi[0], psi[-1] = config.psi1, config.psi2
     return _finish(th, psi, config, "sl_expansion",

@@ -12,7 +12,7 @@ import pytest
 import accband
 from accband import cli
 from accband.cli import MODES, OPTIONS, ZONAL_METHODS, main, parse_config
-from accband.errors import ParseError, ValidationError
+from accband.errors import NearEigenvalue, ParseError, ValidationError
 
 MILD_BAND = [
     "--psi1", "-0.2", "--psi2", "0.2", "--omega", "2.0", "--upsilon", "1.0",
@@ -265,6 +265,32 @@ class TestModes:
         assert code == 0
         assert (out / "sweep_-10" / "profile.csv").exists()
         assert (out / "sweep_-100" / "profile.csv").exists()
+
+    @pytest.mark.parametrize("cpus, workers", [(2, 2), (8, 3), (None, 1)])
+    def test_sweep_pool_is_capped_at_the_cores(self, cpus, workers, tmp_path,
+                                               monkeypatch, capsys):
+        sizes, ran = [], []
+
+        class RecordingPool(cli.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        def dispatch(spec):
+            ran.append(spec.config.lam)
+            if spec.config.lam == -20:
+                raise NearEigenvalue("forced")
+            return 1 if spec.config.lam == -30 else 0
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(cli, "dispatch", dispatch)
+        code = main(["--mode", "zonal", "--out", str(tmp_path),
+                     "--sweep=-10,-20,-30", *MILD_BAND])
+        assert sizes == [workers]
+        assert sorted(ran) == [-30.0, -20.0, -10.0]  # every worker ran
+        assert code == 2  # the worst code wins
+        assert "numerical failure: forced" in capsys.readouterr().err
 
     @pytest.mark.parametrize("lams", ["-10,-10", "1234567,1234568"])
     def test_sweep_sharing_a_directory_exits_one(self, lams, tmp_path, capsys):

@@ -1,11 +1,16 @@
 """Zonal steady states: closed form, finite differences, Picard, expansion."""
 
 import math
+import os
+import sys
+import threading
+from collections import Counter
 
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
+from accband import cli, zonal
 from accband.errors import (
     ContractionViolated,
     LambdaNotZero,
@@ -17,6 +22,7 @@ from accband.geometry import BandConfig
 from accband.sturm_liouville import eigen_solve, zonal_homogeneous_problem
 from accband.zonal import (
     ZonalProfile,
+    band_spectrum,
     closed_form_residual,
     contraction_factor,
     eta,
@@ -205,6 +211,100 @@ class TestSLExpansion:
         fd = solve_fd(mild_neg_lam_config, 8193)
         resampled = CubicSpline(slp.thetas, slp.psi)(fd.thetas)
         assert np.max(np.abs(resampled - fd.psi)) <= 1e-6
+
+
+@pytest.fixture
+def fresh_spectrum_cache():
+    zonal._band_spectrum.cache_clear()
+    yield
+    zonal._band_spectrum.cache_clear()
+
+
+@pytest.fixture
+def solved_keys(monkeypatch, fresh_spectrum_cache):
+    """(theta1, theta2, n_max, grid_size) of every eigen_solve zonal runs."""
+    keys = []
+    solve = zonal.eigen_solve
+
+    def counted(prob, n_max, grid_size):
+        keys.append((prob.a, prob.b, n_max, grid_size))
+        return solve(prob, n_max=n_max, grid_size=grid_size)
+
+    monkeypatch.setattr(zonal, "eigen_solve", counted)
+    return keys
+
+
+class TestBandSpectrum:
+    def test_equals_fresh_checked_solve(self, fresh_spectrum_cache, mild_config):
+        cached = band_spectrum(mild_config.theta1, mild_config.theta2, 5, 2049)
+        fresh = eigen_solve(zonal_homogeneous_problem(mild_config), n_max=5,
+                            grid_size=2049)
+        for name in ("eigenvalues", "eigenfunctions", "grid"):
+            assert getattr(cached, name).tobytes() == getattr(fresh, name).tobytes()
+
+    def test_arrays_reject_writes_and_profiles_stay_writable(
+            self, fresh_spectrum_cache, mild_neg_lam_config):
+        config = mild_neg_lam_config
+        spectrum = band_spectrum(config.theta1, config.theta2, 32, 2049)
+        for values in (spectrum.eigenvalues, spectrum.eigenfunctions, spectrum.grid):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 0.0
+        prof = solve_sl_expansion(config)
+        assert not np.shares_memory(prof.thetas, spectrum.grid)
+        prof.thetas[0] = prof.psi[0] = 0.0
+        assert spectrum.grid[0] == config.theta1
+
+    def test_other_band_or_size_misses(self, solved_keys, mild_config):
+        t1, t2 = mild_config.theta1, mild_config.theta2
+        first = band_spectrum(t1, t2, 4, 513)
+        assert band_spectrum(t1, t2, 4, 513) is first
+        assert len(solved_keys) == 1
+        others = [band_spectrum(math.radians(-61.0), t2, 4, 513),
+                  band_spectrum(t1, t2, 5, 513),
+                  band_spectrum(t1, t2, 4, 1025)]
+        assert all(other is not first for other in others)
+        assert len(solved_keys) == 4 == len(set(solved_keys))
+
+    def test_sequential_cli_runs_solve_each_key_once(self, solved_keys, tmp_path):
+        band = ["--psi1", "-0.2", "--psi2", "0.2", "--omega", "2.0"]
+        runs = [("-10", "1.0", "sl_expansion"), ("-20", "2.0", "fd"),
+                ("-30", "5.0", "sl_expansion"), ("0", "1.0", "picard"),
+                ("0", "3.0", "sl_expansion")]
+        for i, (lam, ups, method) in enumerate(runs):
+            assert cli.main(["--mode", "zonal", "--out", str(tmp_path / str(i)),
+                             "--n-zonal", "201", "--lambda", lam, "--upsilon", ups,
+                             "--method", method, *band]) == 0
+        assert cli.main(["--mode", "spectrum", "--out", str(tmp_path / "spec"),
+                         *band]) == 0
+        counts = Counter(solved_keys)
+        assert sorted(key[2:] for key in counts) == [(5, 2049), (10, 2049), (32, 2049)]
+        assert set(counts.values()) == {1}
+
+    def test_racing_threads_solve_once(self, solved_keys, mild_config):
+        t1, t2 = mild_config.theta1, mild_config.theta2
+        results = []
+        threads = [threading.Thread(
+            target=lambda: results.append(band_spectrum(t1, t2, 3, 257)))
+            for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == 8 and all(r is results[0] for r in results)
+        assert len(solved_keys) == 1
+
+    def test_sweep_threads_share_each_solve(self, solved_keys, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)  # all three at once
+        assert cli.main(["--mode", "zonal", "--out", str(tmp_path),
+                         "--sweep=-10,-20,-30", "--method", "sl_expansion",
+                         "--psi1", "-0.2", "--psi2", "0.2", "--omega", "2.0"]) == 0
+        assert len(solved_keys) == 2
 
 
 class TestVelocityProfile:
