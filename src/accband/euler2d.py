@@ -32,7 +32,12 @@ Discretization, in (rho, phi) = (log r, azimuth):
     initial min/max of zeta, hence the |xi| <= A ||zeta0||_inf + B bound);
     each foot point's cell is located once per interpolation, and its
     stencil is gathered with flat takes from a padded copy of the field
-    (edge rows at the walls, periodic columns);
+    (edge rows at the walls, periodic columns). The fields are padded
+    once per advection; trajectories and interpolations then run over
+    tiles of whole rows, about TILE_POINTS foot points each, in reused
+    buffers, so a tile's temporaries stay in L2 cache where full-field
+    ones (512 KB each at 256^2) would not. Each point's arithmetic is the
+    same in every tile, so the result does not depend on the tiling;
   * characteristics in these coordinates: d(rho)/ds = cosh^2(rho) psi_phi,
     d(phi)/ds = -cosh^2(rho) psi_rho, since alpha e^{-2 rho} = cosh^2(rho).
 
@@ -274,83 +279,178 @@ def cfl_number(w_rho, w_phi, dt, grid) -> float:
     )
 
 
-def _cubic_weights(t):
-    """Lagrange cubic weights on the 4-point stencil {-1, 0, 1, 2}."""
-    return (
-        -t * (t - 1.0) * (t - 2.0) / 6.0,
-        (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0,
-        -t * (t + 1.0) * (t - 2.0) / 2.0,
-        t * (t + 1.0) * (t - 1.0) / 6.0,
-    )
+# Foot points per tile in advect_values: a float64 temporary of one tile
+# is 64 KB, so a tile's working set fits a 2 MB L2 cache.
+TILE_POINTS = 8192
 
 
-def _foot_cells(x, phi_f, grid):
-    """Cell (i0, j0) and in-cell offsets (tx, ty) of each foot point.
+def _padded(values, edge_rows, left, right):
+    """values with its wall rows repeated edge_rows times at each wall and
+    left/right periodic columns wrapped around, as one contiguous array."""
+    n, m = values.shape
+    out = np.empty((n + 2 * edge_rows, left + m + right))
+    core = out[edge_rows:edge_rows + n]
+    core[:, left:left + m] = values
+    core[:, :left] = values[:, m - left:]
+    core[:, left + m:] = values[:, :right]
+    out[:edge_rows] = core[0]
+    out[edge_rows + n:] = core[-1]
+    return out
 
-    x is the radial position in cell units; i0 is clamped to the last
-    full cell and phi wraps periodically into [0, 2 pi).
+
+def _scratch(shape, planes):
+    """Reusable work arrays for foot points of one shape: float planes,
+    two integer index planes and two boolean mask planes."""
+    return (np.empty((planes,) + shape), np.empty((2,) + shape, dtype=np.intp),
+            np.empty((2,) + shape, dtype=bool))
+
+
+def _cubic_weights(t, out):
+    """Lagrange cubic weights on the 4-point stencil {-1, 0, 1, 2}.
+
+    Each weight keeps its expression tree, -t (t-1) (t-2) / 6,
+    (t+1) (t-1) (t-2) / 2, -t (t+1) (t-2) / 2 and t (t+1) (t-1) / 6; only
+    the factors -t, t-1, t+1, t-2 are computed once. out is eight arrays
+    of t's shape: the four weights, then the four factors.
     """
-    i0 = np.clip(np.floor(x).astype(int), 0, grid.n_rho - 2)
+    w0, w1, w2, w3, neg, tm1, tp1, tm2 = out
+    np.negative(t, out=neg)
+    np.subtract(t, 1.0, out=tm1)
+    np.add(t, 1.0, out=tp1)
+    np.subtract(t, 2.0, out=tm2)
+    np.multiply(neg, tm1, out=w0)
+    w0 *= tm2
+    w0 /= 6.0
+    np.multiply(tp1, tm1, out=w1)
+    w1 *= tm2
+    w1 /= 2.0
+    np.multiply(neg, tp1, out=w2)
+    w2 *= tm2
+    w2 /= 2.0
+    np.multiply(t, tp1, out=w3)
+    w3 *= tm1
+    w3 /= 6.0
+    return w0, w1, w2, w3
+
+
+def _foot_cells(x, phi_f, grid, width, scratch):
+    """Stencil base index and in-cell offsets (tx, ty) of each foot point.
+
+    x is the radial position in cell units; the cell row i0 is clamped to
+    the last full cell and phi wraps periodically into [0, 2 pi). Returns
+    (base, tx, ty) with base = i0 * width + j0, the flat index of cell
+    (i0, j0) in a padded field of row length width; tx overwrites x.
+    """
+    (ty, floor), (i0, j0), (outside, inside) = scratch
+    np.floor(x, out=floor)
+    np.copyto(i0, floor, casting="unsafe")
+    np.clip(i0, 0, grid.n_rho - 2, out=i0)
+    np.subtract(x, i0, out=x)
     # np.mod returns phi itself on (0, 2 pi), so only the rest needs it
-    wrapped = phi_f.copy()
-    outside = ~((phi_f > 0.0) & (phi_f < 2.0 * np.pi))
-    wrapped[outside] = np.mod(phi_f[outside], 2.0 * np.pi)
-    y = wrapped / grid.d_phi
-    floor_y = np.floor(y)
-    return i0, x - i0, floor_y.astype(int) % grid.n_phi, y - floor_y
+    np.greater(phi_f, 0.0, out=outside)
+    np.less(phi_f, 2.0 * np.pi, out=inside)
+    outside &= inside
+    np.logical_not(outside, out=outside)
+    np.copyto(ty, phi_f)
+    np.mod(phi_f, 2.0 * np.pi, out=ty, where=outside)
+    ty /= grid.d_phi
+    np.floor(ty, out=floor)
+    np.copyto(j0, floor, casting="unsafe")
+    # a wrapped phi rounds up to at most 2 pi, whose column n_phi is column 0
+    np.equal(j0, grid.n_phi, out=outside)
+    np.copyto(j0, 0, where=outside)
+    ty -= floor
+    i0 *= width
+    i0 += j0
+    return i0, x, ty
 
 
-def _interp_bicubic_clipped(values, rho_f, phi_f, grid):
+def _interp_bicubic_clipped(padded, rho_f, phi_f, grid, out, scratch):
     """Clipped cubic Lagrange interpolation at foot points.
 
-    Periodic in phi; the radial stencil is clamped at the walls. The
-    result is clipped to the min/max of its own 4x4 stencil, which keeps
-    the global range of the field inside the initial range exactly.
+    padded is the field as _padded(values, 1, 1, 2) lays it out: one edge
+    row at each wall repeats it (the radial clamp), and periodic columns,
+    1 left and 2 right, hold stencil columns j0 - 1 .. j0 + 2. The result
+    is clipped to the min/max of its own 4x4 stencil, which keeps the
+    global range of the field inside the initial range exactly. The
+    result goes to out; scratch is a _scratch of the foot points' shape
+    with at least 20 float planes.
     """
-    x = (rho_f - grid.rho1) / grid.d_rho
-    i0, tx, j0, ty = _foot_cells(x, phi_f, grid)
-    # One edge row at each wall repeats it (the radial clamp); periodic
-    # columns, 1 left and 2 right, hold stencil columns j0 - 1 .. j0 + 2.
-    # Stencil entry (a, b) then sits at flat offset a * width + b from base.
-    padded = np.pad(np.pad(values, ((1, 1), (0, 0)), mode="edge"),
-                    ((0, 0), (1, 2)), mode="wrap")
-    width = grid.n_phi + 3
+    planes, index, mask = scratch
+    x, ty, floor, row, block, term, lo, hi = planes[:8]
+    width = padded.shape[1]
+    np.subtract(rho_f, grid.rho1, out=x)
+    x /= grid.d_rho
+    base, tx, ty = _foot_cells(x, phi_f, grid, width, ((ty, floor), index, mask))
+    wx = _cubic_weights(tx, planes[8:16])
+    wy = _cubic_weights(ty, (*planes[16:20], *planes[12:16]))
+
+    # Stencil entry (a, b) sits at flat offset a * width + b from base.
+    # Every index is in range; take's default mode="raise" would buffer out.
     flat = padded.ravel()
-    base = i0 * width + j0
-    wx = _cubic_weights(tx)
-    wy = _cubic_weights(ty)
-
-    result = np.zeros_like(rho_f)
-    lo = None
-    hi = None
+    out.fill(0.0)
     for a in range(4):
-        row_acc = np.zeros_like(rho_f)
+        row.fill(0.0)
         for b in range(4):
-            block = flat[a * width + b:].take(base)
-            row_acc += wy[b] * block
-            lo = block if lo is None else np.minimum(lo, block)
-            hi = np.maximum(hi, block) if hi is not None else block
-        result += wx[a] * row_acc
-    return np.clip(result, lo, hi)
+            flat[a * width + b:].take(base, out=block, mode="clip")
+            np.multiply(wy[b], block, out=term)
+            row += term
+            if a == b == 0:
+                np.copyto(lo, block)
+                np.copyto(hi, block)
+            else:
+                np.minimum(lo, block, out=lo)
+                np.maximum(hi, block, out=hi)
+        row *= wx[a]
+        out += row
+    return np.clip(out, lo, hi, out=out)
 
 
-def _interp_bilinear_pair(u, v, rho_f, phi_f, grid):
-    """Bilinear interpolation of two fields at the same foot points."""
-    x = np.clip((rho_f - grid.rho1) / grid.d_rho, 0.0, grid.n_rho - 1.0)
-    i0, tx, j0, ty = _foot_cells(x, phi_f, grid)
-    width = grid.n_phi + 1  # one periodic pad column wraps j0 + 1
-    base = i0 * width + j0
-    sx = 1 - tx
-    sy = 1 - ty
-    out = []
-    for values in (u, v):
-        flat = np.pad(values, ((0, 0), (0, 1)), mode="wrap").ravel()
-        v00 = flat.take(base)
-        v01 = flat[1:].take(base)
-        v10 = flat[width:].take(base)
-        v11 = flat[width + 1:].take(base)
-        out.append(sx * (sy * v00 + ty * v01) + tx * (sy * v10 + ty * v11))
+def _interp_bilinear_pair(u_pad, v_pad, rho_f, phi_f, grid, out, scratch):
+    """Bilinear interpolation of two fields at the same foot points.
+
+    u_pad and v_pad are the fields as _padded(values, 0, 0, 1) lays them
+    out: one periodic pad column wraps j0 + 1. The two results go to
+    out[0] and out[1]; scratch is a _scratch of the foot points' shape
+    with at least 7 float planes.
+    """
+    planes, index, mask = scratch
+    x, ty, floor, sx, sy, near, far = planes[:7]
+    width = u_pad.shape[1]
+    np.subtract(rho_f, grid.rho1, out=x)
+    x /= grid.d_rho
+    np.clip(x, 0.0, grid.n_rho - 1.0, out=x)
+    base, tx, ty = _foot_cells(x, phi_f, grid, width, ((ty, floor), index, mask))
+    np.subtract(1, tx, out=sx)
+    np.subtract(1, ty, out=sy)
+    # sx * (sy * v00 + ty * v01) + tx * (sy * v10 + ty * v11)
+    for padded, res in zip((u_pad, v_pad), out):
+        flat = padded.ravel()
+        flat.take(base, out=res, mode="clip")
+        res *= sy
+        flat[1:].take(base, out=near, mode="clip")
+        near *= ty
+        res += near
+        res *= sx
+        flat[width:].take(base, out=near, mode="clip")
+        near *= sy
+        flat[width + 1:].take(base, out=far, mode="clip")
+        far *= ty
+        near += far
+        near *= tx
+        res += near
     return out
+
+
+def _clamp_to_walls(rho, grid, mask):
+    """Clip radial positions to the walls in place; returns how many lay
+    beyond a wall by more than round-off."""
+    below, above = mask
+    np.less(rho, grid.rho1 - 1e-14, out=below)
+    np.greater(rho, grid.rho2 + 1e-14, out=above)
+    below |= above
+    np.clip(rho, grid.rho1, grid.rho2, out=rho)
+    return int(np.count_nonzero(below))
 
 
 def advect_values(zeta_values, w_rho, w_phi, dt, grid):
@@ -360,26 +460,45 @@ def advect_values(zeta_values, w_rho, w_phi, dt, grid):
     a half-step with the node velocity locates the midpoint, where the
     velocity is re-sampled (bilinear) for the full step. Radial foot
     points beyond the walls are clamped (tangential flow cannot exit;
-    the count is a quality metric).
+    the count is a quality metric). Foot points are traced and
+    interpolated in tiles of whole rows, about TILE_POINTS each; the
+    result does not depend on the tiling.
     """
     cfl = cfl_number(w_rho, w_phi, dt, grid)
     if cfl > CFL_LIMIT:
         raise CflViolation(cfl, dt, CFL_LIMIT * abs(dt) / cfl)
 
-    rho_n = grid.rho[:, None]
+    zeta_pad = _padded(zeta_values, 1, 1, 2)
+    w_rho_pad = _padded(w_rho, 0, 0, 1)
+    w_phi_pad = _padded(w_phi, 0, 0, 1)
+    rows = max(1, TILE_POINTS // grid.n_phi)
+    planes, index, mask = _scratch((rows, grid.n_phi), 4 + 20)
     phi_n = grid.phi[None, :]
-    rho_h = rho_n - 0.5 * dt * w_rho
-    phi_h = phi_n - 0.5 * dt * w_phi
-    clamps = int(np.sum((rho_h < grid.rho1 - 1e-14) | (rho_h > grid.rho2 + 1e-14)))
-    rho_h = np.clip(rho_h, grid.rho1, grid.rho2)
+    new = np.empty((grid.n_rho, grid.n_phi))
+    clamps = 0
+    for r0 in range(0, grid.n_rho, rows):
+        r1 = min(r0 + rows, grid.n_rho)
+        rho_h, phi_h, rho_f, phi_f, *kernel_planes = planes[:, :r1 - r0]
+        scratch = (kernel_planes, index[:, :r1 - r0], mask[:, :r1 - r0])
+        rho_n = grid.rho[r0:r1, None]
 
-    w_rho_h, w_phi_h = _interp_bilinear_pair(w_rho, w_phi, rho_h, phi_h, grid)
-    rho_f = rho_n - dt * w_rho_h
-    phi_f = phi_n - dt * w_phi_h
-    clamps += int(np.sum((rho_f < grid.rho1 - 1e-14) | (rho_f > grid.rho2 + 1e-14)))
-    rho_f = np.clip(rho_f, grid.rho1, grid.rho2)
+        np.multiply(0.5 * dt, w_rho[r0:r1], out=rho_h)
+        np.subtract(rho_n, rho_h, out=rho_h)
+        np.multiply(0.5 * dt, w_phi[r0:r1], out=phi_h)
+        np.subtract(phi_n, phi_h, out=phi_h)
+        clamps += _clamp_to_walls(rho_h, grid, scratch[2])
 
-    return _interp_bicubic_clipped(zeta_values, rho_f, phi_f, grid), clamps
+        # the midpoint velocity, then the foot point, in place
+        _interp_bilinear_pair(w_rho_pad, w_phi_pad, rho_h, phi_h, grid,
+                              (rho_f, phi_f), scratch)
+        rho_f *= dt
+        np.subtract(rho_n, rho_f, out=rho_f)
+        phi_f *= dt
+        np.subtract(phi_n, phi_f, out=phi_f)
+        clamps += _clamp_to_walls(rho_f, grid, scratch[2])
+
+        _interp_bicubic_clipped(zeta_pad, rho_f, phi_f, grid, new[r0:r1], scratch)
+    return new, clamps
 
 
 def advect(state: SimState, velocity: VectorField, dt: float) -> ScalarField:
@@ -414,9 +533,14 @@ def step(state: SimState, dt: float, targets) -> SimState:
     pred.lambda_circ, _ = fix_circulation(pred, targets)
     w_rho_b, w_phi_b = advecting_velocity(stream_of(pred), grid)
 
-    w_rho = 0.5 * (w_rho_a + w_rho_b)
-    w_phi = 0.5 * (w_phi_a + w_phi_b)
-    zeta_new, clamps = advect_values(state.zeta.values, w_rho, w_phi, dt, grid)
+    # the midpoint velocity 0.5 * (a + b), formed in place in a; b is
+    # dropped, so the corrector's advection holds two fields fewer
+    w_rho_a += w_rho_b
+    w_rho_a *= 0.5
+    w_phi_a += w_phi_b
+    w_phi_a *= 0.5
+    del w_rho_b, w_phi_b
+    zeta_new, clamps = advect_values(state.zeta.values, w_rho_a, w_phi_a, dt, grid)
     new = SimState(state.t + dt, ScalarField(grid, zeta_new), state.lambda_circ,
                    config, grid, state.clamp_events + clamps)
     new.lambda_circ, _ = fix_circulation(new, targets)

@@ -1,8 +1,10 @@
-"""Minimal SVG line plots (axes, polyline, labels); no dependencies.
+"""Minimal SVG line plots (axes, polyline, labels); no plotting library.
 
 Deliberately small: richer plotting belongs to the user's tooling via the
 CSV outputs.
 """
+
+import numpy as np
 
 WIDTH, HEIGHT = 640, 420
 MARGIN = 56
@@ -33,7 +35,12 @@ def line_plot(path, x, y, *, xlabel="", ylabel="", title=""):
     def sy(v):
         return HEIGHT - MARGIN - (v - y_lo) / (y_hi - y_lo) * (HEIGHT - 2 * MARGIN)
 
-    points = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(x, y))
+    # sx and sy over whole arrays: the same expressions, one format call
+    xy = np.empty((len(x), 2))
+    xy[:, 0] = MARGIN + (np.array(x) - x_lo) / (x_hi - x_lo) * (WIDTH - 2 * MARGIN)
+    xy[:, 1] = (HEIGHT - MARGIN
+                - (np.array(y) - y_lo) / (y_hi - y_lo) * (HEIGHT - 2 * MARGIN))
+    points = " ".join(["%.2f,%.2f"] * len(x)) % tuple(xy.ravel().tolist())
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',

@@ -206,16 +206,31 @@ def _thomas_solve(factor, rhs, left, right):
     """Forward and back substitution through a _thomas_factor.
 
     Rows 0 and n-1 of rhs are overwritten in place by the wall values
-    left and right.
+    left and right. Batched rows are substituted into x in place, so a
+    sweep makes no temporaries; one column stays with scalar arithmetic,
+    which is cheaper than a ufunc call per row. Both compute
+    x[i] = (rhs[i] - lower[i] x[i-1]) / piv[i], then x[i] -= c[i] x[i+1].
     """
     lower, piv, c, row_scale = factor
     rhs[0], rhs[-1] = left * row_scale, right * row_scale
     x = np.empty(np.shape(rhs), dtype=np.result_type(rhs, piv))
-    x[0] = d = rhs[0] / piv[0]
-    for i in range(1, len(piv)):
-        x[i] = d = (rhs[i] - lower[i] * d) / piv[i]
-    for i in range(len(piv) - 2, -1, -1):
-        x[i] = d = x[i] - c[i] * d
+    if x.ndim == 1:
+        x[0] = d = rhs[0] / piv[0]
+        for i in range(1, len(piv)):
+            x[i] = d = (rhs[i] - lower[i] * d) / piv[i]
+        for i in range(len(piv) - 2, -1, -1):
+            x[i] = d = x[i] - c[i] * d
+        return x
+    rows = list(x)
+    np.divide(rhs[0], piv[0], out=rows[0])
+    for prev, row, low, b, p in zip(rows, rows[1:], lower[1:], rhs[1:], piv[1:]):
+        np.multiply(low, prev, out=row)
+        np.subtract(b, row, out=row)
+        np.divide(row, p, out=row)
+    term = np.empty_like(rows[0])
+    for row, nxt, ci in zip(rows[-2::-1], rows[:0:-1], c[-2::-1]):
+        np.multiply(ci, nxt, out=term)
+        np.subtract(row, term, out=row)
     return x
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -25,9 +26,9 @@ def make_grid(config, n_rho=64, n_phi=64):
 
 
 # ------------------------------------------------------------------
-# References: the Poisson solve that factors on every call, and the
-# interpolations by 2-D fancy indexing. The library must match them
-# bit for bit.
+# References: the Poisson solve that factors on every call, the cubic
+# weights as one expression each, and the interpolations by 2-D fancy
+# indexing. The library must match them bit for bit.
 # ------------------------------------------------------------------
 
 def ref_poisson_values(source, grid):
@@ -41,6 +42,15 @@ def ref_poisson_values(source, grid):
     return np.fft.irfft(psi_hat, n=grid.n_phi, axis=1)
 
 
+def ref_cubic_weights(t):
+    return (
+        -t * (t - 1.0) * (t - 2.0) / 6.0,
+        (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0,
+        -t * (t + 1.0) * (t - 2.0) / 2.0,
+        t * (t + 1.0) * (t - 1.0) / 6.0,
+    )
+
+
 def ref_bicubic_clipped(values, rho_f, phi_f, grid):
     x = (rho_f - grid.rho1) / grid.d_rho
     i0 = np.clip(np.floor(x).astype(int), 0, grid.n_rho - 2)
@@ -50,8 +60,8 @@ def ref_bicubic_clipped(values, rho_f, phi_f, grid):
     ty = y - np.floor(y)
     rows = [np.clip(i0 + k, 0, grid.n_rho - 1) for k in (-1, 0, 1, 2)]
     cols = [(j0 + k) % grid.n_phi for k in (-1, 0, 1, 2)]
-    wx = e2._cubic_weights(tx)
-    wy = e2._cubic_weights(ty)
+    wx = ref_cubic_weights(tx)
+    wy = ref_cubic_weights(ty)
     result = np.zeros_like(rho_f)
     lo = None
     hi = None
@@ -81,6 +91,17 @@ def ref_bilinear(values, rho_f, phi_f, grid):
     return (
         (1 - tx) * ((1 - ty) * v00 + ty * v01) + tx * ((1 - ty) * v10 + ty * v11)
     )
+
+
+def wall_advection(config, sign):
+    """advect_values arguments on a 48x40 grid whose foot points cross a wall."""
+    grid = make_grid(config, 48, 40)
+    state = e2.perturbed_zonal_state(config, grid, 0.05, 3, seed=6)
+    w_rho, w_phi = e2.advecting_velocity(e2.stream_of(state), grid)
+    # an outward radial drift pushes foot points across a wall
+    w_rho = w_rho + 0.2 * np.max(np.abs(w_phi)) * grid.d_rho / grid.d_phi
+    dt = sign * 0.6 / e2.cfl_number(w_rho, w_phi, 1.0, grid)
+    return state.zeta.values, w_rho, w_phi, dt, grid
 
 
 def ref_advect_values(zeta_values, w_rho, w_phi, dt, grid):
@@ -390,8 +411,9 @@ class TestInterpolationReference:
         grid = make_grid(mild_config, *shape)
         values = rng.standard_normal(shape)
         rho_f, phi_f = self.foot_points(grid, rng)
-        assert np.array_equal(e2._interp_bicubic_clipped(values, rho_f, phi_f, grid),
-                              ref_bicubic_clipped(values, rho_f, phi_f, grid))
+        got = e2._interp_bicubic_clipped(e2._padded(values, 1, 1, 2), rho_f, phi_f, grid,
+                                         np.empty_like(rho_f), e2._scratch(rho_f.shape, 20))
+        assert np.array_equal(got, ref_bicubic_clipped(values, rho_f, phi_f, grid))
 
     @pytest.mark.parametrize("shape", [(32, 48), (24, 31)])
     def test_bilinear_pair_matches_reference(self, mild_config, rng, shape):
@@ -403,22 +425,68 @@ class TestInterpolationReference:
         # beyond the walls as well
         rho_f = np.concatenate([rho_f, [grid.rho1 - 0.1, grid.rho2 + 0.1]])
         phi_f = np.concatenate([phi_f, [0.5, 0.5]])
-        got_u, got_v = e2._interp_bilinear_pair(u, v, rho_f, phi_f, grid)
+        got_u, got_v = e2._interp_bilinear_pair(
+            e2._padded(u, 0, 0, 1), e2._padded(v, 0, 0, 1), rho_f, phi_f, grid,
+            np.empty((2,) + rho_f.shape), e2._scratch(rho_f.shape, 7))
         assert np.array_equal(got_u, ref_bilinear(u, rho_f, phi_f, grid))
         assert np.array_equal(got_v, ref_bilinear(v, rho_f, phi_f, grid))
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_advect_matches_reference(self, mild_neg_lam_config, sign):
-        grid = make_grid(mild_neg_lam_config, 48, 40)
-        state = e2.perturbed_zonal_state(mild_neg_lam_config, grid, 0.05, 3, seed=6)
-        w_rho, w_phi = e2.advecting_velocity(e2.stream_of(state), grid)
-        # an outward radial drift pushes foot points across a wall
-        w_rho = w_rho + 0.2 * np.max(np.abs(w_phi)) * grid.d_rho / grid.d_phi
-        dt = sign * 0.6 / e2.cfl_number(w_rho, w_phi, 1.0, grid)
-        got, got_clamps = e2.advect_values(state.zeta.values, w_rho, w_phi, dt, grid)
-        want, want_clamps = ref_advect_values(state.zeta.values, w_rho, w_phi, dt, grid)
+        args = wall_advection(mild_neg_lam_config, sign)
+        got, got_clamps = e2.advect_values(*args)
+        want, want_clamps = ref_advect_values(*args)
         assert np.array_equal(got, want)
         assert got_clamps == want_clamps > 0
+
+
+class TestTiles:
+    """advect_values in row tiles: every tiling matches the untiled
+    references, seams and ragged last tiles included."""
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("tile_points", [
+        7,            # less than a row: one-row tiles
+        3 * 40,       # 3-row tiles, none ragged
+        5 * 40 + 17,  # 5-row tiles, the last one 3 rows
+        47 * 40,      # the last tile is a single row
+    ])
+    def test_tiles_match_reference(self, mild_neg_lam_config, monkeypatch, sign,
+                                   tile_points):
+        args = wall_advection(mild_neg_lam_config, sign)
+        monkeypatch.setattr(e2, "TILE_POINTS", tile_points)
+        got, got_clamps = e2.advect_values(*args)
+        want, want_clamps = ref_advect_values(*args)
+        assert np.array_equal(got, want)
+        assert got_clamps == want_clamps > 0
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_result_independent_of_tiling(self, mild_neg_lam_config, monkeypatch, sign):
+        args = wall_advection(mild_neg_lam_config, sign)
+        assert e2.TILE_POINTS >= 48 * 40  # the default is one tile here
+        want, want_clamps = e2.advect_values(*args)
+        for rows in (1, 3):
+            monkeypatch.setattr(e2, "TILE_POINTS", rows * 40)
+            got, clamps = e2.advect_values(*args)
+            assert got.tobytes() == want.tobytes()
+            assert clamps == want_clamps
+
+    def test_one_call_allocates_under_twelve_fields(self, mild_neg_lam_config):
+        """Deterministic memory guard: untiled, one call held 27 fields."""
+        grid = make_grid(mild_neg_lam_config, 256, 256)
+        state = e2.perturbed_zonal_state(mild_neg_lam_config, grid, 0.01, 3, seed=6)
+        w_rho, w_phi = e2.advecting_velocity(e2.stream_of(state), grid)
+        dt = 0.5 / e2.cfl_number(w_rho, w_phi, 1.0, grid)
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            e2.advect_values(state.zeta.values, w_rho, w_phi, dt, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert peak < 12 * state.zeta.values.nbytes
 
 
 class TestStepAndRun:
