@@ -9,7 +9,9 @@ Two independent routes to the spectrum are provided:
 
   * a matrix route: second-order conservative differences of the
     self-adjoint form give a symmetric tridiagonal generalized problem,
-    solved by LAPACK bisection/inverse iteration;
+    whose lowest eigenpairs a numpy eigensolver finds by Sturm-count
+    bisection, inverse iteration and Rayleigh quotients (LAPACK's
+    stebz/stein route, vectorized over shifts; no scipy);
   * a shooting route: the Pruefer angle ODE
 
         theta' = cos^2(theta)/p + (q + mu*w) sin^2(theta),  theta(a) = 0,
@@ -104,12 +106,142 @@ class SLSpectrum:
 # Matrix route
 # ==================================================================
 
-def _tridiagonal_eigen(prob, n_max, grid_size):
-    """Symmetric tridiagonal generalized eigenproblem on a uniform grid."""
-    # imported here, so that runs solving no spectrum (evolve, stability)
-    # never load scipy
-    from scipy.linalg import eigh_tridiagonal
+BLOCK_ROWS = 64  # LDL^T pivot rows a Sturm count holds at once
+SWEEP_SHIFTS = 512  # shifts per multisection sweep, at least 15 per eigenvalue
+BISECT_RTOL = 1e-8  # bracket width at which inverse iteration takes over
+INVERSE_RTOL = 1e-10  # 1 - |cos| between successive inverse iterates
+MAX_INVERSE_ITERATIONS = 5
 
+
+def _pivot_blocks(d, e2, pivmin, shifts):
+    """Pivots of LDL^T(T - s) for every shift s, BLOCK_ROWS rows at a time.
+
+    T is the symmetric tridiagonal matrix with diagonal d and squared
+    off-diagonal e2. Pivot i is d[i] - s - e2[i-1] / (pivot i-1). Each block
+    is first swept without a guard; if it holds a pivot below pivmin in size
+    (or a NaN), it is swept again with every such pivot replaced by -pivmin,
+    as LAPACK's Sturm counts do. Each yielded block is a view into one
+    reused buffer of (BLOCK_ROWS + 1) x len(shifts), whose row 0 carries
+    the last pivot of the block before.
+    """
+    buf = np.empty((BLOCK_ROWS + 1, len(shifts)))
+    buf[0] = np.inf  # pivot "-1": e2 / inf = 0 leaves pivot 0 = d[0] - s
+    rows = list(buf)
+    ratio = np.empty(len(shifts))
+    e2_before = [0.0, *e2.tolist()]
+    for start in range(0, len(d), BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, len(d))
+        block = buf[1:1 + stop - start]
+        for guard in (False, True):
+            np.subtract(d[start:stop, None], shifts, out=block)
+            prev = rows[0]
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                for row, e2_i in zip(rows[1:], e2_before[start:stop]):
+                    np.divide(e2_i, prev, out=ratio)
+                    row -= ratio
+                    if guard:
+                        np.copyto(row, -pivmin, where=np.abs(row) < pivmin)
+                    prev = row
+            if np.all(np.abs(block) >= pivmin):
+                break
+        yield block
+        rows[0][...] = prev
+
+
+def _sturm_counts(d, e2, pivmin, shifts):
+    """Eigenvalues of T below each shift: the negative pivots of LDL^T(T - s)."""
+    count = np.zeros(len(shifts), dtype=np.int64)
+    for block in _pivot_blocks(d, e2, pivmin, shifts):
+        count += np.count_nonzero(block < 0, axis=0)
+    return count
+
+
+def _inverse_iteration(d, e, pivmin, shifts):
+    """Unit eigenvectors of T nearest each shift, one column per shift.
+
+    Every column is solved with its own LDL^T(T - s); the factors are
+    near-singular by design, and the guarded pivots keep them finite.
+    Iteration stops when each column has turned by less than INVERSE_RTOL;
+    the start is a seeded random block, as in LAPACK's stein.
+    """
+    piv = np.concatenate([block.copy() for block in
+                          _pivot_blocks(d, e * e, pivmin, shifts)])
+    low = e[:, None] / piv[:-1]  # L[i + 1, i]
+    x = np.random.default_rng(0).uniform(-1.0, 1.0, piv.shape)
+    rows = list(x)
+    term = np.empty(len(shifts))
+    for _ in range(MAX_INVERSE_ITERATIONS):
+        x /= np.linalg.norm(x, axis=0)
+        before = x.copy()
+        for prev, row, l_i in zip(rows, rows[1:], low):
+            np.multiply(l_i, prev, out=term)
+            row -= term
+        x /= piv
+        for nxt, row, l_i in zip(rows[:0:-1], rows[-2::-1], low[::-1]):
+            np.multiply(l_i, nxt, out=term)
+            row -= term
+        norms = np.linalg.norm(x, axis=0)
+        if np.all(np.abs(np.sum(before * x, axis=0)) >= (1.0 - INVERSE_RTOL) * norms):
+            return x / norms
+    raise ConvergenceFailure("inverse iteration did not settle")
+
+
+def _lowest_eigenpairs(d, e, k):
+    """The k lowest eigenpairs of the symmetric tridiagonal (d, e).
+
+    LAPACK's route (stebz bisection, then stein inverse iteration), with
+    every sweep vectorized over its shifts. Sturm counts at a geometric
+    ladder of shifts above the Gershgorin lower bound bracket eigenvalues
+    1..k; multisection sweeps of SWEEP_SHIFTS shifts narrow every bracket
+    to BISECT_RTOL; inverse iteration from the bracket midpoints gives the
+    vectors, and their Rayleigh quotients the eigenvalues. Working memory
+    is O(len(d) * k).
+    """
+    n = len(d)
+    e2 = e * e
+    radius = np.zeros(n)
+    radius[:-1] += np.abs(e)
+    radius[1:] += np.abs(e)
+    lower = float(np.min(d - radius))
+    upper = float(np.max(d + radius))
+    tnorm = max(abs(lower), abs(upper))
+    pivmin = np.finfo(float).tiny * max(1.0, float(np.max(e2, initial=0.0)))
+    atol = 2.0 * np.finfo(float).eps * tnorm
+
+    # edges lower + span 2^(-j/8), span twice the Gershgorin width, down to
+    # 2^-54 of it: no eigenvalue lies below lower, every one below the top
+    span = 2.0 * (upper - lower) + atol
+    edges = lower + span * 2.0 ** (-np.arange(8 * 54, -1, -1) / 8.0)
+    below = np.maximum.accumulate(_sturm_counts(d, e2, pivmin, edges))
+    edges = np.concatenate(([lower], edges))
+    below = np.concatenate(([0], below))
+    index = np.arange(1, k + 1)
+    top = np.searchsorted(below, index)  # first edge with index or more below
+    lo, hi = edges[top - 1], edges[top]
+
+    parts = max(16, SWEEP_SHIFTS // k)
+    frac = np.arange(1, parts) / parts
+    cols = np.arange(k)
+    while np.any(hi - lo > BISECT_RTOL * np.maximum(np.abs(lo), np.abs(hi)) + atol):
+        inner = lo[:, None] + (hi - lo)[:, None] * frac
+        counts = _sturm_counts(d, e2, pivmin, inner.ravel()).reshape(inner.shape)
+        j = np.count_nonzero(counts < index[:, None], axis=1)
+        edges = np.column_stack((lo, inner, hi))
+        lo, hi = edges[cols, j], edges[cols, j + 1]
+
+    vecs = _inverse_iteration(d, e, pivmin, 0.5 * (lo + hi))
+    # v^T T v with the off-diagonal folded into row sums: a difference
+    # operator's row sums are O(1) where d is O(1/h^2), so nothing cancels
+    row_sums = d.copy()
+    row_sums[:-1] += e
+    row_sums[1:] += e
+    vals = row_sums @ (vecs * vecs) - e @ np.diff(vecs, axis=0) ** 2
+    return vals, vecs
+
+
+def _difference_matrix(prob, grid_size):
+    """Grid, interior weights and the symmetric tridiagonal (d, e) of the
+    problem's conservative second differences."""
     x = np.linspace(prob.a, prob.b, grid_size)
     hgrid = x[1] - x[0]
     p_half = prob._eval(prob.p, 0.5 * (x[:-1] + x[1:]))
@@ -120,9 +252,14 @@ def _tridiagonal_eigen(prob, n_max, grid_size):
     diag = (p_half[:-1] + p_half[1:]) / hgrid**2 - qi
     off = -p_half[1:-1] / hgrid**2
     # similarity transform by W^{-1/2} keeps the matrix symmetric tridiagonal
-    d_s = diag / wi
-    e_s = off / np.sqrt(wi[:-1] * wi[1:])
-    vals, vecs = eigh_tridiagonal(d_s, e_s, select="i", select_range=(0, n_max - 1))
+    return x, wi, diag / wi, off / np.sqrt(wi[:-1] * wi[1:])
+
+
+def _tridiagonal_eigen(prob, n_max, grid_size):
+    """Symmetric tridiagonal generalized eigenproblem on a uniform grid."""
+    x, wi, d_s, e_s = _difference_matrix(prob, grid_size)
+    hgrid = x[1] - x[0]
+    vals, vecs = _lowest_eigenpairs(d_s, e_s, n_max)
 
     funcs = np.zeros((n_max, grid_size))
     for k in range(n_max):
@@ -233,7 +370,8 @@ def prufer_eigenvalues(prob: SLProblem, n_max: int, guesses=None) -> np.ndarray:
     guess (one vectorized pass over all eigenvalues), and the strictly
     increasing angle is inverted by cubic interpolation at k pi. A second
     pass with a bracket a thousand times tighter polishes the roots.
-    Independent of the LAPACK route used by eigen_solve.
+    The roots are independent of the matrix route used by eigen_solve,
+    which only supplies the default guesses.
     """
     if guesses is None:
         guesses = _tridiagonal_eigen(prob, n_max, 513)[0]

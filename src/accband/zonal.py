@@ -22,9 +22,10 @@ constructions are provided and cross-checked in the tests:
 
 The band's eigenproblem (y' cos)' = -mu y cos depends on theta1 and theta2
 only, not on lam, upsilon, omega or the boundary values. band_spectrum
-solves it once per (theta1, theta2, n_max, grid_size) in a process and
-hands every later caller the same read-only SLSpectrum, so a lam scan or
-a --sweep on one band pays for one checked eigen_solve per key.
+solves it once per band and grid, (theta1, theta2, grid_size), in a
+process, for SL_TERMS pairs (more if asked), and hands every later
+caller read-only arrays of that one solve, so a lam scan or a --sweep
+on one band pays for one checked eigen_solve.
 
 The same ODE on the simulation grid's log-radius nodes (solve_fd_rho)
 seeds the time-dependent solver with a discretely steady state.
@@ -379,19 +380,28 @@ def solve_picard(config, n: int, tol: float = 1e-10,
 # ==================================================================
 
 SPECTRUM_CACHE_SIZE = 8  # band spectra kept per process (each <= a few MB)
+SL_TERMS = 32  # eigenpairs one band solve keeps, and sl_expansion's default
 _SPECTRUM_LOCK = threading.Lock()
 
 
 def band_spectrum(theta1, theta2, n_max, grid_size) -> SLSpectrum:
     """First n_max eigenpairs of the band (theta1, theta2), solved once.
 
-    The first call for a key runs the full eigen_solve, Pruefer index check
-    included; later calls return the same SLSpectrum, whose arrays are
-    read-only. One lock serializes the lookups, so threads asking for the
-    same key at once still solve it once.
+    Each band and grid is solved once, for max(n_max, SL_TERMS) pairs, by
+    the full eigen_solve, Pruefer index check included; every caller gets
+    read-only arrays, a request for fewer pairs their leading slices. So
+    the 5-pair zonal report, the 10-pair spectrum mode and sl_expansion
+    share one solve. One lock serializes the lookups, so threads asking
+    for the same band at once still solve it once.
     """
+    if n_max < 1:
+        raise ValidationError("need n_max >= 1")
     with _SPECTRUM_LOCK:
-        return _band_spectrum(theta1, theta2, n_max, grid_size)
+        spectrum = _band_spectrum(theta1, theta2, max(n_max, SL_TERMS), grid_size)
+    if n_max == len(spectrum):
+        return spectrum
+    return replace(spectrum, eigenvalues=spectrum.eigenvalues[:n_max],
+                   eigenfunctions=spectrum.eigenfunctions[:n_max])
 
 
 @functools.lru_cache(maxsize=SPECTRUM_CACHE_SIZE)
@@ -405,7 +415,7 @@ def _band_spectrum(theta1, theta2, n_max, grid_size):
     return spectrum
 
 
-def solve_sl_expansion(config, n_terms: int = 32,
+def solve_sl_expansion(config, n_terms: int = SL_TERMS,
                        grid_size: int = 2049) -> ZonalProfile:
     """Homogenize the boundary data and expand in the band eigenbasis."""
     _warn_equal_boundary_values(config)

@@ -301,13 +301,19 @@ class TestModes:
         assert "share output directories" in capsys.readouterr().err
         assert not out.exists()  # rejected before any worker started
 
-    def test_evolve_never_imports_scipy(self, tmp_path):
+    @pytest.mark.parametrize("argv, artifact", [
+        *[(["--mode", "zonal", "--method", method, "--lambda", "0"], "zonal_crosscheck.csv")
+          for method in ZONAL_METHODS],
+        (["--mode", "spectrum"], "spectrum.csv"),
+        *[(["--mode", mode, "--n-rho", "32", "--n-phi", "32", "--dt", "0.002",
+            "--t-end", "0.004"], "diagnostics.csv") for mode in ("evolve", "stability")],
+    ], ids=[*(f"zonal-{method}" for method in ZONAL_METHODS), "spectrum", "evolve",
+            "stability"])
+    def test_never_imports_scipy(self, argv, artifact, tmp_path):
         script = (
             "import sys\n"
             "from accband import cli\n"
-            f"code = cli.main(['--mode', 'evolve', '--out', {str(tmp_path)!r},\n"
-            "                 '--n-rho', '32', '--n-phi', '32', '--dt', '0.002',\n"
-            f"                 '--t-end', '0.004', *{MILD_BAND!r}])\n"
+            f"code = cli.main([*{argv!r}, '--out', {str(tmp_path)!r}, *{MILD_BAND!r}])\n"
             "assert code == 0, code\n"
             "assert 'scipy' not in sys.modules\n"
         )
@@ -317,7 +323,7 @@ class TestModes:
         done = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        assert (tmp_path / "diagnostics.csv").exists()
+        assert (tmp_path / artifact).exists()
 
     def test_failing_sweep_exits_two(self, tmp_path, capsys):
         out = tmp_path / "sweepfail"

@@ -4,11 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
-from accband.errors import ResonantEigenvalue, ValidationError, ZeroFunction
+from accband.errors import (
+    ConvergenceFailure,
+    ResonantEigenvalue,
+    ValidationError,
+    ZeroFunction,
+)
 from accband.geometry import BandConfig
 from accband.sturm_liouville import (
     SLProblem,
+    _difference_matrix,
+    _lowest_eigenpairs,
+    _sturm_counts,
+    _tridiagonal_eigen,
     count_sign_changes,
     eigen_solve,
     homogenize_boundary,
@@ -24,6 +34,14 @@ def textbook_problem(h=None):
     one = lambda x: np.ones_like(np.asarray(x, dtype=float))
     zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
     return SLProblem(a=0.0, b=math.pi, p=one, q=zero, w=one, h=h)
+
+
+def shifted_problem():
+    """p = 1 + x, w = 1 + x/2, q = 200 + 50 cos 3x on [0, 1]: three
+    negative eigenvalues, then positive ones."""
+    return SLProblem(a=0.0, b=1.0, p=lambda x: 1.0 + x,
+                     q=lambda x: 200.0 + 50.0 * np.cos(3.0 * x),
+                     w=lambda x: 1.0 + 0.5 * x)
 
 
 class TestEigenSolve:
@@ -95,6 +113,44 @@ class TestPruferOracle:
         oracle = prufer_eigenvalues(prob, n_max=10, guesses=spec.eigenvalues)
         rel = np.abs(spec.eigenvalues - oracle) / np.abs(oracle)
         assert np.max(rel) <= 1e-6, f"first-10 rel error {np.max(rel):.2e}"
+
+
+class TestTridiagonalOracle:
+    """The numpy eigensolver against LAPACK's eigh_tridiagonal."""
+
+    @pytest.mark.parametrize("problem, grid_size, k", [
+        ("zonal", 2049, 1), ("zonal", 2049, 5), ("zonal", 2049, 32),
+        ("textbook", 8193, 5), ("shifted", 2049, 8), ("shifted", 64, 62),
+    ])
+    def test_matches_lapack(self, problem, grid_size, k):
+        prob = {"zonal": zonal_homogeneous_problem(BandConfig()),
+                "textbook": textbook_problem(), "shifted": shifted_problem()}[problem]
+        _, _, d, e = _difference_matrix(prob, grid_size)
+        vals, vecs = _lowest_eigenpairs(d, e, k)
+        ref_vals, ref_vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
+        norm_1 = np.max(np.abs(d) + np.r_[np.abs(e), 0.0] + np.r_[0.0, np.abs(e)])
+        assert np.max(np.abs(vals - ref_vals)) <= 1e-14 * norm_1
+        assert np.min(np.abs(np.sum(vecs * ref_vecs, axis=0))) >= 1.0 - 1e-12
+        if problem == "shifted":
+            assert np.count_nonzero(vals < 0) == 3
+        _, funcs, _ = _tridiagonal_eigen(prob, k, grid_size)
+        assert np.all(funcs[:, 1] > 0)  # y'(a) > 0
+
+    def test_unsettled_inverse_iteration_raises(self, monkeypatch):
+        # one solve from the random start cannot show two iterates agreeing
+        monkeypatch.setattr("accband.sturm_liouville.MAX_INVERSE_ITERATIONS", 1)
+        with pytest.raises(ConvergenceFailure):
+            eigen_solve(textbook_problem(), n_max=2, grid_size=257)
+
+    def test_sturm_counts_survive_zero_pivots(self):
+        # d - s = 0 at s = 2 makes the first pivot, and others, exactly zero
+        d = np.full(40, 2.0)
+        e = np.full(39, -1.0)
+        exact = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, 41) / 41)
+        shifts = np.array([-1.0, 0.5, 1.0, 2.0, 3.0, 4.5])
+        pivmin = np.finfo(float).tiny
+        assert np.array_equal(_sturm_counts(d, e * e, pivmin, shifts),
+                              np.searchsorted(exact, shifts))
 
 
 class TestRayleighQuotient:

@@ -4,7 +4,6 @@ import math
 import os
 import sys
 import threading
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,10 +16,12 @@ from accband.errors import (
     MaxIterExceeded,
     NearEigenvalue,
     TooFewSamples,
+    ValidationError,
 )
 from accband.geometry import BandConfig
 from accband.sturm_liouville import eigen_solve, zonal_homogeneous_problem
 from accband.zonal import (
+    SL_TERMS,
     ZonalProfile,
     band_spectrum,
     closed_form_residual,
@@ -236,19 +237,24 @@ def solved_keys(monkeypatch, fresh_spectrum_cache):
 
 class TestBandSpectrum:
     def test_equals_fresh_checked_solve(self, fresh_spectrum_cache, mild_config):
-        cached = band_spectrum(mild_config.theta1, mild_config.theta2, 5, 2049)
-        fresh = eigen_solve(zonal_homogeneous_problem(mild_config), n_max=5,
-                            grid_size=2049)
-        for name in ("eigenvalues", "eigenfunctions", "grid"):
-            assert getattr(cached, name).tobytes() == getattr(fresh, name).tobytes()
+        full = eigen_solve(zonal_homogeneous_problem(mild_config), n_max=SL_TERMS,
+                           grid_size=2049)
+        for n_max in (5, SL_TERMS):
+            cached = band_spectrum(mild_config.theta1, mild_config.theta2, n_max, 2049)
+            assert len(cached) == n_max
+            assert cached.eigenvalues.tobytes() == full.eigenvalues[:n_max].tobytes()
+            assert (cached.eigenfunctions.tobytes()
+                    == full.eigenfunctions[:n_max].tobytes())
+            assert cached.grid.tobytes() == full.grid.tobytes()
 
     def test_arrays_reject_writes_and_profiles_stay_writable(
             self, fresh_spectrum_cache, mild_neg_lam_config):
         config = mild_neg_lam_config
-        spectrum = band_spectrum(config.theta1, config.theta2, 32, 2049)
-        for values in (spectrum.eigenvalues, spectrum.eigenfunctions, spectrum.grid):
-            with pytest.raises(ValueError, match="read-only"):
-                values[0] = 0.0
+        for n_max in (5, SL_TERMS):
+            spectrum = band_spectrum(config.theta1, config.theta2, n_max, 2049)
+            for values in (spectrum.eigenvalues, spectrum.eigenfunctions, spectrum.grid):
+                with pytest.raises(ValueError, match="read-only"):
+                    values[0] = 0.0
         prof = solve_sl_expansion(config)
         assert not np.shares_memory(prof.thetas, spectrum.grid)
         prof.thetas[0] = prof.psi[0] = 0.0
@@ -256,14 +262,28 @@ class TestBandSpectrum:
 
     def test_other_band_or_size_misses(self, solved_keys, mild_config):
         t1, t2 = mild_config.theta1, mild_config.theta2
-        first = band_spectrum(t1, t2, 4, 513)
-        assert band_spectrum(t1, t2, 4, 513) is first
-        assert len(solved_keys) == 1
-        others = [band_spectrum(math.radians(-61.0), t2, 4, 513),
-                  band_spectrum(t1, t2, 5, 513),
+        full = band_spectrum(t1, t2, SL_TERMS, 513)
+        assert band_spectrum(t1, t2, SL_TERMS, 513) is full
+        for n_max in (1, 4, 5, 10, SL_TERMS - 1):
+            part = band_spectrum(t1, t2, n_max, 513)
+            assert part.eigenvalues.tobytes() == full.eigenvalues[:n_max].tobytes()
+            assert (part.eigenfunctions.tobytes()
+                    == full.eigenfunctions[:n_max].tobytes())
+            assert part.grid is full.grid
+        assert solved_keys == [(t1, t2, SL_TERMS, 513)]
+        others = [band_spectrum(t1, t2, SL_TERMS + 1, 513),
+                  band_spectrum(math.radians(-61.0), t2, 4, 513),
                   band_spectrum(t1, t2, 4, 1025)]
-        assert all(other is not first for other in others)
-        assert len(solved_keys) == 4 == len(set(solved_keys))
+        assert not any(np.shares_memory(other.eigenvalues, full.eigenvalues)
+                       for other in others)
+        assert solved_keys[1:] == [(t1, t2, SL_TERMS + 1, 513),
+                                   (math.radians(-61.0), t2, SL_TERMS, 513),
+                                   (t1, t2, SL_TERMS, 1025)]
+
+    def test_rejects_an_empty_request(self, solved_keys, mild_config):
+        with pytest.raises(ValidationError):
+            band_spectrum(mild_config.theta1, mild_config.theta2, 0, 513)
+        assert solved_keys == []
 
     def test_sequential_cli_runs_solve_each_key_once(self, solved_keys, tmp_path):
         band = ["--psi1", "-0.2", "--psi2", "0.2", "--omega", "2.0"]
@@ -276,16 +296,14 @@ class TestBandSpectrum:
                              "--method", method, *band]) == 0
         assert cli.main(["--mode", "spectrum", "--out", str(tmp_path / "spec"),
                          *band]) == 0
-        counts = Counter(solved_keys)
-        assert sorted(key[2:] for key in counts) == [(5, 2049), (10, 2049), (32, 2049)]
-        assert set(counts.values()) == {1}
+        assert [key[2:] for key in solved_keys] == [(SL_TERMS, 2049)]
 
     def test_racing_threads_solve_once(self, solved_keys, mild_config):
         t1, t2 = mild_config.theta1, mild_config.theta2
         results = []
         threads = [threading.Thread(
-            target=lambda: results.append(band_spectrum(t1, t2, 3, 257)))
-            for _ in range(8)]
+            target=lambda n_max=n_max: results.append(band_spectrum(t1, t2, n_max, 257)))
+            for n_max in (3, SL_TERMS) * 4]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -296,7 +314,10 @@ class TestBandSpectrum:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert len(results) == 8 and all(r is results[0] for r in results)
+        assert len(results) == 8
+        full = next(r for r in results if len(r) == SL_TERMS)
+        assert all(r is full for r in results if len(r) == SL_TERMS)
+        assert all(np.shares_memory(r.eigenvalues, full.eigenvalues) for r in results)
         assert len(solved_keys) == 1
 
     def test_sweep_threads_share_each_solve(self, solved_keys, tmp_path, monkeypatch):
@@ -304,7 +325,7 @@ class TestBandSpectrum:
         assert cli.main(["--mode", "zonal", "--out", str(tmp_path),
                          "--sweep=-10,-20,-30", "--method", "sl_expansion",
                          "--psi1", "-0.2", "--psi2", "0.2", "--omega", "2.0"]) == 0
-        assert len(solved_keys) == 2
+        assert len(solved_keys) == 1
 
 
 class TestVelocityProfile:
