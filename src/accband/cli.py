@@ -158,7 +158,7 @@ def _solve_profile(spec, method=None):
 
 def _spectrum_report(spec, out, n_eigen=5):
     spectrum = zonal.band_spectrum(spec.config.theta1, spec.config.theta2,
-                                   n_eigen, 2049)
+                                   n_eigen, zonal.SL_GRID)
     lam = spec.config.lam
     lines = ["index,eigenvalue,rel_distance_to_lambda"]
     for k, mu in enumerate(spectrum.eigenvalues, start=1):
@@ -183,7 +183,8 @@ def run_mode_zonal(spec, out):
     )
     _spectrum_report(spec, out)
     if spec.config.lam == 0.0:
-        profiles = {m: _solve_profile(spec, m)
+        # the requested method's profile is one of the three: solve it once
+        profiles = {m: profile if m == spec.method else _solve_profile(spec, m)
                     for m in ("closed_form", "fd", "picard")}
         lines = ["method_a,method_b,sup_difference"]
         names = sorted(profiles)

@@ -50,6 +50,7 @@ is advanced by one driver at a time; finished states are immutable
 snapshots safe to hand to diagnostic consumers on other threads.
 """
 
+import binascii
 import contextlib
 import json
 import math
@@ -634,19 +635,25 @@ def perturbed_zonal_state(config, grid, amplitude, wavenumber, seed):
 # Checkpoints
 # ==================================================================
 
-CHECKPOINT_KEYS = ("n_rho", "n_phi", "theta1", "theta2", "omega", "t", "lambda_circ")
+CHECKPOINT_KEYS = ("n_rho", "n_phi", "theta1", "theta2", "omega", "t", "lambda_circ",
+                   "payload")
+CHECKPOINT_PAYLOAD = "base64 <f8 rows"
 
 
 def _checkpoint_row(row):
-    """One line of checkpoint payload: the shortest round-trip repr of each float."""
-    return " ".join(map(repr, row))
+    """One ring of checkpoint payload: the standard base64 of its float64
+    values in little-endian order, padded, on one line."""
+    return binascii.b2a_base64(np.ascontiguousarray(row, dtype="<f8"), newline=False)
 
 
 def write_checkpoint(path, state: SimState):
-    """Text dump: one JSON header line, then row-major zeta values.
+    """One JSON header line, then one base64 line per grid ring.
 
-    Written to path + ".tmp" and renamed over path, so a failed or killed
-    write never leaves a truncated checkpoint under the final name.
+    The payload is exact: each ring's n_phi float64 values, little-endian,
+    so read_checkpoint returns zeta bit for bit, -0.0, subnormals, inf
+    and nan included. Written to path + ".tmp" and renamed over path, so
+    a failed or killed write never leaves a truncated checkpoint under
+    the final name.
     """
     grid = state.grid
     header = {
@@ -657,13 +664,14 @@ def write_checkpoint(path, state: SimState):
         "omega": state.config.omega,
         "t": state.t,
         "lambda_circ": state.lambda_circ,
+        "payload": CHECKPOINT_PAYLOAD,
     }
     tmp = os.fspath(path) + ".tmp"
     try:
-        with open(tmp, "w", newline="") as fh:
-            fh.write(json.dumps(header) + "\n")
-            for row in state.zeta.values.tolist():
-                fh.write(_checkpoint_row(row) + "\n")
+        with open(tmp, "wb") as fh:
+            fh.write(json.dumps(header).encode() + b"\n")
+            for row in state.zeta.values:
+                fh.write(_checkpoint_row(row) + b"\n")
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -672,17 +680,34 @@ def write_checkpoint(path, state: SimState):
 
 
 def read_checkpoint(path):
-    """Returns (header dict, zeta array)."""
-    with open(path) as fh:
+    """Returns (header dict, zeta array).
+
+    The header's keys and payload tag are checked before any ring is
+    decoded; a wrong ring count, a ring that is not base64 or that does
+    not hold n_phi values is a ValidationError.
+    """
+    with open(path, "rb") as fh:
         header = json.loads(fh.readline())
-        values = np.loadtxt(fh, ndmin=2)
-    missing = [k for k in CHECKPOINT_KEYS if k not in header]
-    if missing:
-        raise ValidationError(f"checkpoint header lacks keys {missing}")
-    if values.shape != (header["n_rho"], header["n_phi"]):
-        raise ValidationError(
-            f"checkpoint payload shape {values.shape} does not match header"
-        )
+        missing = [k for k in CHECKPOINT_KEYS if k not in header]
+        if missing:
+            raise ValidationError(f"checkpoint header lacks keys {missing}")
+        if header["payload"] != CHECKPOINT_PAYLOAD:
+            raise ValidationError(f"unknown checkpoint payload {header['payload']!r}")
+        rings = fh.read().splitlines()
+    n_rho, n_phi = header["n_rho"], header["n_phi"]
+    if len(rings) != n_rho:
+        raise ValidationError(f"checkpoint has {len(rings)} rings, header says {n_rho}")
+    values = np.empty((n_rho, n_phi))
+    for i, ring in enumerate(rings):
+        try:
+            raw = binascii.a2b_base64(ring)
+        except binascii.Error as err:
+            raise ValidationError(f"checkpoint ring {i} is not base64: {err}") from None
+        if len(raw) != 8 * n_phi:
+            raise ValidationError(
+                f"checkpoint ring {i} holds {len(raw)} bytes, not {8 * n_phi}"
+            )
+        values[i] = np.frombuffer(raw, dtype="<f8")
     return header, values
 
 

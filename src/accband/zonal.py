@@ -381,6 +381,7 @@ def solve_picard(config, n: int, tol: float = 1e-10,
 
 SPECTRUM_CACHE_SIZE = 8  # band spectra kept per process (each <= a few MB)
 SL_TERMS = 32  # eigenpairs one band solve keeps, and sl_expansion's default
+SL_GRID = 2049  # grid of the one band solve that the CLI and sl_expansion share
 _SPECTRUM_LOCK = threading.Lock()
 
 
@@ -416,7 +417,7 @@ def _band_spectrum(theta1, theta2, n_max, grid_size):
 
 
 def solve_sl_expansion(config, n_terms: int = SL_TERMS,
-                       grid_size: int = 2049) -> ZonalProfile:
+                       grid_size: int = SL_GRID) -> ZonalProfile:
     """Homogenize the boundary data and expand in the band eigenbasis."""
     _warn_equal_boundary_values(config)
     prob, (a_s, b_s) = homogenize_boundary(config)

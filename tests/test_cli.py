@@ -1,18 +1,21 @@
 """CLI: config parsing, run modes, exit codes, determinism."""
 
+import importlib.util
 import math
 import os
 import pathlib
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
 
 import accband
-from accband import cli
+from accband import cli, euler2d
 from accband.cli import MODES, OPTIONS, ZONAL_METHODS, main, parse_config
 from accband.errors import NearEigenvalue, ParseError, ValidationError
+from accband.geometry import BandConfig
 
 MILD_BAND = [
     "--psi1", "-0.2", "--psi2", "0.2", "--omega", "2.0", "--upsilon", "1.0",
@@ -142,6 +145,16 @@ class TestModes:
         assert len(cross) == 4
         worst = max(float(line.split(",")[2]) for line in cross[1:])
         assert worst <= 1e-3
+
+    def test_zonal_crosscheck_reuses_the_requested_profile(self, tmp_path, monkeypatch):
+        solves = []
+        solve_fd = cli.zonal.solve_fd
+        monkeypatch.setattr(cli.zonal, "solve_fd",
+                            lambda *args: solves.append(args) or solve_fd(*args))
+        assert main(["--mode", "zonal", "--out", str(tmp_path / "run"), "--n-zonal",
+                     "201", "--lambda", "0", "--method", "fd", *MILD_BAND]) == 0
+        assert len(solves) == 1
+        assert len((tmp_path / "run" / "zonal_crosscheck.csv").read_text().splitlines()) == 4
 
     def test_zonal_figure1_has_boundary_jets(self, tmp_path):
         out = tmp_path / "fig1"
@@ -392,3 +405,25 @@ class TestDeterminism:
                 + (out / "stability.csv").read_bytes()
             )
         assert outputs[0] == outputs[1]
+
+
+class TestBenchmarkOutputCheck:
+    def test_evolve_outputs_pass_the_benchmark_check(self, tmp_path):
+        """A small evolve on the benchmark's band passes perfbench's own
+        output check, so a change it would reject fails here first."""
+        path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        module_spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(module_spec)
+        module_spec.loader.exec_module(workloads)
+
+        out = tmp_path / "evolve"
+        assert main(["--mode", "evolve", "--out", str(out), "--n-rho", "32",
+                     "--n-phi", "32", "--dt", "0.002", "--t-end", "0.01",
+                     "--output-stride", "2", "--lambda", "-10", "--seed", "1",
+                     *workloads.PERTURBATION, *workloads.BAND]) == 0
+        acc = types.SimpleNamespace(cli=cli, euler2d=euler2d, BandConfig=BandConfig,
+                                    ValidationError=ValidationError)
+        problems, stats = workloads.check_evolve_dir(acc, str(out), -10.0, steps=5,
+                                                     stride=2, t_end=0.01)
+        assert problems == []
+        assert stats["rows"] == 4

@@ -1,7 +1,10 @@
 """Time-dependent solver: Poisson, harmonic field, transport, stepping."""
 
+import base64
 import json
 import math
+import re
+import struct
 import tracemalloc
 import weakref
 
@@ -640,15 +643,92 @@ class TestCheckpoints:
             header = {"n_rho": grid.n_rho, "n_phi": grid.n_phi,
                       "theta1": state.config.theta1, "theta2": state.config.theta2,
                       "omega": state.config.omega, "t": state.t,
-                      "lambda_circ": state.lambda_circ}
-            with open(path, "w", newline="") as fh:
-                fh.write(json.dumps(header) + "\n")
+                      "lambda_circ": state.lambda_circ, "payload": "base64 <f8 rows"}
+            with open(path, "wb") as fh:
+                fh.write(json.dumps(header).encode() + b"\n")
                 for row in state.zeta.values:
-                    fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+                    packed = struct.pack(f"<{len(row)}d", *(float(v) for v in row))
+                    fh.write(base64.b64encode(packed) + b"\n")
 
         e2.write_checkpoint(tmp_path / "new.txt", state)
         per_value_writer(tmp_path / "old.txt", state)
         assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
+
+    def test_roundtrip_keeps_special_values(self, mild_config, tmp_path):
+        grid = make_grid(mild_config, 32, 16)
+        state = e2.zonal_initial_state(mild_config, grid)
+        specials = [-0.0, 5e-324, np.inf, -np.inf, np.nan, 1e300, -5e-324, -1e300]
+        state.zeta.values[3, :8] = specials
+        state.zeta.values[-1, 8:] = specials[::-1]
+        path = tmp_path / "state.txt"
+        e2.write_checkpoint(path, state)
+        _, values = e2.read_checkpoint(path)
+        assert values.tobytes() == state.zeta.values.tobytes()
+        assert values.dtype == np.float64 and values.dtype.isnative
+        assert values.shape == (32, 16) and values.flags.writeable
+
+    @staticmethod
+    def damaged(config, tmp_path, damage):
+        """A checkpoint whose lines (header first) damage() has rewritten."""
+        grid = make_grid(config, 32, 16)
+        path = tmp_path / "state.txt"
+        e2.write_checkpoint(path, e2.zonal_initial_state(config, grid))
+        lines = damage(path.read_bytes().splitlines())
+        path.write_bytes(b"".join(line + b"\n" for line in lines))
+        return path
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda lines: lines[:-1], "has 31 rings, header says 32"),
+        (lambda lines: lines[:-1] + [base64.b64encode(bytes(8 * 15))],
+         "ring 31 holds 120 bytes, not 128"),
+        (lambda lines: [lines[0].replace(b"<f8", b">f8"), *lines[1:]],
+         "unknown checkpoint payload 'base64 >f8 rows'"),
+        (lambda lines: lines[:5] + [lines[5][:-3]] + lines[6:], "ring 4 is not base64"),
+    ], ids=["missing_last_ring", "short_ring", "unknown_payload", "bad_padding"])
+    def test_damaged_file_rejected(self, mild_config, tmp_path, damage, message):
+        path = self.damaged(mild_config, tmp_path, damage)
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            e2.read_checkpoint(path)
+
+    def test_decimal_checkpoint_rejected(self, mild_config, tmp_path):
+        grid = make_grid(mild_config, 32, 16)
+        state = e2.zonal_initial_state(mild_config, grid)
+        header = {"n_rho": grid.n_rho, "n_phi": grid.n_phi,
+                  "theta1": state.config.theta1, "theta2": state.config.theta2,
+                  "omega": state.config.omega, "t": state.t,
+                  "lambda_circ": state.lambda_circ}
+        path = tmp_path / "decimal.txt"
+        with open(path, "w", newline="") as fh:
+            fh.write(json.dumps(header) + "\n")
+            for row in state.zeta.values.tolist():
+                fh.write(" ".join(map(repr, row)) + "\n")
+        with pytest.raises(ValidationError, match=re.escape("header lacks keys ['payload']")):
+            e2.read_checkpoint(path)
+
+    def test_cli_checkpoints_hold_the_run_states(self, tmp_path):
+        flags = {"mode": "evolve", "n_rho": "32", "n_phi": "32", "dt": "0.002",
+                 "t_end": "0.01", "output_stride": "2", "amplitude": "0.02",
+                 "seed": "3", "psi1": "-0.2", "psi2": "0.2", "omega": "2.0",
+                 "upsilon": "1.0", "lambda": "-10"}
+        out = tmp_path / "run"
+        argv = [arg for key, text in flags.items()
+                for arg in ("--" + key.replace("_", "-"), text)]
+        assert cli.main(["--out", str(out), *argv]) == 0
+
+        spec = cli.parse_config(None, {key: cli._convert(key, text, None)
+                                       for key, text in flags.items()})
+        grid = AnnulusGrid.from_band(spec.config, spec.n_rho, spec.n_phi)
+        states = list(e2.run(cli._initial_state(spec, grid), spec.t_end, spec.dt,
+                             spec.output_stride))
+        ckpts = sorted((out / "checkpoints").glob("checkpoint_*.txt"))
+        assert [p.name for p in ckpts] == [f"checkpoint_{i:06d}.txt"
+                                           for i in range(len(states))]
+        assert len(states) == 4
+        for path, state in zip(ckpts, states):
+            header, values = e2.read_checkpoint(path)
+            assert values.tobytes() == state.zeta.values.tobytes()
+            assert header["t"] == state.t
+            assert header["lambda_circ"] == state.lambda_circ
 
 
 class TestTransportBound:
