@@ -19,6 +19,7 @@ failure.
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -176,7 +177,7 @@ def run_mode_zonal(spec, out):
     zonal.write_profile_csv(profile, out / "profile.csv")
     svgplot.line_plot(
         out / "profile.svg",
-        [math.degrees(t) for t in profile.thetas], profile.u_dimensional,
+        np.degrees(profile.thetas), profile.u_dimensional,
         xlabel="latitude [deg]", ylabel="zonal velocity [m/s]",
         title=f"zonal velocity (lambda={spec.config.lam:g}, "
               f"upsilon={spec.config.upsilon:g})",
@@ -308,7 +309,9 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+@functools.cache
 def build_arg_parser():
+    """The command-line parser, built once per process (parsing leaves it unchanged)."""
     parser = _ArgumentParser(
         prog="accband",
         description="Zonal jets and barotropic dynamics on a spherical band",

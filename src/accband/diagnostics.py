@@ -82,11 +82,19 @@ def absolute_vorticity(state: SimState):
     return -state.zeta.values
 
 
+def _power(s, k):
+    """s**k as ((s s) s) ...: repeated multiplication, far cheaper than pow."""
+    out = np.ones_like(s) if k == 0 else s.copy()
+    for _ in range(k - 1):
+        out *= s
+    return out
+
+
 def _moment_function(spec):
     if isinstance(spec, int):
         if not 0 <= spec <= 6:
             raise ValidationError("power moments supported for k <= 6")
-        return lambda s: s**spec
+        return lambda s: _power(s, spec)
     if callable(spec):
         return spec
     if isinstance(spec, tuple) and len(spec) == 2:

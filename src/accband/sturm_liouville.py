@@ -10,8 +10,9 @@ Two independent routes to the spectrum are provided:
   * a matrix route: second-order conservative differences of the
     self-adjoint form give a symmetric tridiagonal generalized problem,
     whose lowest eigenpairs a numpy eigensolver finds by Sturm-count
-    bisection, inverse iteration and Rayleigh quotients (LAPACK's
-    stebz/stein route, vectorized over shifts; no scipy);
+    bisection, inverse iteration from a fixed hashed start block and
+    Rayleigh quotients (LAPACK's stebz/stein route, vectorized over
+    shifts; neither scipy nor numpy.random);
   * a shooting route: the Pruefer angle ODE
 
         theta' = cos^2(theta)/p + (q + mu*w) sin^2(theta),  theta(a) = 0,
@@ -156,18 +157,37 @@ def _sturm_counts(d, e2, pivmin, shifts):
     return count
 
 
+def _start_block(shape):
+    """A fixed start block for inverse iteration, entries in [-1, 1).
+
+    Entry j of the flattened block is the splitmix64 hash of j, scaled to
+    [-1, 1): the same block in every run and process, uncorrelated with
+    smooth eigenvectors (a Weyl or low-discrepancy sequence is not), and
+    without importing numpy.random.
+    """
+    z = np.arange(1, math.prod(shape) + 1, dtype=np.uint64)
+    z *= np.uint64(0x9E3779B97F4A7C15)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return ((z >> np.uint64(11)) * 2.0**-52 - 1.0).reshape(shape)
+
+
 def _inverse_iteration(d, e, pivmin, shifts):
     """Unit eigenvectors of T nearest each shift, one column per shift.
 
     Every column is solved with its own LDL^T(T - s); the factors are
     near-singular by design, and the guarded pivots keep them finite.
     Iteration stops when each column has turned by less than INVERSE_RTOL;
-    the start is a seeded random block, as in LAPACK's stein.
+    the start is a fixed pseudo-random block (_start_block), as LAPACK's
+    stein starts from a fixed pseudo-random vector.
     """
     piv = np.concatenate([block.copy() for block in
                           _pivot_blocks(d, e * e, pivmin, shifts)])
     low = e[:, None] / piv[:-1]  # L[i + 1, i]
-    x = np.random.default_rng(0).uniform(-1.0, 1.0, piv.shape)
+    x = _start_block(piv.shape)
     rows = list(x)
     term = np.empty(len(shifts))
     for _ in range(MAX_INVERSE_ITERATIONS):
@@ -319,7 +339,8 @@ def prufer_angle(prob: SLProblem, mus, n_steps: int) -> np.ndarray:
 
     The scaled form (used when ln_pw_prime is available and all mu > 0)
     has mu-independent stiffness, so fixed-step RK4 stays accurate for
-    large eigenvalues. The plain fallback inflates the step count with
+    large eigenvalues; it is integrated as the doubled angle (see
+    _doubled_angle). The plain fallback inflates the step count with
     max|q + mu w| to stay resolved.
     """
     mus = np.atleast_1d(np.asarray(mus, dtype=float))
@@ -337,20 +358,15 @@ def prufer_angle(prob: SLProblem, mus, n_steps: int) -> np.ndarray:
     p, q, w = prob.sample(xs)
 
     if scaled:
-        rate = np.sqrt(mus[None, :] * w[:, None] / p[:, None])   # (pts, n_mu)
-        small = q[:, None] / np.sqrt(mus[None, :] * p[:, None] * w[:, None])
-        g = 0.25 * prob._eval(prob.ln_pw_prime, xs)
+        twist = 0.25 * prob._eval(prob.ln_pw_prime, xs)
+        return 0.5 * _doubled_angle(mus, hstep, np.sqrt(w / p), q / np.sqrt(p * w), twist)
 
-        def f(th, j):
-            s = np.sin(th)
-            return rate[j] + small[j] * s * s + g[j] * np.sin(2.0 * th)
-    else:
-        inv_p = 1.0 / p
+    inv_p = 1.0 / p
 
-        def f(th, j):
-            s = np.sin(th)
-            c = np.cos(th)
-            return inv_p[j] * c * c + (q[j] + mus * w[j]) * s * s
+    def f(th, j):
+        s = np.sin(th)
+        c = np.cos(th)
+        return inv_p[j] * c * c + (q[j] + mus * w[j]) * s * s
 
     theta = np.zeros_like(mus)
     for i in range(n_steps):
@@ -361,6 +377,58 @@ def prufer_angle(prob: SLProblem, mus, n_steps: int) -> np.ndarray:
         k4 = f(theta + hstep * k3, i2)
         theta = theta + (hstep / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     return theta
+
+
+def _doubled_angle(mus, hstep, rate, small, twist):
+    """RK4 for phi = 2 theta of the scaled Pruefer angle; returns phi(b).
+
+    With R = sqrt(mu) rate, S = small / sqrt(mu) and G = twist,
+
+        phi' = 2 R + S (1 - cos phi) + 2 G sin phi,
+
+    where rate = sqrt(w/p), small = q/sqrt(p w) and twist = (1/4)(log p w)'
+    are sampled at the step points and midpoints. Each sample stays a
+    float, scaled by the per-mu vectors sqrt(mu) and 1/sqrt(mu), so no
+    (points x mu) table is built; the S term is skipped where q is exactly
+    0. Every stage slope is written into one of a few reused buffers.
+    """
+    root = np.sqrt(mus)
+    inv_root = 1.0 / root
+    rate2 = (2.0 * rate).tolist()
+    twist2 = (2.0 * twist).tolist()
+    small = small.tolist()
+    phi = np.zeros_like(mus)
+    acc, k, arg, tmp = (np.empty_like(mus) for _ in range(4))
+
+    def slope(angle, j, scale, out):
+        """scale * phi' at sample j and the given angle, into out."""
+        np.sin(angle, out=out)
+        out *= scale * twist2[j]
+        np.multiply(root, scale * rate2[j], out=tmp)
+        out += tmp
+        if small[j] != 0.0:
+            np.cos(angle, out=tmp)
+            np.subtract(1.0, tmp, out=tmp)
+            np.multiply(tmp, inv_root, out=tmp)
+            np.multiply(tmp, scale * small[j], out=tmp)
+            out += tmp
+        return out
+
+    half, quarter, sixth = 0.5 * hstep, 0.25 * hstep, hstep / 6.0
+    for i0 in range(0, len(rate2) - 1, 2):
+        slope(phi, i0, 1.0, acc)  # k1
+        np.multiply(acc, half, out=arg)
+        arg += phi
+        acc += slope(arg, i0 + 1, 2.0, k)  # 2 k2
+        np.multiply(k, quarter, out=arg)
+        arg += phi
+        acc += slope(arg, i0 + 1, 2.0, k)  # 2 k3
+        np.multiply(k, half, out=arg)
+        arg += phi
+        acc += slope(arg, i0 + 2, 1.0, k)  # k4
+        acc *= sixth
+        phi += acc
+    return phi
 
 
 def prufer_eigenvalues(prob: SLProblem, n_max: int, guesses=None) -> np.ndarray:
@@ -465,13 +533,10 @@ def solve_inhomogeneous(prob: SLProblem, mu: float, spectrum: SLSpectrum,
         raise ResonantEigenvalue(
             f"mu = {mu} is within rel {sep[k]:.2e} of eigenvalue {mus[k]}"
         )
-    hx = prob._eval(prob.h, x)
-    y = np.zeros_like(x)
-    for n in range(n_terms):
-        yn = spectrum.eigenfunctions[n]
-        cn = np.trapezoid(hx * yn, x)  # <h/w, y_n>_w: the weights cancel
-        y += cn / (mu - mus[n]) * yn
-    return y
+    funcs = spectrum.eigenfunctions[:n_terms]
+    # <h/w, y_n>_w: the weights cancel
+    cn = np.trapezoid(prob._eval(prob.h, x) * funcs, x, axis=1)
+    return (cn / (mu - mus)) @ funcs
 
 
 # ==================================================================

@@ -19,10 +19,10 @@ def _ticks(lo, hi, n=5):
 
 def line_plot(path, x, y, *, xlabel="", ylabel="", title=""):
     """Write a single-series line plot to an SVG file."""
-    x = [float(v) for v in x]
-    y = [float(v) for v in y]
-    x_lo, x_hi = min(x), max(x)
-    y_lo, y_hi = min(y), max(y)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    x_lo, x_hi = float(np.min(x)), float(np.max(x))
+    y_lo, y_hi = float(np.min(y)), float(np.max(y))
     if y_hi == y_lo:
         y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
     pad = 0.05 * (y_hi - y_lo)
@@ -37,9 +37,8 @@ def line_plot(path, x, y, *, xlabel="", ylabel="", title=""):
 
     # sx and sy over whole arrays: the same expressions, one format call
     xy = np.empty((len(x), 2))
-    xy[:, 0] = MARGIN + (np.array(x) - x_lo) / (x_hi - x_lo) * (WIDTH - 2 * MARGIN)
-    xy[:, 1] = (HEIGHT - MARGIN
-                - (np.array(y) - y_lo) / (y_hi - y_lo) * (HEIGHT - 2 * MARGIN))
+    xy[:, 0] = MARGIN + (x - x_lo) / (x_hi - x_lo) * (WIDTH - 2 * MARGIN)
+    xy[:, 1] = HEIGHT - MARGIN - (y - y_lo) / (y_hi - y_lo) * (HEIGHT - 2 * MARGIN)
     points = " ".join(["%.2f,%.2f"] * len(x)) % tuple(xy.ravel().tolist())
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}">',

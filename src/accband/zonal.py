@@ -180,26 +180,32 @@ def _thomas_factor(lower, diag, upper):
     The factor depends on the matrix only, so one factor serves every
     right-hand side (see _thomas_solve). The pivots are checked once,
     after the sweep: one below PIVOT_RTOL times the matrix scale, or NaN,
-    raises NearEigenvalue.
+    raises NearEigenvalue. One column is eliminated on Python floats,
+    which is cheaper than a ufunc call per row and bit-identical to it;
+    there an exactly zero pivot stops the sweep, also with NearEigenvalue.
     """
     row_scale = float(np.max(np.abs(diag[1:-1])))
     upper[0] = lower[-1] = 0.0
     diag[0] = diag[-1] = row_scale
     n = len(diag)
     scale = float(np.max(np.abs(diag)) + np.max(np.abs(lower)) + np.max(np.abs(upper)))
-    piv = np.empty(np.shape(diag))
-    c = np.empty(np.shape(diag))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        piv[0] = p = diag[0]
-        c[0] = upper[0] / p
-        for i in range(1, n):
-            piv[i] = p = diag[i] - lower[i] * c[i - 1]
-            c[i] = upper[i] / p
-    bad = ~(np.abs(piv) >= PIVOT_RTOL * scale)
-    if np.any(bad):
-        raise NearEigenvalue(
-            f"tridiagonal pivot {np.min(np.abs(piv)):.3e} below threshold"
-        )
+    if np.ndim(diag) == 1:
+        lower, diag, upper = lower.tolist(), diag.tolist(), upper.tolist()
+        piv, c = [0.0] * n, [0.0] * n
+    else:
+        piv, c = np.empty(np.shape(diag)), np.empty(np.shape(diag))
+    try:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            piv[0] = p = diag[0]
+            c[0] = upper[0] / p
+            for i in range(1, n):
+                piv[i] = p = diag[i] - lower[i] * c[i - 1]
+                c[i] = upper[i] / p
+    except ZeroDivisionError:  # Python floats raise where numpy gives inf
+        raise NearEigenvalue("tridiagonal pivot 0.000e+00 below threshold") from None
+    size = np.abs(piv)
+    if not np.all(size >= PIVOT_RTOL * scale):
+        raise NearEigenvalue(f"tridiagonal pivot {np.min(size):.3e} below threshold")
     return lower, piv, c, row_scale
 
 
@@ -208,20 +214,23 @@ def _thomas_solve(factor, rhs, left, right):
 
     Rows 0 and n-1 of rhs are overwritten in place by the wall values
     left and right. Batched rows are substituted into x in place, so a
-    sweep makes no temporaries; one column stays with scalar arithmetic,
-    which is cheaper than a ufunc call per row. Both compute
+    sweep makes no temporaries; one column is substituted on Python
+    floats, which is cheaper than a ufunc call per row and, for real data,
+    bit-identical to it. Both compute
     x[i] = (rhs[i] - lower[i] x[i-1]) / piv[i], then x[i] -= c[i] x[i+1].
     """
     lower, piv, c, row_scale = factor
     rhs[0], rhs[-1] = left * row_scale, right * row_scale
-    x = np.empty(np.shape(rhs), dtype=np.result_type(rhs, piv))
-    if x.ndim == 1:
-        x[0] = d = rhs[0] / piv[0]
-        for i in range(1, len(piv)):
-            x[i] = d = (rhs[i] - lower[i] * d) / piv[i]
-        for i in range(len(piv) - 2, -1, -1):
+    if np.ndim(rhs) == 1:
+        b = rhs.tolist()
+        x = [0.0] * len(b)
+        x[0] = d = b[0] / piv[0]
+        for i in range(1, len(b)):
+            x[i] = d = (b[i] - lower[i] * d) / piv[i]
+        for i in range(len(b) - 2, -1, -1):
             x[i] = d = x[i] - c[i] * d
-        return x
+        return np.array(x)
+    x = np.empty(np.shape(rhs), dtype=np.result_type(rhs, piv))
     rows = list(x)
     np.divide(rhs[0], piv[0], out=rows[0])
     for prev, row, low, b, p in zip(rows, rows[1:], lower[1:], rhs[1:], piv[1:]):
@@ -451,10 +460,9 @@ def velocity_profile(profile: ZonalProfile) -> ZonalProfile:
 
 
 def write_profile_csv(profile: ZonalProfile, path):
-    """CSV export: theta_deg,psi,u_nondim,u_m_per_s."""
+    """CSV export: theta_deg,psi,u_nondim,u_m_per_s, written in one pass."""
+    rows = np.column_stack((np.degrees(profile.thetas), profile.psi,
+                            profile.u, profile.u_dimensional))
     with open(path, "w", newline="") as fh:
         fh.write("theta_deg,psi,u_nondim,u_m_per_s\n")
-        for th, psi, u, ud in zip(profile.thetas, profile.psi,
-                                  profile.u, profile.u_dimensional):
-            fh.write(f"{math.degrees(th)!r},{float(psi)!r},{float(u)!r},"
-                     f"{float(ud)!r}\n")
+        fh.write("%r,%r,%r,%r\n" * len(rows) % tuple(rows.ravel().tolist()))

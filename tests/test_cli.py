@@ -323,6 +323,8 @@ class TestModes:
     ], ids=[*(f"zonal-{method}" for method in ZONAL_METHODS), "spectrum", "evolve",
             "stability"])
     def test_never_imports_scipy(self, argv, artifact, tmp_path):
+        """No mode imports scipy; zonal and spectrum runs not numpy.random
+        either (evolve and stability draw the perturbation phase)."""
         script = (
             "import sys\n"
             "from accband import cli\n"
@@ -330,6 +332,8 @@ class TestModes:
             "assert code == 0, code\n"
             "assert 'scipy' not in sys.modules\n"
         )
+        if argv[1] in ("zonal", "spectrum"):
+            script += "assert 'numpy.random' not in sys.modules\n"
         src = str(pathlib.Path(accband.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))}

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from accband.errors import ValidationError
-from accband.geometry import alpha_of_rho, band_area, beta_of_rho
+from accband.geometry import alpha_of_rho, band_area, beta_of_rho, integral_dsigma
 from accband.grids import AnnulusGrid, ScalarField
 from accband.zonal import solve_fd, solve_fd_rho, velocity_profile
 import accband.diagnostics as dg
@@ -100,6 +100,14 @@ class TestCasimirs:
         via_table = dg.casimir(state, (nodes, f(nodes)))
         via_callable = dg.casimir(state, f)
         assert via_table == pytest.approx(via_callable, rel=1e-8)
+
+    @pytest.mark.parametrize("k", range(7))
+    def test_power_moment_matches_pow(self, mild_config, k):
+        """Power moments multiply repeatedly; pow is the reference."""
+        grid = AnnulusGrid.from_band(mild_config, 64, 32)
+        state = e2.perturbed_zonal_state(mild_config, grid, 0.02, 3, seed=8)
+        want = integral_dsigma(dg.absolute_vorticity(state) ** k, grid)
+        assert dg.casimir(state, k) == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_moment_power_validated(self, mild_config):
         grid = AnnulusGrid.from_band(mild_config, 64, 16)

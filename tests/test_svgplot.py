@@ -1,5 +1,6 @@
 """SVG line plots: the polyline against the per-point formatter."""
 
+import math
 import re
 
 import numpy as np
@@ -50,3 +51,15 @@ def test_polyline_matches_per_point_format(tmp_path, rng, case):
     path = tmp_path / "plot.svg"
     svgplot.line_plot(path, x, y, xlabel="x", ylabel="y", title="t")
     assert polyline(path) == ref_points(x, y)
+
+
+def test_array_input_writes_the_same_bytes_as_lists(tmp_path, rng):
+    """Arrays (as the zonal mode passes them) and lists of floats plot alike."""
+    thetas = np.linspace(-1.0471975511965976, -0.8726646259971648, 2001)
+    u = 40.0 * np.sin(np.linspace(0.0, 3.0, 2001)) + rng.standard_normal(2001)
+    from_arrays, from_lists = tmp_path / "arrays.svg", tmp_path / "lists.svg"
+    svgplot.line_plot(from_arrays, np.degrees(thetas), u,
+                      xlabel="x", ylabel="y", title="t")
+    svgplot.line_plot(from_lists, [math.degrees(t) for t in thetas], u.tolist(),
+                      xlabel="x", ylabel="y", title="t")
+    assert from_arrays.read_bytes() == from_lists.read_bytes()

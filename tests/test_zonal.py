@@ -47,6 +47,32 @@ def closed_form_values(config, thetas):
     return zeta_particular(thetas, config) + c1 * eta(thetas) + c2
 
 
+def one_pass_sweep(lower, diag, upper, rhs, left, right):
+    """Pinned tridiagonal solve eliminating rhs in the same sweep as the
+    matrix, elementwise on numpy arrays (numpy scalars for one column)."""
+    n = len(diag)
+    row_scale = float(np.max(np.abs(diag[1:-1])))
+    lo, dg, up, b = lower.copy(), diag.copy(), upper.copy(), rhs.copy()
+    up[0] = lo[-1] = 0.0
+    dg[0] = dg[-1] = row_scale
+    b[0], b[-1] = left * row_scale, right * row_scale
+    piv = np.empty(dg.shape)
+    c = np.empty(dg.shape)
+    d = np.empty(b.shape, dtype=b.dtype)
+    piv[0] = p = dg[0]
+    c[0] = up[0] / p
+    d[0] = b[0] / p
+    for i in range(1, n):
+        piv[i] = p = dg[i] - lo[i] * c[i - 1]
+        c[i] = up[i] / p
+        d[i] = (b[i] - lo[i] * d[i - 1]) / p
+    want = np.empty_like(d)
+    want[-1] = d[-1]
+    for i in range(n - 2, -1, -1):
+        want[i] = d[i] - c[i] * want[i + 1]
+    return want
+
+
 class TestClosedForm:
     @pytest.mark.filterwarnings("ignore:psi1 == psi2")
     def test_no_forcing_no_boundary_data_is_zero(self):
@@ -134,28 +160,39 @@ class TestFiniteDifference:
         if dtype is complex:
             rhs += 1j * rng.standard_normal((n, modes))
 
-        row_scale = float(np.max(np.abs(diag[1:-1])))
-        lo, dg, up, b = lower.copy(), diag.copy(), upper.copy(), rhs.copy()
-        up[0] = lo[-1] = 0.0
-        dg[0] = dg[-1] = row_scale
-        b[0], b[-1] = 0.3 * row_scale, -0.7 * row_scale
-        piv = np.empty(dg.shape)
-        c = np.empty(dg.shape)
-        d = np.empty(b.shape, dtype=b.dtype)
-        piv[0] = p = dg[0]
-        c[0] = up[0] / p
-        d[0] = b[0] / p
-        for i in range(1, n):
-            piv[i] = p = dg[i] - lo[i] * c[i - 1]
-            c[i] = up[i] / p
-            d[i] = (b[i] - lo[i] * d[i - 1]) / p
-        want = np.empty_like(d)
-        want[-1] = d[-1]
-        for i in range(n - 2, -1, -1):
-            want[i] = d[i] - c[i] * want[i + 1]
-
+        want = one_pass_sweep(lower, diag, upper, rhs, 0.3, -0.7)
         got = _solve_pinned(lower, diag, upper, rhs, 0.3, -0.7)
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_one_column_float_path_matches_numpy_scalars(self, rng, dtype):
+        """One column is solved on Python floats; the same loop on numpy
+        scalars is its bit-for-bit reference for real data (both are IEEE
+        double operations). Python and numpy divide complex numbers by
+        different formulas, so a complex column agrees to round-off."""
+        for n in (3, 4, 41, 2001):
+            lower = rng.uniform(0.5, 1.0, n)
+            upper = rng.uniform(0.5, 1.0, n)
+            # diagonally dominant of either sign: no pivot comes near zero
+            diag = rng.choice([-1.0, 1.0], n) * (2.5 + rng.uniform(0.0, 1.0, n))
+            rhs = rng.standard_normal(n).astype(dtype)
+            if dtype is complex:
+                rhs += 1j * rng.standard_normal(n)
+            want = one_pass_sweep(lower, diag, upper, rhs, 0.3, -0.7)
+            got = _solve_pinned(lower, diag, upper, rhs, 0.3, -0.7)
+            assert got.dtype == want.dtype
+            if dtype is float:
+                assert np.array_equal(got, want)
+            else:
+                assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+
+    def test_one_column_zero_pivot_raises_near_eigenvalue(self):
+        """Pivot 2 is exactly 1 - 1 * 1/1 = 0. Numpy scalars divided by it
+        into inf; Python floats raise ZeroDivisionError, which the factor
+        reports as the documented NearEigenvalue."""
+        ones = np.ones(5)
+        with pytest.raises(NearEigenvalue):
+            _solve_pinned(ones.copy(), ones.copy(), ones.copy(), ones.copy(), 0.0, 1.0)
 
     def test_linear_system_residual_tiny(self, fig1_config):
         prof = solve_fd(fig1_config, n=1001)
@@ -375,6 +412,26 @@ class TestGridVariantsAndExport:
         assert rows["theta_deg"][0] == pytest.approx(math.degrees(mild_config.theta1))
         assert np.allclose(rows["u_m_per_s"], prof.u_dimensional)
         assert np.allclose(rows["psi"], prof.psi)
+
+    def test_csv_bytes_match_per_row_writer(self, tmp_path, rng, mild_neg_lam_config):
+        """The one-pass writer against the per-row writer it replaced."""
+        special = np.array([-0.0, 0.0, 5e-324, -2.2e-308, 1e300, -1e300, -1.5, 0.1])
+        values = rng.standard_normal((4, 64)) * 10.0 ** rng.integers(-300, 300, (4, 64))
+        cols = np.hstack([[np.roll(special, j) for j in range(4)], values])
+        profiles = [
+            ZonalProfile(thetas=cols[0], psi=cols[1], u=cols[2], u_dimensional=cols[3],
+                         method="finite_difference"),
+            solve_fd(mild_neg_lam_config, 257),
+        ]
+        for prof in profiles:
+            got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+            write_profile_csv(prof, got)
+            with open(want, "w", newline="") as fh:
+                fh.write("theta_deg,psi,u_nondim,u_m_per_s\n")
+                for th, psi, u, ud in zip(prof.thetas, prof.psi, prof.u, prof.u_dimensional):
+                    fh.write(f"{math.degrees(th)!r},{float(psi)!r},{float(u)!r},"
+                             f"{float(ud)!r}\n")
+            assert got.read_bytes() == want.read_bytes()
 
     def test_equal_boundary_values_warn(self):
         config = BandConfig(psi1=1.0, psi2=1.0, omega=2.0, upsilon=1.0)
