@@ -50,7 +50,6 @@ is advanced by one driver at a time; finished states are immutable
 snapshots safe to hand to diagnostic consumers on other threads.
 """
 
-import binascii
 import contextlib
 import json
 import math
@@ -92,9 +91,16 @@ def drho(values, grid):
     h = grid.d_rho
     out = np.empty_like(values)
     out[1:-1] = (values[2:] - values[:-2]) / (2 * h)
-    out[0] = (-3 * values[0] + 4 * values[1] - values[2]) / (2 * h)
-    out[-1] = (3 * values[-1] - 4 * values[-2] + values[-3]) / (2 * h)
+    out[0], out[-1] = _drho_walls(values, grid)
     return out
+
+
+def _drho_walls(values, grid):
+    """drho's one-sided rows at the inner and outer wall, computed from
+    the three rows next to each wall only."""
+    h = grid.d_rho
+    return ((-3 * values[0] + 4 * values[1] - values[2]) / (2 * h),
+            (3 * values[-1] - 4 * values[-2] + values[-3]) / (2 * h))
 
 
 def d2rho(values, grid):
@@ -236,12 +242,11 @@ def reconstruct_velocity(state: SimState) -> VectorField:
 def boundary_circulations(psi_values, grid):
     """Counterclockwise circulations of perp-grad(psi) around both walls.
 
-    circulation = - integral of psi_rho d(phi) along the wall ring.
+    circulation = - integral of psi_rho d(phi) along the wall ring, with
+    psi_rho from drho's wall rows alone.
     """
-    dpsi = drho(psi_values, grid)
-    circ1 = -grid.d_phi * np.sum(dpsi[0])
-    circ2 = -grid.d_phi * np.sum(dpsi[-1])
-    return circ1, circ2
+    inner, outer = _drho_walls(psi_values, grid)
+    return -grid.d_phi * np.sum(inner), -grid.d_phi * np.sum(outer)
 
 
 def circulation_targets(state: SimState):
@@ -637,23 +642,18 @@ def perturbed_zonal_state(config, grid, amplitude, wavenumber, seed):
 
 CHECKPOINT_KEYS = ("n_rho", "n_phi", "theta1", "theta2", "omega", "t", "lambda_circ",
                    "payload")
-CHECKPOINT_PAYLOAD = "base64 <f8 rows"
-
-
-def _checkpoint_row(row):
-    """One ring of checkpoint payload: the standard base64 of its float64
-    values in little-endian order, padded, on one line."""
-    return binascii.b2a_base64(np.ascontiguousarray(row, dtype="<f8"), newline=False)
+CHECKPOINT_PAYLOAD = "binary <f8 rows"
+CHECKPOINT_HEADER_LIMIT = 4096  # bytes; a written header line is about 200
 
 
 def write_checkpoint(path, state: SimState):
-    """One JSON header line, then one base64 line per grid ring.
+    """One JSON header line, then the raw payload.
 
-    The payload is exact: each ring's n_phi float64 values, little-endian,
-    so read_checkpoint returns zeta bit for bit, -0.0, subnormals, inf
-    and nan included. Written to path + ".tmp" and renamed over path, so
-    a failed or killed write never leaves a truncated checkpoint under
-    the final name.
+    The payload is exactly 8 * n_rho * n_phi bytes: zeta's float64 values,
+    little-endian, ring by ring, so read_checkpoint returns zeta bit for
+    bit, -0.0, subnormals, inf and nan included. Written to path + ".tmp"
+    and renamed over path, so a failed or killed write never leaves a
+    truncated checkpoint under the final name.
     """
     grid = state.grid
     header = {
@@ -670,8 +670,7 @@ def write_checkpoint(path, state: SimState):
     try:
         with open(tmp, "wb") as fh:
             fh.write(json.dumps(header).encode() + b"\n")
-            for row in state.zeta.values:
-                fh.write(_checkpoint_row(row) + b"\n")
+            fh.write(np.ascontiguousarray(state.zeta.values, dtype="<f8"))
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -679,36 +678,56 @@ def write_checkpoint(path, state: SimState):
         raise
 
 
+def _checkpoint_header(line):
+    """The header dict of a checkpoint's first line, every key checked."""
+    if not line.endswith(b"\n"):
+        raise ValidationError(
+            f"checkpoint header is not one line of at most {CHECKPOINT_HEADER_LIMIT} bytes"
+        )
+    try:
+        header = json.loads(line)
+    except ValueError:
+        raise ValidationError("checkpoint header is not JSON") from None
+    if not isinstance(header, dict):
+        raise ValidationError("checkpoint header is not a JSON object")
+    missing = [k for k in CHECKPOINT_KEYS if k not in header]
+    if missing:
+        raise ValidationError(f"checkpoint header lacks keys {missing}")
+    if header["payload"] != CHECKPOINT_PAYLOAD:
+        raise ValidationError(f"unknown checkpoint payload {header['payload']!r}")
+    # JSON gives int, float, bool, str, list, dict or None; type() is
+    # exact, so true and false are not numbers here.
+    for key in ("n_rho", "n_phi"):
+        if type(header[key]) is not int or header[key] < 1:
+            raise ValidationError(f"checkpoint {key} must be an int >= 1, got {header[key]!r}")
+    for key in ("theta1", "theta2", "omega", "t", "lambda_circ"):
+        if type(header[key]) not in (int, float):
+            raise ValidationError(f"checkpoint {key} must be a number, got {header[key]!r}")
+    return header
+
+
 def read_checkpoint(path):
     """Returns (header dict, zeta array).
 
-    The header's keys and payload tag are checked before any ring is
-    decoded; a wrong ring count, a ring that is not base64 or that does
-    not hold n_phi values is a ValidationError.
+    The header's keys, payload tag and value types are checked, and the
+    payload's size against 8 * n_rho * n_phi bytes, before anything the
+    header sizes is allocated; every failure is a ValidationError. zeta
+    is a writable, native-order float64 array.
     """
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline())
-        missing = [k for k in CHECKPOINT_KEYS if k not in header]
-        if missing:
-            raise ValidationError(f"checkpoint header lacks keys {missing}")
-        if header["payload"] != CHECKPOINT_PAYLOAD:
-            raise ValidationError(f"unknown checkpoint payload {header['payload']!r}")
-        rings = fh.read().splitlines()
-    n_rho, n_phi = header["n_rho"], header["n_phi"]
-    if len(rings) != n_rho:
-        raise ValidationError(f"checkpoint has {len(rings)} rings, header says {n_rho}")
-    values = np.empty((n_rho, n_phi))
-    for i, ring in enumerate(rings):
-        try:
-            raw = binascii.a2b_base64(ring)
-        except binascii.Error as err:
-            raise ValidationError(f"checkpoint ring {i} is not base64: {err}") from None
-        if len(raw) != 8 * n_phi:
+        header = _checkpoint_header(fh.readline(CHECKPOINT_HEADER_LIMIT))
+        n_rho, n_phi = header["n_rho"], header["n_phi"]
+        expected = 8 * n_rho * n_phi
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size != expected:
             raise ValidationError(
-                f"checkpoint ring {i} holds {len(raw)} bytes, not {8 * n_phi}"
+                f"checkpoint payload holds {size} bytes, header says"
+                f" {n_rho} x {n_phi} float64 = {expected}"
             )
-        values[i] = np.frombuffer(raw, dtype="<f8")
-    return header, values
+        values = np.empty((n_rho, n_phi), dtype="<f8")
+        if fh.readinto(values) != expected:
+            raise ValidationError("checkpoint payload changed while it was read")
+    return header, values.astype(np.float64, copy=False)
 
 
 def state_from_checkpoint(path, config) -> SimState:

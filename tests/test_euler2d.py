@@ -1,11 +1,14 @@
 """Time-dependent solver: Poisson, harmonic field, transport, stepping."""
 
 import base64
+import dataclasses
 import json
 import math
+import pathlib
 import re
 import struct
 import tracemalloc
+import types
 import weakref
 
 import numpy as np
@@ -302,6 +305,28 @@ class TestCirculationClosure:
         lam2, _ = e2.fix_circulation(doubled, (2 * targets[0], 2 * targets[1]))
         assert lam2 == pytest.approx(2.0 * lam1, rel=1e-12)
 
+    @pytest.mark.parametrize("shape", [(3, 16), (8, 8), (64, 64), (129, 96)])
+    def test_wall_circulations_match_full_field_stencil(self, mild_config, rng, shape):
+        """boundary_circulations reads drho's wall rows only; the reference
+        takes the whole field's d/drho, as it was first written."""
+        def full_field_circulations(psi, grid):
+            h = grid.d_rho
+            dpsi = np.empty_like(psi)
+            dpsi[1:-1] = (psi[2:] - psi[:-2]) / (2 * h)
+            dpsi[0] = (-3 * psi[0] + 4 * psi[1] - psi[2]) / (2 * h)
+            dpsi[-1] = (3 * psi[-1] - 4 * psi[-2] + psi[-3]) / (2 * h)
+            return -grid.d_phi * np.sum(dpsi[0]), -grid.d_phi * np.sum(dpsi[-1])
+
+        if shape[0] >= 8:
+            grid = make_grid(mild_config, *shape)
+        else:  # an AnnulusGrid needs n_rho >= 8; the stencil reads only the spacings
+            grid = types.SimpleNamespace(d_rho=0.1, d_phi=2 * math.pi / shape[1])
+        for _ in range(5):
+            psi = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4)
+            for values in (psi, np.asfortranarray(psi)):
+                assert (e2.boundary_circulations(values, grid)
+                        == full_field_circulations(values, grid))
+
     def test_lambda_constant_on_zonal_run(self, mild_config):
         grid = make_grid(mild_config, 64, 64)
         state = e2.zonal_initial_state(mild_config, grid)
@@ -584,7 +609,7 @@ class TestCheckpoints:
         state = e2.zonal_initial_state(mild_config, grid)
         path = tmp_path / "state.txt"
         e2.write_checkpoint(path, state)
-        with open(path) as fh:
+        with open(path, "rb") as fh:  # the payload after the header is binary
             header = json.loads(fh.readline())
         assert header["n_rho"] == 32 and header["n_phi"] == 16
         assert header["omega"] == mild_config.omega
@@ -599,24 +624,50 @@ class TestCheckpoints:
             e2.state_from_checkpoint(path, other)
 
 
+    @staticmethod
+    def fail_payload_write(monkeypatch):
+        """Make the next checkpoint's file fail after the header and 100
+        payload bytes, as a full disk would."""
+        real_open = open
+
+        class FailingFile:
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes > 1:
+                    self.fh.write(bytes(memoryview(data).cast("B")[:100]))
+                    raise OSError("disk full")
+                return self.fh.write(data)
+
+        monkeypatch.setattr(e2, "open", lambda *a: FailingFile(real_open(*a)),
+                            raising=False)
+
+    @staticmethod
+    def fail_rename(monkeypatch):
+        def failing(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(e2.os, "replace", failing)
+
     def test_failed_write_leaves_nothing(self, mild_config, tmp_path, monkeypatch):
         grid = make_grid(mild_config, 32, 16)
         state = e2.zonal_initial_state(mild_config, grid)
         path = tmp_path / "checkpoint_000001.txt"
-        row = e2._checkpoint_row
-        rows_written = []
-
-        def failing(values):
-            if len(rows_written) == 5:
-                raise OSError("disk full")
-            rows_written.append(1)
-            return row(values)
-
-        monkeypatch.setattr(e2, "_checkpoint_row", failing)
-        with pytest.raises(OSError):
-            e2.write_checkpoint(path, state)
-        assert not path.exists()
-        assert list(tmp_path.iterdir()) == []
+        for inject in (self.fail_payload_write, self.fail_rename):
+            with monkeypatch.context() as patch:
+                inject(patch)
+                with pytest.raises(OSError):
+                    e2.write_checkpoint(path, state)
+            assert not path.exists()
+            assert list(tmp_path.iterdir()) == []
 
     def test_failed_write_keeps_previous_file(self, mild_config, tmp_path, monkeypatch):
         grid = make_grid(mild_config, 32, 16)
@@ -624,15 +675,14 @@ class TestCheckpoints:
         path = tmp_path / "state.txt"
         e2.write_checkpoint(path, state)
         before = path.read_bytes()
-
-        def failing(values):
-            raise OSError("disk full")
-
-        monkeypatch.setattr(e2, "_checkpoint_row", failing)
-        with pytest.raises(OSError):
-            e2.write_checkpoint(path, state)
-        assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["state.txt"]
+        later = dataclasses.replace(state, t=1.0)
+        for inject in (self.fail_payload_write, self.fail_rename):
+            with monkeypatch.context() as patch:
+                inject(patch)
+                with pytest.raises(OSError):
+                    e2.write_checkpoint(path, later)
+            assert path.read_bytes() == before
+            assert [p.name for p in tmp_path.iterdir()] == ["state.txt"]
 
     def test_bytes_match_per_value_format(self, mild_neg_lam_config, tmp_path):
         grid = make_grid(mild_neg_lam_config, 32, 16)
@@ -643,12 +693,12 @@ class TestCheckpoints:
             header = {"n_rho": grid.n_rho, "n_phi": grid.n_phi,
                       "theta1": state.config.theta1, "theta2": state.config.theta2,
                       "omega": state.config.omega, "t": state.t,
-                      "lambda_circ": state.lambda_circ, "payload": "base64 <f8 rows"}
+                      "lambda_circ": state.lambda_circ, "payload": "binary <f8 rows"}
             with open(path, "wb") as fh:
                 fh.write(json.dumps(header).encode() + b"\n")
                 for row in state.zeta.values:
-                    packed = struct.pack(f"<{len(row)}d", *(float(v) for v in row))
-                    fh.write(base64.b64encode(packed) + b"\n")
+                    for v in row:
+                        fh.write(struct.pack("<d", float(v)))
 
         e2.write_checkpoint(tmp_path / "new.txt", state)
         per_value_writer(tmp_path / "old.txt", state)
@@ -669,26 +719,70 @@ class TestCheckpoints:
 
     @staticmethod
     def damaged(config, tmp_path, damage):
-        """A checkpoint whose lines (header first) damage() has rewritten."""
+        """A 32 x 16 checkpoint rewritten as damage(header line, payload)."""
         grid = make_grid(config, 32, 16)
         path = tmp_path / "state.txt"
         e2.write_checkpoint(path, e2.zonal_initial_state(config, grid))
-        lines = damage(path.read_bytes().splitlines())
-        path.write_bytes(b"".join(line + b"\n" for line in lines))
+        header, payload = path.read_bytes().split(b"\n", 1)
+        path.write_bytes(damage(header, payload))
         return path
 
+    @staticmethod
+    def base64_era(header, payload):
+        """The same state as the base64 writer wrote it: one line per ring."""
+        rings = [payload[i:i + 8 * 16] for i in range(0, len(payload), 8 * 16)]
+        header = header.replace(b'"binary <f8 rows"', b'"base64 <f8 rows"')
+        return b"".join(line + b"\n" for line in [header, *map(base64.b64encode, rings)])
+
     @pytest.mark.parametrize("damage, message", [
-        (lambda lines: lines[:-1], "has 31 rings, header says 32"),
-        (lambda lines: lines[:-1] + [base64.b64encode(bytes(8 * 15))],
-         "ring 31 holds 120 bytes, not 128"),
-        (lambda lines: [lines[0].replace(b"<f8", b">f8"), *lines[1:]],
-         "unknown checkpoint payload 'base64 >f8 rows'"),
-        (lambda lines: lines[:5] + [lines[5][:-3]] + lines[6:], "ring 4 is not base64"),
-    ], ids=["missing_last_ring", "short_ring", "unknown_payload", "bad_padding"])
+        (lambda h, p: h + b"\n" + p[:-8 * 16],
+         "payload holds 3968 bytes, header says 32 x 16 float64 = 4096"),
+        (lambda h, p: h + b"\n" + p[:-8], "payload holds 4088 bytes"),
+        (lambda h, p: h.replace(b"<f8", b">f8") + b"\n" + p,
+         "unknown checkpoint payload 'binary >f8 rows'"),
+        (lambda h, p: h + b"\n" + p[:-1], "payload holds 4095 bytes"),
+        (lambda h, p: h + b"\n" + p + b"\n", "payload holds 4097 bytes"),
+        (base64_era, "unknown checkpoint payload 'base64 <f8 rows'"),
+    ], ids=["missing_last_ring", "short_ring", "unknown_payload", "bad_padding",
+            "trailing_byte", "base64_era"])
     def test_damaged_file_rejected(self, mild_config, tmp_path, damage, message):
         path = self.damaged(mild_config, tmp_path, damage)
         with pytest.raises(ValidationError, match=re.escape(message)):
             e2.read_checkpoint(path)
+
+    @staticmethod
+    def with_header(key, value):
+        def damage(header, payload):
+            fields = json.loads(header)
+            fields[key] = value
+            return json.dumps(fields).encode() + b"\n" + payload
+        return damage
+
+    @pytest.mark.parametrize("damage, message", [
+        (with_header("n_phi", -8), "n_phi must be an int >= 1, got -8"),
+        (with_header("n_rho", 0), "n_rho must be an int >= 1, got 0"),
+        (with_header("n_phi", 10**15),
+         "payload holds 4096 bytes, header says 32 x 1000000000000000 float64"),
+        (with_header("n_phi", 8.5), "n_phi must be an int >= 1, got 8.5"),
+        (with_header("n_phi", "8"), "n_phi must be an int >= 1, got '8'"),
+        (with_header("n_rho", True), "n_rho must be an int >= 1, got True"),
+        (with_header("t", "0.0"), "t must be a number, got '0.0'"),
+        (with_header("lambda_circ", None), "lambda_circ must be a number, got None"),
+        (with_header("omega", False), "omega must be a number, got False"),
+        (lambda h, p: b"n_rho=32 n_phi=16\n" + p, "header is not JSON"),
+        (lambda h, p: b"\xff" + h + b"\n" + p, "header is not JSON"),
+        (lambda h, p: b"[32, 16]\n" + p, "header is not a JSON object"),
+        (lambda h, p: b"", "header is not one line"),
+        (lambda h, p: p[:8 * 16].replace(b"\n", b" ") * 64, "header is not one line"),
+    ], ids=["negative", "zero", "huge", "float", "string", "bool", "t_string",
+            "lambda_null", "omega_bool", "not_json", "not_utf8", "not_object", "empty",
+            "no_newline"])
+    def test_malformed_header_rejected_before_allocation(self, mild_config, tmp_path,
+                                                          damage, message):
+        path = self.damaged(mild_config, tmp_path, damage)
+        with pytest.raises(ValidationError, match=re.escape(message)) as info:
+            e2.read_checkpoint(path)
+        assert cli._exit_code(info.value) == 1
 
     def test_decimal_checkpoint_rejected(self, mild_config, tmp_path):
         grid = make_grid(mild_config, 32, 16)
@@ -729,6 +823,31 @@ class TestCheckpoints:
             assert values.tobytes() == state.zeta.values.tobytes()
             assert header["t"] == state.t
             assert header["lambda_circ"] == state.lambda_circ
+
+    def test_readme_recipe_reads_cli_checkpoint(self, tmp_path, monkeypatch):
+        """The README's numpy-only loader gives the CLI's initial state bit
+        for bit."""
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+        recipe = next(block for block in re.findall(r"```python\n(.*?)```", readme, re.S)
+                      if "np.fromfile" in block)
+        flags = {"mode": "evolve", "n_rho": "32", "n_phi": "24", "dt": "0.002",
+                 "t_end": "0.002", "amplitude": "0.02", "seed": "3", "psi1": "-0.2",
+                 "psi2": "0.2", "omega": "2.0", "upsilon": "1.0", "lambda": "-10"}
+        argv = [arg for key, text in flags.items()
+                for arg in ("--" + key.replace("_", "-"), text)]
+        assert cli.main(["--out", str(tmp_path), *argv]) == 0
+
+        spec = cli.parse_config(None, {key: cli._convert(key, text, None)
+                                       for key, text in flags.items()})
+        grid = AnnulusGrid.from_band(spec.config, spec.n_rho, spec.n_phi)
+        state = cli._initial_state(spec, grid)
+        monkeypatch.chdir(tmp_path)
+        scope = {"json": json, "np": np}
+        exec(recipe, scope)
+        assert scope["zeta"].tobytes() == state.zeta.values.tobytes()
+        assert scope["header"] == e2.read_checkpoint(
+            "checkpoints/checkpoint_000000.txt")[0]
+        assert scope["header"]["lambda_circ"] == state.lambda_circ
 
 
 class TestTransportBound:
