@@ -4,8 +4,9 @@ The package splits into:
 
   geometry         band configuration, stereographic projection, conformal
                    coefficients, metric-aware quadratures (integral_dsigma,
-                   integral_flat; band_integral wraps the first)
-  grids            the log-radial x periodic grid and field containers
+                   integral_flat)
+  grids            the log-radial x periodic grid; fields are plain
+                   (n_rho, n_phi) ndarrays on it
   sturm_liouville  regular Sturm-Liouville spectra (matrix + Pruefer
                    shooting), Rayleigh quotients, eigenfunction expansions
   zonal            steady zonal profiles by four independent routes
@@ -18,8 +19,8 @@ The package splits into:
 """
 
 from .errors import AccBandError, ConfigError, NumericalError
-from .geometry import BandConfig, PlanePoint, SpherePoint, band_integral
-from .grids import AnnulusGrid, ScalarField, VectorField
+from .geometry import BandConfig
+from .grids import AnnulusGrid
 from .sturm_liouville import (
     SLProblem,
     SLSpectrum,
@@ -39,12 +40,9 @@ from .zonal import (
 )
 from .euler2d import (
     SimState,
-    advect,
     fix_circulation,
     harmonic_component,
     perturbed_zonal_state,
-    poisson_solve,
-    reconstruct_velocity,
     run,
     step,
     zonal_initial_state,
@@ -62,15 +60,13 @@ from .diagnostics import (
 
 __all__ = [
     "AccBandError", "ConfigError", "NumericalError",
-    "BandConfig", "PlanePoint", "SpherePoint", "band_integral",
-    "AnnulusGrid", "ScalarField", "VectorField",
+    "BandConfig", "AnnulusGrid",
     "SLProblem", "SLSpectrum", "eigen_solve", "homogenize_boundary",
     "prufer_eigenvalues", "rayleigh_quotient", "solve_inhomogeneous",
     "ZonalProfile", "solve_closed_form_lambda0", "solve_fd", "solve_picard",
     "solve_sl_expansion", "velocity_profile",
-    "SimState", "advect", "fix_circulation", "harmonic_component",
-    "perturbed_zonal_state", "poisson_solve", "reconstruct_velocity", "run",
-    "step", "zonal_initial_state",
+    "SimState", "fix_circulation", "harmonic_component", "perturbed_zonal_state",
+    "run", "step", "zonal_initial_state",
     "DiagnosticRecord", "casimir", "circulations", "en_functional", "energy",
     "lyapunov", "record", "stability_identity",
 ]

@@ -262,7 +262,7 @@ def run_mode_evolve(spec, out):
     (out / "summary.json").write_text(
         json.dumps(diagnostics.summary(records), indent=2, sort_keys=True) + "\n"
     )
-    bound = euler2d.xi_bound(spec.config, state.zeta.values)
+    bound = euler2d.xi_bound(spec.config, state.zeta)
     breaches = []
     if any(rec.max_xi > bound + 1e-10 for rec in records):
         breaches.append("max|xi| exceeded the transport bound")

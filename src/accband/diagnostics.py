@@ -9,7 +9,7 @@ s = -zeta the absolute vorticity and psi the full stream function:
   energy            1/2 int (u^2 + v^2) dsigma  =  1/2 int |grad psi|^2 drho dphi
   circulations      int psi_theta dphi along each wall
                     = -(planar wall circulation)/cos(theta_wall)
-  casimir(f)        int f(s) dsigma
+  casimir(k)        int s^k dsigma
   lyapunov          E = 1/2 int [ -lam |grad psi|^2_sph + (s - upsilon)^2 ] dsigma
                         + lam [ a_w int psi_theta|w2 + b_w int psi_theta|w1 ],
                     a_w = psi2 cos(theta2), b_w = -psi1 cos(theta1)
@@ -79,7 +79,7 @@ def _spherical_circulations(planar, grid):
 
 def absolute_vorticity(state: SimState):
     """s = Delta psi + 2 omega sin(theta) = -zeta on this convention."""
-    return -state.zeta.values
+    return -state.zeta
 
 
 def _power(s, k):
@@ -90,25 +90,11 @@ def _power(s, k):
     return out
 
 
-def _moment_function(spec):
-    if isinstance(spec, int):
-        if not 0 <= spec <= 6:
-            raise ValidationError("power moments supported for k <= 6")
-        return lambda s: _power(s, spec)
-    if callable(spec):
-        return spec
-    if isinstance(spec, tuple) and len(spec) == 2:
-        from scipy.interpolate import CubicSpline
-
-        nodes, vals = spec
-        return CubicSpline(np.asarray(nodes, float), np.asarray(vals, float))
-    raise ValidationError("moment spec must be an int power, callable, or table")
-
-
-def casimir(state: SimState, moment) -> float:
-    """int f(absolute vorticity) dsigma for f a power, callable, or table."""
-    f = _moment_function(moment)
-    return integral_dsigma(f(absolute_vorticity(state)), state.grid)
+def casimir(state: SimState, k: int) -> float:
+    """int s^k dsigma, s the absolute vorticity, for an int power 0 <= k <= 6."""
+    if not isinstance(k, int) or not 0 <= k <= 6:
+        raise ValidationError(f"casimir takes an int power 0 <= k <= 6, got {k!r}")
+    return integral_dsigma(_power(absolute_vorticity(state), k), state.grid)
 
 
 def en_functional(state: SimState, n: int) -> float:
@@ -241,32 +227,23 @@ def zonal_critical_stream(config, grid, dtype=float) -> np.ndarray:
 # Stability identity
 # ==================================================================
 
-def _velocity_distance_squared(state, psi, reference):
-    """||u - u*||^2_{L2(band)}: conformally flat, so a planar integral."""
-    if not state.grid.compatible_with(reference.grid):
-        raise GridMismatch("state and reference live on different grids")
-    psi_ref = stream_of(reference)
-    return integral_flat(grad_square_flat(psi - psi_ref, state.grid), state.grid)
-
-
-def vorticity_distance_squared(state: SimState, reference: SimState) -> float:
-    """||Omega - Omega*||^2: Omega - Omega* = -(zeta - zeta*)."""
-    if not state.grid.compatible_with(reference.grid):
-        raise GridMismatch("state and reference live on different grids")
-    diff = state.zeta.values - reference.zeta.values
-    return integral_dsigma(diff**2, state.grid)
-
-
 def stability_lhs(state: SimState, reference: SimState) -> float:
     return _stability_lhs(state, stream_of(state), reference)
 
 
 def _stability_lhs(state, psi, reference):
-    lam = state.config.lam
-    return (
-        -lam * _velocity_distance_squared(state, psi, reference)
-        + vorticity_distance_squared(state, reference)
-    )
+    """-lam ||u - u*||^2 + ||Omega - Omega*||^2 of a state with stream psi.
+
+    ||u - u*||^2 is conformally flat, so a planar integral, and
+    Omega - Omega* = -(zeta - zeta*). stability_lhs and record both come
+    here, so this is where the two states' grids are checked.
+    """
+    grid = state.grid
+    if not grid.compatible_with(reference.grid):
+        raise GridMismatch("state and reference live on different grids")
+    velocity = integral_flat(grad_square_flat(psi - stream_of(reference), grid), grid)
+    vorticity = integral_dsigma((state.zeta - reference.zeta) ** 2, grid)
+    return -state.config.lam * velocity + vorticity
 
 
 def stability_identity(state: SimState, reference: SimState,
@@ -320,8 +297,7 @@ def harmonic_ode_coefficients(state: SimState) -> dict:
     config = state.config
     psi_bar = state.bar_stream
     u_r, u_phi = euler2d.velocity_from_stream(psi_bar, grid)
-    ustar, norm = euler2d.harmonic_component(grid)
-    c = ustar.u_phi
+    c, norm = euler2d.harmonic_component(grid)
     r = np.exp(grid.rho)[:, None]
     w_geom = (1.0 + r**2) * (1.0 - r**2) / (4.0 * r)
     b = beta_of_rho(grid.rho, config.omega)[:, None]

@@ -72,10 +72,6 @@ class MaxIterExceeded(NumericalError):
     """Fixed-point iteration hit its iteration cap before the tolerance."""
 
 
-class DegenerateNormalization(NumericalError):
-    """Defensive: harmonic-field normalization is numerically zero."""
-
-
 class TooFewSamples(NumericalError):
     """Profile too short for the requested finite-difference stencil."""
 

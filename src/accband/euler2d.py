@@ -46,8 +46,9 @@ points stay on their own grid ring and every zonal steady state is
 preserved to round-off, not merely to O(h^2).
 
 Concurrency: everything here is deterministic, serial numpy. A SimState
-is advanced by one driver at a time; finished states are immutable
-snapshots safe to hand to diagnostic consumers on other threads.
+is a frozen snapshot: its zeta, lambda_circ and bar_stream are fixed when
+it is built, so it is safe to hand to diagnostic consumers on other
+threads.
 """
 
 import contextlib
@@ -55,13 +56,12 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .errors import CflViolation, DegenerateNormalization, ValidationError
+from .errors import CflViolation, ValidationError
 from .geometry import alpha_of_rho, beta_of_rho, integral_flat
-from .grids import AnnulusGrid, ScalarField, VectorField
+from .grids import AnnulusGrid
 from .zonal import _thomas_solve, solve_fd_rho
 
 CFL_LIMIT = 0.8
@@ -138,12 +138,6 @@ def _poisson_values(source, grid):
     return np.fft.irfft(psi_hat, n=grid.n_phi, axis=1)
 
 
-def poisson_solve(phi_field: ScalarField) -> ScalarField:
-    """Green operator: psi with Delta psi = -phi, psi|walls = 0."""
-    grid = phi_field.grid
-    return ScalarField(grid, _poisson_values(phi_field.values, grid))
-
-
 # ==================================================================
 # Harmonic component of the doubly connected annulus
 # ==================================================================
@@ -155,54 +149,52 @@ def harmonic_profile(grid):
 
 def harmonic_normalization(grid) -> float:
     """N = (perp-grad psi_star, perp-grad psi_star) = 2 pi / (rho2 - rho1)."""
-    n = 2.0 * math.pi / (grid.rho2 - grid.rho1)
-    if n <= 1e-14:
-        raise DegenerateNormalization("harmonic field has vanishing norm")
-    return n
+    return 2.0 * math.pi / (grid.rho2 - grid.rho1)
 
 
 def harmonic_component(grid):
-    """Normalized harmonic field U_star = perp-grad(psi_star)/N.
+    """(u_phi, N): the normalized harmonic field U_star = perp-grad(psi_star)/N.
 
-    Purely azimuthal; its circulation around either wall is exactly 1/N
-    times that of perp-grad(psi_star), i.e. the circulation carried by
-    lambda_circ * U_star is exactly lambda_circ.
+    Purely azimuthal (its u_r is identically 0); its circulation around
+    either wall is exactly 1/N times that of perp-grad(psi_star), i.e. the
+    circulation carried by lambda_circ * U_star is exactly lambda_circ.
     """
     n = harmonic_normalization(grid)
     u_phi = np.broadcast_to(
         (np.exp(-grid.rho) / ((grid.rho2 - grid.rho1) * n))[:, None],
         (grid.n_rho, grid.n_phi),
     ).copy()
-    return VectorField(grid, np.zeros((grid.n_rho, grid.n_phi)), u_phi), n
+    return u_phi, n
 
 
 # ==================================================================
 # State and velocity reconstruction
 # ==================================================================
 
-@dataclass
+@dataclass(frozen=True)
 class SimState:
-    """One snapshot of the transported field and its circulation closure."""
+    """One snapshot of the transported field and its circulation closure.
+
+    zeta is the (n_rho, n_phi) array of the transported field and
+    bar_stream its G xi, bar_stream_values(zeta, config, grid), solved
+    once by whoever builds the state.
+    """
 
     t: float
-    zeta: ScalarField
+    zeta: np.ndarray
     lambda_circ: float
     config: object
     grid: AnnulusGrid
+    bar_stream: np.ndarray
     clamp_events: int = 0
 
     def xi_values(self):
         a = alpha_of_rho(self.grid.rho)[:, None]
         b = beta_of_rho(self.grid.rho, self.config.omega)[:, None]
-        return (self.zeta.values - b) / a
+        return (self.zeta - b) / a
 
     def max_xi(self) -> float:
         return float(np.max(np.abs(self.xi_values())))
-
-    @cached_property
-    def bar_stream(self):
-        """G xi, solved once per state (zeta never changes after construction)."""
-        return bar_stream_values(self.zeta.values, self.config, self.grid)
 
 
 def xi_bound(config, zeta0_values) -> float:
@@ -234,11 +226,6 @@ def velocity_from_stream(psi_values, grid):
     return inv_r * dphi(psi_values, grid), -inv_r * drho(psi_values, grid)
 
 
-def reconstruct_velocity(state: SimState) -> VectorField:
-    u_r, u_phi = velocity_from_stream(stream_of(state), state.grid)
-    return VectorField(state.grid, u_r, u_phi)
-
-
 def boundary_circulations(psi_values, grid):
     """Counterclockwise circulations of perp-grad(psi) around both walls.
 
@@ -254,15 +241,15 @@ def circulation_targets(state: SimState):
     return boundary_circulations(stream_of(state), state.grid)
 
 
-def fix_circulation(state: SimState, targets):
+def fix_circulation(bar_stream, grid, targets):
     """lambda_circ pinning the inner-wall circulation to its target.
 
     The harmonic component carries circulation exactly lambda_circ, so
-    lambda_circ = target1 - circ1(G xi). Returns the new coefficient and
-    the outer-wall circulation residual (a discretization diagnostic:
-    it is conserved only to O(h^2 + dt^2)).
+    lambda_circ = target1 - circ1(G xi), with G xi = bar_stream. Returns
+    the coefficient and the outer-wall circulation residual (a
+    discretization diagnostic: it is conserved only to O(h^2 + dt^2)).
     """
-    circ1_bar, circ2_bar = boundary_circulations(state.bar_stream, state.grid)
+    circ1_bar, circ2_bar = boundary_circulations(bar_stream, grid)
     lam = targets[0] - circ1_bar
     circ2_residual = (circ2_bar + lam) - targets[1]
     return lam, circ2_residual
@@ -507,19 +494,16 @@ def advect_values(zeta_values, w_rho, w_phi, dt, grid):
     return new, clamps
 
 
-def advect(state: SimState, velocity: VectorField, dt: float) -> ScalarField:
-    """Transport the state's zeta by dt along alpha * velocity."""
-    grid = state.grid
-    factor = (alpha_of_rho(grid.rho) * np.exp(-grid.rho))[:, None]
-    w_rho = factor * velocity.u_r
-    w_phi = factor * velocity.u_phi
-    new_values, _ = advect_values(state.zeta.values, w_rho, w_phi, dt, grid)
-    return ScalarField(grid, new_values)
-
-
 # ==================================================================
 # Time stepping
 # ==================================================================
+
+def _closed_state(t, zeta, config, grid, targets, clamp_events):
+    """The state of zeta at t: its G xi solved once, lambda_circ closed on it."""
+    bar = bar_stream_values(zeta, config, grid)
+    lam, _ = fix_circulation(bar, grid, targets)
+    return SimState(t, zeta, lam, config, grid, bar, clamp_events)
+
 
 def step(state: SimState, dt: float, targets) -> SimState:
     """Advance one step: predictor velocity, midpoint velocity, transport.
@@ -533,10 +517,8 @@ def step(state: SimState, dt: float, targets) -> SimState:
 
     w_rho_a, w_phi_a = advecting_velocity(stream_of(state), grid)
 
-    zeta_pred, _ = advect_values(state.zeta.values, w_rho_a, w_phi_a, dt, grid)
-    pred = SimState(state.t + dt, ScalarField(grid, zeta_pred), state.lambda_circ,
-                    config, grid)
-    pred.lambda_circ, _ = fix_circulation(pred, targets)
+    zeta_pred, _ = advect_values(state.zeta, w_rho_a, w_phi_a, dt, grid)
+    pred = _closed_state(state.t + dt, zeta_pred, config, grid, targets, 0)
     w_rho_b, w_phi_b = advecting_velocity(stream_of(pred), grid)
 
     # the midpoint velocity 0.5 * (a + b), formed in place in a; b is
@@ -546,11 +528,9 @@ def step(state: SimState, dt: float, targets) -> SimState:
     w_phi_a += w_phi_b
     w_phi_a *= 0.5
     del w_rho_b, w_phi_b
-    zeta_new, clamps = advect_values(state.zeta.values, w_rho_a, w_phi_a, dt, grid)
-    new = SimState(state.t + dt, ScalarField(grid, zeta_new), state.lambda_circ,
-                   config, grid, state.clamp_events + clamps)
-    new.lambda_circ, _ = fix_circulation(new, targets)
-    return new
+    zeta_new, clamps = advect_values(state.zeta, w_rho_a, w_phi_a, dt, grid)
+    return _closed_state(state.t + dt, zeta_new, config, grid, targets,
+                         state.clamp_events + clamps)
 
 
 def run(state: SimState, t_end: float, dt: float, output_stride: int):
@@ -596,7 +576,8 @@ def zonal_initial_state(config, grid):
         (grid.n_rho, grid.n_phi),
     ).copy()
     lam_circ = (config.psi1 - config.psi2) * harmonic_normalization(grid)
-    return SimState(0.0, ScalarField(grid, zeta_vals), lam_circ, config, grid)
+    return SimState(0.0, zeta_vals, lam_circ, config, grid,
+                    bar_stream_values(zeta_vals, config, grid))
 
 
 def stream_perturbation(grid, amplitude, wavenumber, seed):
@@ -632,8 +613,9 @@ def perturbed_zonal_state(config, grid, amplitude, wavenumber, seed):
     scale = amplitude * flat_norm(psi_zonal) / flat_norm(dpsi_unit)
     dpsi = scale * dpsi_unit
     a = alpha_of_rho(grid.rho)[:, None]
-    zeta_vals = base.zeta.values - a * laplacian_values(dpsi, grid)
-    return SimState(0.0, ScalarField(grid, zeta_vals), base.lambda_circ, config, grid)
+    zeta_vals = base.zeta - a * laplacian_values(dpsi, grid)
+    return SimState(0.0, zeta_vals, base.lambda_circ, config, grid,
+                    bar_stream_values(zeta_vals, config, grid))
 
 
 # ==================================================================
@@ -670,7 +652,7 @@ def write_checkpoint(path, state: SimState):
     try:
         with open(tmp, "wb") as fh:
             fh.write(json.dumps(header).encode() + b"\n")
-            fh.write(np.ascontiguousarray(state.zeta.values, dtype="<f8"))
+            fh.write(np.ascontiguousarray(state.zeta, dtype="<f8"))
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -738,5 +720,5 @@ def state_from_checkpoint(path, config) -> SimState:
         if abs(header[key] - have) > 1e-12 * max(1.0, abs(have)):
             raise ValidationError(f"checkpoint {key} disagrees with the config")
     grid = AnnulusGrid.from_band(config, header["n_rho"], header["n_phi"])
-    return SimState(header["t"], ScalarField(grid, values), header["lambda_circ"],
-                    config, grid)
+    return SimState(header["t"], values, header["lambda_circ"], config, grid,
+                    bar_stream_values(values, config, grid))

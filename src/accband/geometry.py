@@ -22,8 +22,7 @@ the plane is
 
     beta(x, y) = 2 omega (1 - x^2 - y^2)/(1 + x^2 + y^2) = -2 omega sin(theta).
 
-All point operations are plain functions of floats/ndarrays; the dataclass
-wrappers validate the domain invariants.
+Every point operation is a plain function of floats or ndarrays.
 """
 
 import math
@@ -32,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OriginUndefined, ValidationError
-from .grids import ScalarField
 
 
 # ==================================================================
@@ -77,40 +75,6 @@ class BandConfig:
     @property
     def r2(self):
         return math.cos(self.theta2) / (1.0 - math.sin(self.theta2))
-
-
-# ==================================================================
-# Points
-# ==================================================================
-
-@dataclass(frozen=True)
-class SpherePoint:
-    """(longitude, latitude) with phi in [0, 2pi), |theta| < pi/2."""
-
-    phi: float
-    theta: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.phi < 2.0 * math.pi):
-            raise ValidationError(f"phi must lie in [0, 2pi), got {self.phi}")
-        if not (-math.pi / 2 < self.theta < math.pi / 2):
-            raise ValidationError(f"theta must lie in (-pi/2, pi/2), got {self.theta}")
-
-    def to_plane(self):
-        x, y = project(self.phi, self.theta)
-        return PlanePoint(float(x), float(y))
-
-
-@dataclass(frozen=True)
-class PlanePoint:
-    """Cartesian point on the equatorial projection plane."""
-
-    x: float
-    y: float
-
-    def to_sphere(self):
-        phi, theta = unproject(self.x, self.y)
-        return SpherePoint(float(phi), float(theta))
 
 
 # ==================================================================
@@ -217,11 +181,6 @@ def integral_dsigma(values, grid):
 def integral_flat(values, grid):
     """Integral against drho dphi (gradient-type integrands), same rule."""
     return grid.d_phi * np.sum(grid.radial_weights[:, None] * values)
-
-
-def band_integral(f: ScalarField) -> float:
-    """integral_dsigma of a grid field, as a float."""
-    return float(integral_dsigma(f.values, f.grid))
 
 
 def band_area(config) -> float:

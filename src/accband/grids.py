@@ -1,4 +1,4 @@
-"""Structured grid on the projected annulus and field containers.
+"""Structured grid on the projected annulus.
 
 The annulus D = {r1^2 < x^2+y^2 < r2^2} is discretized in conformal polar
 coordinates (rho, phi) with rho = log r:
@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GridMismatch, ValidationError
+from .errors import ValidationError
 from . import zonal
 
 
@@ -92,18 +92,6 @@ class AnnulusGrid:
         diag = np.full((self.n_rho, len(m)), -2.0 / h**2) - (m * m)[None, :]
         return zonal._thomas_factor(off, diag, off)
 
-    # -- field constructors -------------------------------------------
-
-    def scalar_field(self, values):
-        return ScalarField(self, np.asarray(values, dtype=float))
-
-    def zeros(self):
-        return ScalarField(self, np.zeros((self.n_rho, self.n_phi)))
-
-    def mesh(self):
-        """(rho, phi) arrays broadcast to the (n_rho, n_phi) field shape."""
-        return np.meshgrid(self.rho, self.phi, indexing="ij")
-
     def compatible_with(self, other):
         return (
             self.n_rho == other.n_rho
@@ -111,33 +99,3 @@ class AnnulusGrid:
             and abs(self.rho1 - other.rho1) < 1e-13
             and abs(self.rho2 - other.rho2) < 1e-13
         )
-
-
-@dataclass
-class ScalarField:
-    """Grid sample of a scalar (zeta, psi, source terms, ...)."""
-
-    grid: AnnulusGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.n_rho, self.grid.n_phi):
-            raise GridMismatch(
-                f"field shape {self.values.shape} does not match grid "
-                f"({self.grid.n_rho}, {self.grid.n_phi})"
-            )
-
-
-@dataclass
-class VectorField:
-    """Tangent vector field in physical polar components (u_r, u_phi)."""
-
-    grid: AnnulusGrid
-    u_r: np.ndarray
-    u_phi: np.ndarray
-
-    def __post_init__(self):
-        shape = (self.grid.n_rho, self.grid.n_phi)
-        if self.u_r.shape != shape or self.u_phi.shape != shape:
-            raise GridMismatch("vector component shape does not match grid")

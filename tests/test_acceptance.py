@@ -148,8 +148,8 @@ class TestAcceptance:
             dt = dt_for_cfl(state, 0.5) / (n // 128)
             final, _ = evolve(state, t_end=0.5, dt=dt, record_stride=10 ** 9)
             drifts.append(
-                float(np.linalg.norm(final.zeta.values - state.zeta.values)
-                      / np.linalg.norm(state.zeta.values))
+                float(np.linalg.norm(final.zeta - state.zeta)
+                      / np.linalg.norm(state.zeta))
             )
         elapsed = time.perf_counter() - start
         ok = drifts[0] <= 1e-3 and order2_ok(drifts[0], drifts[1]) and elapsed < 60.0
@@ -164,7 +164,7 @@ class TestAcceptance:
         for n in (128, 256):
             grid = AnnulusGrid.from_band(MILD, n, n)
             state = e2.perturbed_zonal_state(MILD, grid, 0.01, 3, seed=SEED)
-            bound = e2.xi_bound(MILD, state.zeta.values)
+            bound = e2.xi_bound(MILD, state.zeta)
             dt = dt_for_cfl(state, 0.5) / (n // 128)
             _, records = evolve(state, t_end=0.5, dt=dt)
             first, last = records[0], records[-1]

@@ -6,12 +6,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from accband.errors import ValidationError
+from accband.errors import GridMismatch, ValidationError
 from accband.geometry import alpha_of_rho, band_area, beta_of_rho, integral_dsigma
-from accband.grids import AnnulusGrid, ScalarField
+from accband.grids import AnnulusGrid
+from accband import cli
 from accband.zonal import solve_fd, solve_fd_rho, velocity_profile
 import accband.diagnostics as dg
 import accband.euler2d as e2
+
+
+def make_state(zeta, lambda_circ, config, grid):
+    """A t = 0 state of zeta, with its G xi solved as every builder does."""
+    return e2.SimState(0.0, zeta, lambda_circ, config, grid,
+                       e2.bar_stream_values(zeta, config, grid))
 
 
 def state_from_stream(psi_1d, grid, config):
@@ -21,7 +28,7 @@ def state_from_stream(psi_1d, grid, config):
     psi2d = np.broadcast_to(psi_1d[:, None], (grid.n_rho, grid.n_phi)).copy()
     zeta = b - a * e2.laplacian_values(psi2d, grid)
     lam_c = (psi_1d[0] - psi_1d[-1]) * e2.harmonic_normalization(grid)
-    return e2.SimState(0.0, ScalarField(grid, zeta), lam_c, config, grid)
+    return make_state(zeta, lam_c, config, grid)
 
 
 class TestEnergy:
@@ -30,7 +37,7 @@ class TestEnergy:
         beta_field = np.broadcast_to(
             beta_of_rho(grid.rho, mild_config.omega)[:, None], (64, 16)
         ).copy()
-        state = e2.SimState(0.0, ScalarField(grid, beta_field), 0.0, mild_config, grid)
+        state = make_state(beta_field, 0.0, mild_config, grid)
         assert dg.energy(state) <= 1e-20
 
     def test_unit_zonal_velocity(self, mild_config):
@@ -91,16 +98,6 @@ class TestCasimirs:
         oracle = 2 * math.pi * np.trapezoid(s1d * np.cos(prof.thetas), prof.thetas)
         assert dg.casimir(state, 1) == pytest.approx(oracle, rel=1e-6)
 
-    def test_table_moment_matches_callable(self, mild_config, rng):
-        grid = AnnulusGrid.from_band(mild_config, 64, 32)
-        state = e2.perturbed_zonal_state(mild_config, grid, 0.02, 3, seed=8)
-        s = dg.absolute_vorticity(state)
-        nodes = np.linspace(s.min() - 1.0, s.max() + 1.0, 400)
-        f = lambda x: np.sin(0.3 * x)
-        via_table = dg.casimir(state, (nodes, f(nodes)))
-        via_callable = dg.casimir(state, f)
-        assert via_table == pytest.approx(via_callable, rel=1e-8)
-
     @pytest.mark.parametrize("k", range(7))
     def test_power_moment_matches_pow(self, mild_config, k):
         """Power moments multiply repeatedly; pow is the reference."""
@@ -119,7 +116,7 @@ class TestCasimirs:
 class TestEnFamily:
     def test_zero_absolute_vorticity_gives_zero(self, mild_config):
         grid = AnnulusGrid.from_band(mild_config, 64, 16)
-        state = e2.SimState(0.0, grid.zeros(), 0.0, mild_config, grid)
+        state = make_state(np.zeros((64, 16)), 0.0, mild_config, grid)
         assert dg.en_functional(state, 2) == pytest.approx(0.0, abs=1e-15)
 
     def test_e1_is_casimir_combination(self, mild_config):
@@ -266,6 +263,24 @@ class TestStabilityIdentity:
         # quadrature size O(h^2); measured constant is ~4, bound with 20
         assert abs(defect_direct - defect_energy) <= 20 * grid.d_rho**2 * max(1.0, scale)
 
+    def test_reference_on_another_grid_rejected(self, mild_neg_lam_config, capsys):
+        """Both evaluation paths refuse a reference of another shape or band,
+        and the CLI reports that as a numerical failure."""
+        config = mild_neg_lam_config
+        state = e2.perturbed_zonal_state(config, AnnulusGrid.from_band(config, 48, 48),
+                                         0.01, 3, seed=5)
+        other_band = replace(config, theta2=config.theta2 + 0.05)
+        for ref_config, shape in ((config, (48, 40)), (config, (40, 48)),
+                                  (other_band, (48, 48))):
+            ref = e2.zonal_initial_state(ref_config,
+                                         AnnulusGrid.from_band(ref_config, *shape))
+            for evaluate in (dg.stability_lhs, lambda s, r: dg.record(s, reference=r)):
+                with pytest.raises(GridMismatch) as err:
+                    evaluate(state, ref)
+                assert cli._exit_code(err.value) == 2
+        assert "numerical failure: state and reference live on different grids" in (
+            capsys.readouterr().err)
+
 
 class TestHarmonicOde:
     def make_tilted_state(self, config, grid):
@@ -277,12 +292,11 @@ class TestHarmonicOde:
             3 * grid.phi[None, :] + 8.0 * sb[:, None]
         )
         a = alpha_of_rho(grid.rho)[:, None]
-        zeta = base.zeta.values - a * e2.laplacian_values(dpsi, grid)
-        state = e2.SimState(0.0, ScalarField(grid, zeta), base.lambda_circ,
-                            config, grid)
+        zeta = base.zeta - a * e2.laplacian_values(dpsi, grid)
+        state = make_state(zeta, base.lambda_circ, config, grid)
         targets = e2.circulation_targets(state)
-        state.lambda_circ, _ = e2.fix_circulation(state, targets)
-        return state, targets
+        lam, _ = e2.fix_circulation(state.bar_stream, grid, targets)
+        return replace(state, lambda_circ=lam), targets
 
     def test_gamma2_vanishes_on_annulus(self, mild_neg_lam_config):
         grid = AnnulusGrid.from_band(mild_neg_lam_config, 96, 96)

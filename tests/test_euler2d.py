@@ -16,7 +16,7 @@ import pytest
 
 from accband.errors import CflViolation, ValidationError
 from accband.geometry import BandConfig, alpha_of_rho, beta_of_rho
-from accband.grids import AnnulusGrid, ScalarField
+from accband.grids import AnnulusGrid
 from accband import cli, zonal
 from accband.zonal import solve_closed_form_lambda0
 import accband.euler2d as e2
@@ -29,6 +29,17 @@ MILD_ARGS = ["--psi1", "-0.2", "--psi2", "0.2", "--omega", "2.0", "--upsilon", "
 
 def make_grid(config, n_rho=64, n_phi=64):
     return AnnulusGrid.from_band(config, n_rho, n_phi)
+
+
+def mesh(grid):
+    """(rho, phi) arrays broadcast to the (n_rho, n_phi) field shape."""
+    return np.meshgrid(grid.rho, grid.phi, indexing="ij")
+
+
+def make_state(zeta, lambda_circ, config, grid):
+    """A t = 0 state of zeta, with its G xi solved as every builder does."""
+    return e2.SimState(0.0, zeta, lambda_circ, config, grid,
+                       e2.bar_stream_values(zeta, config, grid))
 
 
 # ------------------------------------------------------------------
@@ -107,11 +118,11 @@ def wall_advection(config, sign):
     # an outward radial drift pushes foot points across a wall
     w_rho = w_rho + 0.2 * np.max(np.abs(w_phi)) * grid.d_rho / grid.d_phi
     dt = sign * 0.6 / e2.cfl_number(w_rho, w_phi, 1.0, grid)
-    return state.zeta.values, w_rho, w_phi, dt, grid
+    return state.zeta, w_rho, w_phi, dt, grid
 
 
 def ref_advect_values(zeta_values, w_rho, w_phi, dt, grid):
-    rho_n, phi_n = grid.mesh()
+    rho_n, phi_n = mesh(grid)
     rho_h = rho_n - 0.5 * dt * w_rho
     phi_h = phi_n - 0.5 * dt * w_phi
     clamps = int(np.sum((rho_h < grid.rho1 - 1e-14) | (rho_h > grid.rho2 + 1e-14)))
@@ -128,8 +139,8 @@ def ref_advect_values(zeta_values, w_rho, w_phi, dt, grid):
 class TestPoisson:
     def test_zero_source_zero_solution(self, mild_config):
         grid = make_grid(mild_config)
-        out = e2.poisson_solve(grid.zeros())
-        assert np.max(np.abs(out.values)) == 0.0
+        out = e2._poisson_values(np.zeros((grid.n_rho, grid.n_phi)), grid)
+        assert np.max(np.abs(out)) == 0.0
 
     def test_manufactured_solution_second_order(self, mild_config):
         """psi = (r - r1)(r2 - r) sin(phi); source = (3 - r1 r2/r^2) sin(phi)."""
@@ -213,10 +224,10 @@ class TestHarmonicComponent:
     def test_unit_circulation(self, mild_config):
         """Line-integral oracle: circulation of U_star around either wall."""
         grid = make_grid(mild_config)
-        ustar, norm = e2.harmonic_component(grid)
+        ustar_phi, norm = e2.harmonic_component(grid)
         for row in (0, -1):
             r_wall = math.exp(grid.rho[row])
-            circ = grid.d_phi * float(np.sum(ustar.u_phi[row] * r_wall))
+            circ = grid.d_phi * float(np.sum(ustar_phi[row] * r_wall))
             assert circ == pytest.approx(1.0, rel=1e-12)
         assert norm == pytest.approx(2 * math.pi / (grid.rho2 - grid.rho1), rel=1e-12)
 
@@ -225,15 +236,16 @@ class TestHarmonicComponent:
         src = e2._poisson_values(rng.standard_normal((96, 96)), grid)  # smooth field
         psi_bar = e2._poisson_values(src, grid)
         u_r, u_phi = e2.velocity_from_stream(psi_bar, grid)
-        ustar, _ = e2.harmonic_component(grid)
+        ustar_phi, _ = e2.harmonic_component(grid)
+        ustar_r = np.zeros_like(ustar_phi)  # U_star is purely azimuthal
         w = grid.radial_weights[:, None] * np.exp(2.0 * grid.rho)[:, None]
 
         def inner(ar, ap, br, bp):
             return grid.d_phi * float(np.sum(w * (ar * br + ap * bp)))
 
-        cross = inner(u_r, u_phi, ustar.u_r, ustar.u_phi)
+        cross = inner(u_r, u_phi, ustar_r, ustar_phi)
         norm = math.sqrt(inner(u_r, u_phi, u_r, u_phi)
-                         * inner(ustar.u_r, ustar.u_phi, ustar.u_r, ustar.u_phi))
+                         * inner(ustar_r, ustar_phi, ustar_r, ustar_phi))
         assert abs(cross) <= 1e-4 * norm, f"relative inner product {cross / norm:.2e}"
 
 
@@ -244,36 +256,36 @@ class TestReconstruction:
             beta_of_rho(grid.rho, mild_config.omega)[:, None],
             (grid.n_rho, grid.n_phi),
         ).copy()
-        state = e2.SimState(0.0, ScalarField(grid, beta_field), 0.0, mild_config, grid)
-        vel = e2.reconstruct_velocity(state)
-        assert np.max(np.abs(vel.u_r)) <= 1e-12
-        assert np.max(np.abs(vel.u_phi)) <= 1e-12
+        state = make_state(beta_field, 0.0, mild_config, grid)
+        u_r, u_phi = e2.velocity_from_stream(e2.stream_of(state), grid)
+        assert np.max(np.abs(u_r)) <= 1e-12
+        assert np.max(np.abs(u_phi)) <= 1e-12
 
     def test_zonal_velocity_against_closed_form(self, mild_config):
         errs = []
         for n in (64, 128):
             grid = make_grid(mild_config, n, 16)
             state = e2.zonal_initial_state(mild_config, grid)
-            vel = e2.reconstruct_velocity(state)
+            _, u_phi = e2.velocity_from_stream(e2.stream_of(state), grid)
             prof = solve_closed_form_lambda0(mild_config, 4097)
             u_interp = np.interp(grid.theta, prof.thetas, prof.u)
             # planar azimuthal component of a zonal spherical flow
             expect = (1.0 - np.sin(grid.theta)) * u_interp
-            errs.append(np.max(np.abs(vel.u_phi - expect[:, None])))
+            errs.append(np.max(np.abs(u_phi - expect[:, None])))
         assert errs[1] <= errs[0] / 3.0, f"no O(h^2) decay: {errs}"
 
     def test_boundary_impermeability_and_divergence(self, mild_neg_lam_config):
         grid = make_grid(mild_neg_lam_config, 64, 64)
         state = e2.perturbed_zonal_state(mild_neg_lam_config, grid, 0.05, 3, seed=2)
-        vel = e2.reconstruct_velocity(state)
-        scale = np.max(np.abs(vel.u_phi))
-        assert np.max(np.abs(vel.u_r[0])) <= 1e-12 * scale
-        assert np.max(np.abs(vel.u_r[-1])) <= 1e-12 * scale
+        u_r, u_phi = e2.velocity_from_stream(e2.stream_of(state), grid)
+        scale = np.max(np.abs(u_phi))
+        assert np.max(np.abs(u_r[0])) <= 1e-12 * scale
+        assert np.max(np.abs(u_r[-1])) <= 1e-12 * scale
         # discrete divergence with the same operators vanishes identically
         div = (
             np.exp(-2 * grid.rho)[:, None]
-            * e2.drho(np.exp(grid.rho)[:, None] * vel.u_r, grid)
-            + np.exp(-grid.rho)[:, None] * e2.dphi(vel.u_phi, grid)
+            * e2.drho(np.exp(grid.rho)[:, None] * u_r, grid)
+            + np.exp(-grid.rho)[:, None] * e2.dphi(u_phi, grid)
         )
         assert np.max(np.abs(div)) <= 1e-9 * scale / grid.d_rho
 
@@ -282,12 +294,10 @@ class TestCirculationClosure:
     def test_lambda_matches_projection_of_initial_velocity(self, mild_config):
         grid = make_grid(mild_config, 128, 64)
         state = e2.zonal_initial_state(mild_config, grid)
-        vel = e2.reconstruct_velocity(state)
-        ustar, norm = e2.harmonic_component(grid)
+        _, u_phi = e2.velocity_from_stream(e2.stream_of(state), grid)
+        ustar_phi, norm = e2.harmonic_component(grid)  # U_star has no u_r
         w = grid.radial_weights[:, None] * np.exp(2.0 * grid.rho)[:, None]
-        inner = grid.d_phi * float(
-            np.sum(w * (vel.u_r * ustar.u_r + vel.u_phi * ustar.u_phi))
-        )
+        inner = grid.d_phi * float(np.sum(w * u_phi * ustar_phi))
         assert inner * norm == pytest.approx(state.lambda_circ, rel=2e-4)
 
     def test_linil_response_to_scaling(self, mild_neg_lam_config):
@@ -295,14 +305,11 @@ class TestCirculationClosure:
         config = mild_neg_lam_config
         state = e2.perturbed_zonal_state(config, grid, 0.02, 2, seed=3)
         targets = e2.circulation_targets(state)
-        lam1, _ = e2.fix_circulation(state, targets)
+        lam1, _ = e2.fix_circulation(state.bar_stream, grid, targets)
         beta_field = beta_of_rho(grid.rho, config.omega)[:, None]
-        doubled = e2.SimState(
-            0.0,
-            ScalarField(grid, beta_field + 2.0 * (state.zeta.values - beta_field)),
-            state.lambda_circ, config, grid,
-        )
-        lam2, _ = e2.fix_circulation(doubled, (2 * targets[0], 2 * targets[1]))
+        doubled = e2.bar_stream_values(beta_field + 2.0 * (state.zeta - beta_field),
+                                       config, grid)
+        lam2, _ = e2.fix_circulation(doubled, grid, (2 * targets[0], 2 * targets[1]))
         assert lam2 == pytest.approx(2.0 * lam1, rel=1e-12)
 
     @pytest.mark.parametrize("shape", [(3, 16), (8, 8), (64, 64), (129, 96)])
@@ -341,7 +348,7 @@ class TestCirculationClosure:
 class TestAdvection:
     def test_zero_velocity_identity(self, mild_config):
         grid = make_grid(mild_config, 48, 48)
-        rho_n, phi_n = grid.mesh()
+        rho_n, phi_n = mesh(grid)
         zeta = np.sin(3 * phi_n) * np.cosh(rho_n)
         out, clamps = e2.advect_values(zeta, np.zeros_like(zeta),
                                        np.zeros_like(zeta), 0.01, grid)
@@ -351,7 +358,7 @@ class TestAdvection:
     def test_solid_rotation_returns_pattern(self, mild_config):
         for n, n_steps in ((64, 200), (128, 400)):
             grid = make_grid(mild_config, n, n)
-            rho_n, phi_n = grid.mesh()
+            rho_n, phi_n = mesh(grid)
             s = (rho_n - grid.rho1) / (grid.rho2 - grid.rho1)
             zeta0 = np.sin(phi_n) * (1.0 + 0.5 * s)
             sigma = 1.0
@@ -368,12 +375,18 @@ class TestAdvection:
             assert vals.max() <= zeta0.max() + 1e-14
 
     def test_vector_field_api_matches_stream_route(self, mild_neg_lam_config):
-        """advect(state, U, dt) must transport along alpha*U: for the
-        reconstructed velocity of a zonal state the field is unchanged."""
+        """Transport runs along alpha*U: the characteristic field equals
+        alpha e^{-rho} times the reconstructed velocity, and advecting a
+        zonal state along it leaves the field unchanged."""
         grid = make_grid(mild_neg_lam_config, 64, 64)
         state = e2.zonal_initial_state(mild_neg_lam_config, grid)
-        out = e2.advect(state, e2.reconstruct_velocity(state), 2e-3)
-        assert np.max(np.abs(out.values - state.zeta.values)) <= 1e-12
+        psi = e2.stream_of(state)
+        w_rho, w_phi = e2.advecting_velocity(psi, grid)
+        factor = (alpha_of_rho(grid.rho) * np.exp(-grid.rho))[:, None]
+        for w, u in zip((w_rho, w_phi), e2.velocity_from_stream(psi, grid)):
+            assert np.max(np.abs(w - factor * u)) <= 1e-12 * np.max(np.abs(w_phi))
+        out, _ = e2.advect_values(state.zeta, w_rho, w_phi, 2e-3, grid)
+        assert np.max(np.abs(out - state.zeta)) <= 1e-12
 
     def test_cfl_violation_suggests_dt(self, mild_config):
         grid = make_grid(mild_config, 48, 48)
@@ -389,7 +402,7 @@ class TestAdvection:
     def test_tracer_reversibility_third_order(self, mild_config):
         """Exactly-interpolated setup isolates the midpoint tracer error."""
         grid = make_grid(mild_config, 128, 128)
-        rho_n, phi_n = grid.mesh()
+        rho_n, phi_n = mesh(grid)
         s = (rho_n - grid.rho1) / (grid.rho2 - grid.rho1)
         zeta0 = 1.0 + s + 0.5 * s**2 - 0.3 * s**3  # cubic: interpolation exact
         w_rho = 0.01 + 0.03 * s                    # affine: velocity interp exact
@@ -509,12 +522,12 @@ class TestTiles:
         tracemalloc.start()
         tracemalloc.reset_peak()
         try:
-            e2.advect_values(state.zeta.values, w_rho, w_phi, dt, grid)
+            e2.advect_values(state.zeta, w_rho, w_phi, dt, grid)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             if not was_tracing:
                 tracemalloc.stop()
-        assert peak < 12 * state.zeta.values.nbytes
+        assert peak < 12 * state.zeta.nbytes
 
 
 class TestStepAndRun:
@@ -525,18 +538,17 @@ class TestStepAndRun:
         s = state
         for _ in range(20):
             s = e2.step(s, 3e-3, targets)
-        rel = np.linalg.norm(s.zeta.values - state.zeta.values) / np.linalg.norm(
-            state.zeta.values
+        rel = np.linalg.norm(s.zeta - state.zeta) / np.linalg.norm(
+            state.zeta
         )
         assert rel <= 1e-12, f"zonal drift {rel:.2e}"
 
     def test_constant_zeta_remains_constant(self, mild_config):
         grid = make_grid(mild_config, 48, 48)
-        zeta = ScalarField(grid, np.full((48, 48), 7.5))
-        state = e2.SimState(0.0, zeta, 0.3, mild_config, grid)
+        state = make_state(np.full((48, 48), 7.5), 0.3, mild_config, grid)
         targets = e2.circulation_targets(state)
         s = e2.step(e2.step(state, 2e-3, targets), 2e-3, targets)
-        assert np.max(np.abs(s.zeta.values - 7.5)) <= 1e-12
+        assert np.max(np.abs(s.zeta - 7.5)) <= 1e-12
 
     def test_determinism_bitwise(self, mild_neg_lam_config):
         grid = make_grid(mild_neg_lam_config, 48, 48)
@@ -550,7 +562,7 @@ class TestStepAndRun:
             return state
 
         a, b = one_run(), one_run()
-        assert np.array_equal(a.zeta.values, b.zeta.values)
+        assert np.array_equal(a.zeta, b.zeta)
         assert a.lambda_circ == b.lambda_circ
 
     def test_run_zero_horizon_returns_initial_only(self, mild_config, tmp_path):
@@ -591,6 +603,37 @@ class TestStepAndRun:
         assert all(r() is None for r in refs[1:])
 
 
+class TestFrozenState:
+    """A SimState is a snapshot: nothing is assigned to it after it is
+    built, and its bar_stream is G xi of its own zeta, from every builder."""
+
+    @staticmethod
+    def built_states(config, tmp_path):
+        grid = make_grid(config, 32, 24)
+        perturbed = e2.perturbed_zonal_state(config, grid, 0.02, 3, seed=9)
+        stepped = e2.step(perturbed, 2e-3, e2.circulation_targets(perturbed))
+        e2.write_checkpoint(tmp_path / "state.txt", stepped)
+        return {
+            "zonal_initial_state": e2.zonal_initial_state(config, grid),
+            "perturbed_zonal_state": perturbed,
+            "step": stepped,
+            "state_from_checkpoint": e2.state_from_checkpoint(tmp_path / "state.txt",
+                                                              config),
+        }
+
+    def test_assignment_raises(self, mild_neg_lam_config, tmp_path):
+        for state in self.built_states(mild_neg_lam_config, tmp_path).values():
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                state.lambda_circ = 0.0
+
+    def test_bar_stream_is_g_xi_of_zeta(self, mild_neg_lam_config, tmp_path):
+        states = self.built_states(mild_neg_lam_config, tmp_path)
+        assert states["step"].t == 2e-3 and states["state_from_checkpoint"].t == 2e-3
+        for name, state in states.items():
+            want = e2.bar_stream_values(state.zeta, state.config, state.grid)
+            assert state.bar_stream.tobytes() == want.tobytes(), name
+
+
 class TestCheckpoints:
     def test_roundtrip_bit_exact(self, mild_neg_lam_config, tmp_path):
         grid = make_grid(mild_neg_lam_config, 32, 16)
@@ -599,7 +642,7 @@ class TestCheckpoints:
         e2.write_checkpoint(path, state)
         header, values = e2.read_checkpoint(path)
         assert list(header) == list(e2.CHECKPOINT_KEYS)
-        assert np.array_equal(values, state.zeta.values)
+        assert np.array_equal(values, state.zeta)
         restored = e2.state_from_checkpoint(path, mild_neg_lam_config)
         assert restored.lambda_circ == state.lambda_circ
         assert restored.t == state.t
@@ -687,7 +730,7 @@ class TestCheckpoints:
     def test_bytes_match_per_value_format(self, mild_neg_lam_config, tmp_path):
         grid = make_grid(mild_neg_lam_config, 32, 16)
         state = e2.perturbed_zonal_state(mild_neg_lam_config, grid, 0.02, 2, seed=9)
-        state.zeta.values[0, 0] = -0.0
+        state.zeta[0, 0] = -0.0
 
         def per_value_writer(path, state):
             header = {"n_rho": grid.n_rho, "n_phi": grid.n_phi,
@@ -696,7 +739,7 @@ class TestCheckpoints:
                       "lambda_circ": state.lambda_circ, "payload": "binary <f8 rows"}
             with open(path, "wb") as fh:
                 fh.write(json.dumps(header).encode() + b"\n")
-                for row in state.zeta.values:
+                for row in state.zeta:
                     for v in row:
                         fh.write(struct.pack("<d", float(v)))
 
@@ -708,12 +751,12 @@ class TestCheckpoints:
         grid = make_grid(mild_config, 32, 16)
         state = e2.zonal_initial_state(mild_config, grid)
         specials = [-0.0, 5e-324, np.inf, -np.inf, np.nan, 1e300, -5e-324, -1e300]
-        state.zeta.values[3, :8] = specials
-        state.zeta.values[-1, 8:] = specials[::-1]
+        state.zeta[3, :8] = specials
+        state.zeta[-1, 8:] = specials[::-1]
         path = tmp_path / "state.txt"
         e2.write_checkpoint(path, state)
         _, values = e2.read_checkpoint(path)
-        assert values.tobytes() == state.zeta.values.tobytes()
+        assert values.tobytes() == state.zeta.tobytes()
         assert values.dtype == np.float64 and values.dtype.isnative
         assert values.shape == (32, 16) and values.flags.writeable
 
@@ -794,7 +837,7 @@ class TestCheckpoints:
         path = tmp_path / "decimal.txt"
         with open(path, "w", newline="") as fh:
             fh.write(json.dumps(header) + "\n")
-            for row in state.zeta.values.tolist():
+            for row in state.zeta.tolist():
                 fh.write(" ".join(map(repr, row)) + "\n")
         with pytest.raises(ValidationError, match=re.escape("header lacks keys ['payload']")):
             e2.read_checkpoint(path)
@@ -820,7 +863,7 @@ class TestCheckpoints:
         assert len(states) == 4
         for path, state in zip(ckpts, states):
             header, values = e2.read_checkpoint(path)
-            assert values.tobytes() == state.zeta.values.tobytes()
+            assert values.tobytes() == state.zeta.tobytes()
             assert header["t"] == state.t
             assert header["lambda_circ"] == state.lambda_circ
 
@@ -844,7 +887,7 @@ class TestCheckpoints:
         monkeypatch.chdir(tmp_path)
         scope = {"json": json, "np": np}
         exec(recipe, scope)
-        assert scope["zeta"].tobytes() == state.zeta.values.tobytes()
+        assert scope["zeta"].tobytes() == state.zeta.tobytes()
         assert scope["header"] == e2.read_checkpoint(
             "checkpoints/checkpoint_000000.txt")[0]
         assert scope["header"]["lambda_circ"] == state.lambda_circ
@@ -854,7 +897,7 @@ class TestTransportBound:
     def test_max_xi_within_appendix_bound(self, mild_config):
         grid = make_grid(mild_config, 64, 64)
         state = e2.perturbed_zonal_state(mild_config, grid, 0.02, 3, seed=4)
-        bound = e2.xi_bound(mild_config, state.zeta.values)
+        bound = e2.xi_bound(mild_config, state.zeta)
         targets = e2.circulation_targets(state)
         s = state
         for _ in range(60):
