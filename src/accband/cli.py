@@ -130,6 +130,8 @@ def parse_config(path=None, overrides=None, out_dir="accband_out") -> RunSpec:
         raise ValidationError("amplitude must be nonnegative")
     if values["output_stride"] < 1:
         raise ValidationError("output_stride must be at least 1")
+    if values["seed"] < 0:
+        raise ValidationError("seed must be nonnegative")
 
     config = BandConfig(
         theta1=math.radians(values["theta1_deg"]),

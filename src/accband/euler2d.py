@@ -47,13 +47,14 @@ preserved to round-off, not merely to O(h^2).
 
 Concurrency: everything here is deterministic, serial numpy. A SimState
 is a frozen snapshot: its zeta, lambda_circ and bar_stream are fixed when
-it is built, so it is safe to hand to diagnostic consumers on other
-threads.
+it is built (the arrays read-only), so it is safe to hand to diagnostic
+consumers on other threads.
 """
 
 import contextlib
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass
 
@@ -177,7 +178,9 @@ class SimState:
 
     zeta is the (n_rho, n_phi) array of the transported field and
     bar_stream its G xi, bar_stream_values(zeta, config, grid), solved
-    once by whoever builds the state.
+    once by whoever builds the state. Both arrays are made read-only
+    here, so no holder can break bar_stream = G xi(zeta) by writing into
+    one of them; build a new state from an edited copy instead.
     """
 
     t: float
@@ -187,6 +190,10 @@ class SimState:
     grid: AnnulusGrid
     bar_stream: np.ndarray
     clamp_events: int = 0
+
+    def __post_init__(self):
+        self.zeta.setflags(write=False)
+        self.bar_stream.setflags(write=False)
 
     def xi_values(self):
         a = alpha_of_rho(self.grid.rho)[:, None]
@@ -580,15 +587,83 @@ def zonal_initial_state(config, grid):
                     bar_stream_values(zeta_vals, config, grid))
 
 
+_M32 = 0xFFFFFFFF
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_phase(seed) -> float:
+    """np.random.default_rng(seed).uniform(0, 2 pi), bit for bit, in pure Python.
+
+    The one draw a perturbed run makes, without importing numpy.random
+    (which also loads hashlib, hmac, secrets and OpenSSL: about 5.6 MB of
+    resident memory per process). numpy's SeedSequence hashes the seed's
+    little-endian 32-bit words into a pool of four words and expands the
+    pool into four 64-bit words; PCG64 (XSL-RR 128/64) is seeded from
+    those, and its first output's top 53 bits give the uniform double.
+    A negative seed is a ValidationError, as numpy rejects it too.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {seed}")
+    words = [seed & _M32]
+    while seed >> 32:
+        seed >>= 32
+        words.append(seed & _M32)
+
+    hash_a = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal hash_a
+        value ^= hash_a
+        hash_a = (hash_a * 0x931E8875) & _M32
+        value = (value * hash_a) & _M32
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return r ^ (r >> 16)
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    hash_b = 0x8B51F9DD
+    state_words = []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_b
+        hash_b = (hash_b * 0x58F38DED) & _M32
+        value = (value * hash_b) & _M32
+        state_words.append(value ^ (value >> 16))
+    s0, s1, s2, s3 = (state_words[2 * k] | state_words[2 * k + 1] << 32 for k in range(4))
+
+    inc = (2 * (s2 << 64 | s3) + 1) & _M128
+    state = (inc + (s0 << 64 | s1)) & _M128
+    for _ in range(2):  # the seeding step, then the draw's own step
+        state = (state * _PCG64_MULTIPLIER + inc) & _M128
+    rot = state >> 122
+    folded = ((state >> 64) ^ state) & _M64
+    out = ((folded >> rot) | (folded << (64 - rot))) & _M64
+    return 0.0 + 2.0 * math.pi * ((out >> 11) * 2.0**-53)
+
+
 def stream_perturbation(grid, amplitude, wavenumber, seed):
     """Divergence-free perturbation: perp-grad of a boundary-flat bump.
 
     delta psi = amplitude * sin^2(pi (rho-rho1)/L) * cos(k phi + phase),
-    with the phase drawn from the seed. Vanishes with its gradient's
+    with the phase uniform in [0, 2 pi) from the seed: the same phase as
+    np.random.default_rng(seed).uniform(0, 2 pi), drawn without importing
+    numpy.random (_seed_phase), so a seed keeps its earlier results. A
+    negative seed is a ValidationError. Vanishes with its gradient's
     tangential part on both walls and injects no net circulation.
     """
-    rng = np.random.default_rng(seed)
-    phase = rng.uniform(0.0, 2.0 * math.pi)
+    phase = _seed_phase(seed)
     s = (grid.rho - grid.rho1) / (grid.rho2 - grid.rho1)
     bump = np.sin(math.pi * s) ** 2
     return amplitude * bump[:, None] * np.cos(wavenumber * grid.phi + phase)[None, :]

@@ -178,6 +178,14 @@ class TestModes:
         assert "t_end" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_seed_exits_one_before_any_output(self, tmp_path, capsys):
+        for mode in ("evolve", "stability"):
+            out = tmp_path / mode
+            assert main(["--mode", mode, "--out", str(out), "--dt", "0.002",
+                         "--seed", "-1", "--amplitude", "0.01"]) == 1
+            assert "seed" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_spectrum_mode(self, tmp_path):
         out = tmp_path / "spec"
         code = main(["--mode", "spectrum", "--out", str(out), *MILD_BAND])
@@ -319,21 +327,21 @@ class TestModes:
           for method in ZONAL_METHODS],
         (["--mode", "spectrum"], "spectrum.csv"),
         *[(["--mode", mode, "--n-rho", "32", "--n-phi", "32", "--dt", "0.002",
-            "--t-end", "0.004"], "diagnostics.csv") for mode in ("evolve", "stability")],
+            "--t-end", "0.004", "--amplitude", "0.01", "--seed", "7"], "diagnostics.csv")
+          for mode in ("evolve", "stability")],
     ], ids=[*(f"zonal-{method}" for method in ZONAL_METHODS), "spectrum", "evolve",
             "stability"])
     def test_never_imports_scipy(self, argv, artifact, tmp_path):
-        """No mode imports scipy; zonal and spectrum runs not numpy.random
-        either (evolve and stability draw the perturbation phase)."""
+        """No mode imports scipy or numpy.random, perturbed evolve and
+        stability runs included (they draw the perturbation phase)."""
         script = (
             "import sys\n"
             "from accband import cli\n"
             f"code = cli.main([*{argv!r}, '--out', {str(tmp_path)!r}, *{MILD_BAND!r}])\n"
             "assert code == 0, code\n"
             "assert 'scipy' not in sys.modules\n"
+            "assert 'numpy.random' not in sys.modules\n"
         )
-        if argv[1] in ("zonal", "spectrum"):
-            script += "assert 'numpy.random' not in sys.modules\n"
         src = str(pathlib.Path(accband.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))}

@@ -603,6 +603,39 @@ class TestStepAndRun:
         assert all(r() is None for r in refs[1:])
 
 
+class TestSeedPhase:
+    """The perturbation phase is np.random.default_rng(seed).uniform(0, 2 pi),
+    drawn without numpy.random; numpy is the oracle here."""
+
+    # 1000-1008 are the benchmark's seeds; then the 32- and 64-bit edges,
+    # seeds of two to five 32-bit words, and the held-out seed.
+    EDGE_SEEDS = [*range(1000, 1009), 2**32 - 1, 2**32, 2**40 + 7, 2**63 - 1,
+                  2**64 + 5, 10**30, 2**128 + 3, 20261017]
+
+    def test_matches_numpy_bit_for_bit(self):
+        import numpy.random
+        for seed in [*range(3000), *self.EDGE_SEEDS]:
+            want = numpy.random.default_rng(seed).uniform(0.0, 2.0 * math.pi)
+            assert e2._seed_phase(seed) == want, seed
+
+    def test_perturbation_uses_the_phase(self, mild_config):
+        grid = make_grid(mild_config, 16, 24)
+        dpsi = e2.stream_perturbation(grid, 1.0, 3, 20261017)
+        phase = e2._seed_phase(20261017)
+        s = (grid.rho - grid.rho1) / (grid.rho2 - grid.rho1)
+        bump = np.sin(math.pi * s) ** 2
+        want = bump[:, None] * np.cos(3 * grid.phi + phase)[None, :]
+        assert dpsi.tobytes() == want.tobytes()
+
+    def test_negative_seed_rejected(self, mild_config):
+        grid = make_grid(mild_config, 16, 16)
+        for draw in (lambda: e2._seed_phase(-1),
+                     lambda: e2.stream_perturbation(grid, 1.0, 3, -1),
+                     lambda: e2.perturbed_zonal_state(mild_config, grid, 0.01, 3, -5)):
+            with pytest.raises(ValidationError, match="seed"):
+                draw()
+
+
 class TestFrozenState:
     """A SimState is a snapshot: nothing is assigned to it after it is
     built, and its bar_stream is G xi of its own zeta, from every builder."""
@@ -625,6 +658,13 @@ class TestFrozenState:
         for state in self.built_states(mild_neg_lam_config, tmp_path).values():
             with pytest.raises(dataclasses.FrozenInstanceError):
                 state.lambda_circ = 0.0
+
+    def test_arrays_are_read_only(self, mild_neg_lam_config, tmp_path):
+        for name, state in self.built_states(mild_neg_lam_config, tmp_path).items():
+            for array in (state.zeta, state.bar_stream):
+                assert not array.flags.writeable, name
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0, 0] = 1.0
 
     def test_bar_stream_is_g_xi_of_zeta(self, mild_neg_lam_config, tmp_path):
         states = self.built_states(mild_neg_lam_config, tmp_path)
@@ -729,8 +769,10 @@ class TestCheckpoints:
 
     def test_bytes_match_per_value_format(self, mild_neg_lam_config, tmp_path):
         grid = make_grid(mild_neg_lam_config, 32, 16)
-        state = e2.perturbed_zonal_state(mild_neg_lam_config, grid, 0.02, 2, seed=9)
-        state.zeta[0, 0] = -0.0
+        perturbed = e2.perturbed_zonal_state(mild_neg_lam_config, grid, 0.02, 2, seed=9)
+        zeta = perturbed.zeta.copy()
+        zeta[0, 0] = -0.0
+        state = make_state(zeta, perturbed.lambda_circ, mild_neg_lam_config, grid)
 
         def per_value_writer(path, state):
             header = {"n_rho": grid.n_rho, "n_phi": grid.n_phi,
@@ -749,10 +791,13 @@ class TestCheckpoints:
 
     def test_roundtrip_keeps_special_values(self, mild_config, tmp_path):
         grid = make_grid(mild_config, 32, 16)
-        state = e2.zonal_initial_state(mild_config, grid)
+        zonal_state = e2.zonal_initial_state(mild_config, grid)
         specials = [-0.0, 5e-324, np.inf, -np.inf, np.nan, 1e300, -5e-324, -1e300]
-        state.zeta[3, :8] = specials
-        state.zeta[-1, 8:] = specials[::-1]
+        zeta = zonal_state.zeta.copy()
+        zeta[3, :8] = specials
+        zeta[-1, 8:] = specials[::-1]
+        with np.errstate(invalid="ignore"):  # G xi of inf and nan is nan
+            state = make_state(zeta, zonal_state.lambda_circ, mild_config, grid)
         path = tmp_path / "state.txt"
         e2.write_checkpoint(path, state)
         _, values = e2.read_checkpoint(path)
