@@ -176,7 +176,7 @@ def _spectrum_report(spec, out, n_eigen=5):
 
 def run_mode_zonal(spec, out):
     profile = _solve_profile(spec)
-    zonal.write_profile_csv(profile, out / "profile.csv")
+    # the plot refuses a non-finite velocity before any file is written
     svgplot.line_plot(
         out / "profile.svg",
         np.degrees(profile.thetas), profile.u_dimensional,
@@ -184,6 +184,7 @@ def run_mode_zonal(spec, out):
         title=f"zonal velocity (lambda={spec.config.lam:g}, "
               f"upsilon={spec.config.upsilon:g})",
     )
+    zonal.write_profile_csv(profile, out / "profile.csv")
     _spectrum_report(spec, out)
     if spec.config.lam == 0.0:
         # the requested method's profile is one of the three: solve it once

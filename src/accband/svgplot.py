@@ -1,4 +1,12 @@
-"""Minimal SVG line plots (axes, polyline, labels); no plotting library.
+"""Minimal SVG line plots (axes, one path, labels); no plotting library.
+
+The curve is one SVG path in integer hundredths of a pixel, drawn under
+``transform="scale(0.01)"``: an absolute ``M`` to the first vertex, then
+one relative ``l`` whose pairs step from each vertex to the next.  Each
+vertex is ``round(100 * pixel)``, half to even on the double product, so
+the curve takes under half the text of ``%.2f`` pixel pairs.  It differs
+from ``%.2f`` only where ``100 * pixel`` rounds onto an exact .5 that the
+pixel itself is not, a case rare enough that none has been seen.
 
 Deliberately small: richer plotting belongs to the user's tooling via the
 CSV outputs.
@@ -6,19 +14,24 @@ CSV outputs.
 
 import numpy as np
 
+from .errors import NumericalError
+
 WIDTH, HEIGHT = 640, 420
 MARGIN = 56
 
 
 def _ticks(lo, hi, n=5):
-    if hi == lo:
-        hi = lo + 1.0
     step = (hi - lo) / (n - 1)
     return [lo + i * step for i in range(n)]
 
 
 def line_plot(path, x, y, *, xlabel="", ylabel="", title=""):
-    """Write a single-series line plot to an SVG file."""
+    """Write a single-series line plot to an SVG file.
+
+    Raises NumericalError, before the file is opened, when a pixel
+    coordinate is not finite (a NaN or infinite input, or a zero-width
+    x range).
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     x_lo, x_hi = float(np.min(x)), float(np.max(x))
@@ -35,11 +48,16 @@ def line_plot(path, x, y, *, xlabel="", ylabel="", title=""):
     def sy(v):
         return HEIGHT - MARGIN - (v - y_lo) / (y_hi - y_lo) * (HEIGHT - 2 * MARGIN)
 
-    # sx and sy over whole arrays: the same expressions, one format call
-    xy = np.empty((len(x), 2))
-    xy[:, 0] = MARGIN + (x - x_lo) / (x_hi - x_lo) * (WIDTH - 2 * MARGIN)
-    xy[:, 1] = HEIGHT - MARGIN - (y - y_lo) / (y_hi - y_lo) * (HEIGHT - 2 * MARGIN)
-    points = " ".join(["%.2f,%.2f"] * len(x)) % tuple(xy.ravel().tolist())
+    with np.errstate(all="ignore"):  # a zero-width range gives NaN, refused here
+        xy = np.column_stack((sx(x), sy(y)))
+    if not np.all(np.isfinite(xy)):
+        raise NumericalError(
+            f"cannot plot {path}: non-finite pixel coordinates "
+            f"(x range [{x_lo!r}, {x_hi!r}], y range [{y_lo!r}, {y_hi!r}])"
+        )
+    vertices = np.rint(xy * 100).astype(np.int64)
+    steps = np.concatenate((vertices[0], np.diff(vertices, axis=0).ravel()))
+    d = ("M%d,%dl" + " ".join(["%d,%d"] * (len(x) - 1))) % tuple(steps.tolist())
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
@@ -66,8 +84,8 @@ def line_plot(path, x, y, *, xlabel="", ylabel="", title=""):
     parts.append(f'<text x="16" y="{HEIGHT / 2:.0f}" text-anchor="middle" '
                  f'font-size="13" transform="rotate(-90 16 {HEIGHT / 2:.0f})">'
                  f'{ylabel}</text>')
-    parts.append(f'<polyline points="{points}" fill="none" stroke="#1f6fb2" '
-                 f'stroke-width="1.5"/>')
+    parts.append(f'<path transform="scale(0.01)" d="{d}" fill="none" '
+                 f'stroke="#1f6fb2" stroke-width="150"/>')
     parts.append("</svg>")
     with open(path, "w") as fh:
         fh.write("\n".join(parts) + "\n")

@@ -156,7 +156,23 @@ class TestModes:
         assert len(solves) == 1
         assert len((tmp_path / "run" / "zonal_crosscheck.csv").read_text().splitlines()) == 4
 
-    def test_zonal_figure1_has_boundary_jets(self, tmp_path):
+    def test_zonal_non_finite_velocity_exits_two_without_a_plot(self, tmp_path, monkeypatch,
+                                                                capsys):
+        solve_fd = cli.zonal.solve_fd
+
+        def nan_velocity(*args):
+            profile = solve_fd(*args)
+            profile.u_dimensional[len(profile.thetas) // 2] = math.nan
+            return profile
+
+        monkeypatch.setattr(cli.zonal, "solve_fd", nan_velocity)
+        out = tmp_path / "run"
+        assert main(["--mode", "zonal", "--out", str(out), "--n-zonal", "201",
+                     "--lambda", "-10", "--method", "fd", *MILD_BAND]) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+    def test_zonal_figure1_has_boundary_jets(self, tmp_path, plot_pixels, svg_curve):
         out = tmp_path / "fig1"
         code = main([
             "--mode", "zonal", "--out", str(out), "--n-zonal", "2001",
@@ -168,8 +184,11 @@ class TestModes:
         n = len(speed)
         interior = speed[n // 3 : 2 * n // 3]
         assert np.max(speed) >= 3.0 * np.max(interior)
-        svg = (out / "profile.svg").read_text()
-        assert "<polyline" in svg and "latitude" in svg
+        assert "latitude" in (out / "profile.svg").read_text()
+        # the plot draws the table: every vertex is a profile.csv row's pixel
+        _, vertices = svg_curve(out / "profile.svg")
+        assert vertices == [(round(100 * px), round(100 * py)) for px, py
+                            in plot_pixels(rows["theta_deg"], rows["u_m_per_s"])]
 
     def test_negative_t_end_exits_one_before_any_output(self, tmp_path, capsys):
         out = tmp_path / "neg"

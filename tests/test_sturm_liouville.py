@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
+from accband import sturm_liouville
 from accband.errors import (
     ConvergenceFailure,
     ResonantEigenvalue,
@@ -14,6 +15,7 @@ from accband.errors import (
 )
 from accband.geometry import BandConfig
 from accband.sturm_liouville import (
+    MAX_REFINEMENTS,
     SLProblem,
     _difference_matrix,
     _lowest_eigenpairs,
@@ -91,6 +93,39 @@ class TestEigenSolve:
             eigen_solve(textbook_problem(h=np.sin), n_max=2)
         with pytest.raises(ValidationError):
             eigen_solve(textbook_problem(), n_max=2, grid_size=32)
+
+    @staticmethod
+    def _record_attempts(monkeypatch, failing):
+        """Grid size of each eigen_solve attempt; the Pruefer angles of the
+        attempts that failing(attempt) picks are shifted off their index."""
+        sizes = []
+        tridiagonal_eigen, angle = _tridiagonal_eigen, sturm_liouville.prufer_angle
+
+        def recording_eigen(prob, n_max, grid_size):
+            sizes.append(grid_size)
+            return tridiagonal_eigen(prob, n_max, grid_size)
+
+        def shifted_angle(prob, mus, n_steps):
+            return angle(prob, mus, n_steps) + (np.pi if failing(len(sizes)) else 0.0)
+
+        monkeypatch.setattr(sturm_liouville, "_tridiagonal_eigen", recording_eigen)
+        monkeypatch.setattr(sturm_liouville, "prufer_angle", shifted_angle)
+        return sizes
+
+    def test_index_mismatch_doubles_the_grid_once(self, monkeypatch):
+        sizes = self._record_attempts(monkeypatch, lambda attempt: attempt == 1)
+        spec = eigen_solve(textbook_problem(), n_max=3, grid_size=257)
+        assert sizes == [257, 2 * (257 - 1) + 1]
+        assert len(spec.grid) == 513
+        n = np.arange(1, 4)
+        assert np.max(np.abs(spec.eigenvalues - n**2) / n**2) <= 1e-4
+
+    def test_persistent_index_mismatch_raises(self, monkeypatch):
+        sizes = self._record_attempts(monkeypatch, lambda attempt: True)
+        with pytest.raises(ConvergenceFailure, match="Pruefer index"):
+            eigen_solve(textbook_problem(), n_max=3, grid_size=257)
+        assert len(sizes) == MAX_REFINEMENTS + 1
+        assert sizes == [256 * 2**k + 1 for k in range(MAX_REFINEMENTS + 1)]
 
 
 class TestPruferOracle:
