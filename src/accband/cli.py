@@ -83,6 +83,12 @@ def _convert(key, text, line):
         raise ParseError(f"cannot parse value {text!r}", line=line, key=key) from None
 
 
+def _check_finite(key, value):
+    """ValidationError unless a float setting is a finite number."""
+    if not math.isfinite(value):
+        raise ValidationError(f"{key} must be finite, got {value!r}")
+
+
 def _parse_file(path):
     """Strict key = value reader with line numbers."""
     sections = {section for section, _, _ in OPTIONS.values()}
@@ -119,6 +125,9 @@ def parse_config(path=None, overrides=None, out_dir="accband_out") -> RunSpec:
         if val is not None:
             values[key] = val
 
+    for key, (_, kind, _) in OPTIONS.items():
+        if kind is float:
+            _check_finite(key, values[key])
     for key, choices in _CHOICES.items():
         if values[key] not in choices:
             raise ValidationError(f"{key} must be one of {choices}, got {values[key]!r}")
@@ -132,6 +141,8 @@ def parse_config(path=None, overrides=None, out_dir="accband_out") -> RunSpec:
         raise ValidationError("output_stride must be at least 1")
     if values["seed"] < 0:
         raise ValidationError("seed must be nonnegative")
+    if values["n_zonal"] < 5:
+        raise ValidationError("n_zonal must be at least 5")
 
     config = BandConfig(
         theta1=math.radians(values["theta1_deg"]),
@@ -373,6 +384,8 @@ def main(argv=None) -> int:
             lams = [_convert("lambda", tok, None) for tok in args.sweep.split(",") if tok.strip()]
             if not lams:
                 raise ValidationError("--sweep needs at least one lambda value")
+            for v in lams:
+                _check_finite("lambda", v)
             # at most one worker thread per core; each lambda runs to
             # completion and the worst exit code wins
             subs = [replace(spec, config=replace(spec.config, lam=v),

@@ -19,7 +19,9 @@ Two independent routes to the spectrum are provided:
 
     whose boundary value theta(b; mu) is strictly increasing in mu and
     passes through k*pi exactly at the k-th eigenvalue. The angle also
-    counts eigenvalues below mu, which makes index verification cheap.
+    counts eigenvalues below mu, which makes index verification cheap,
+    and prufer_eigenvalues inverts it at k*pi by cubic interpolation in
+    numpy, so neither route imports scipy.
 
 Every eigen_solve result is index-checked against the angle count so no
 eigenvalue can be silently skipped. eigen_solve itself keeps nothing
@@ -436,17 +438,20 @@ def prufer_eigenvalues(prob: SLProblem, n_max: int, guesses=None) -> np.ndarray:
 
     theta(b; mu) is integrated once for a bracket of mu values around each
     guess (one vectorized pass over all eigenvalues), and the strictly
-    increasing angle is inverted by cubic interpolation at k pi. A second
-    pass with a bracket a thousand times tighter polishes the roots.
+    increasing angle is inverted by cubic interpolation: mu at k pi is read
+    off the cubic of mu in theta through the four samples around k pi. A
+    second pass with a bracket a thousand times tighter polishes the roots.
     The roots are independent of the matrix route used by eigen_solve,
     which only supplies the default guesses.
     """
+    if n_max < 1:
+        raise ValidationError("need n_max >= 1")
     if guesses is None:
         guesses = _tridiagonal_eigen(prob, n_max, 513)[0]
     mus = np.asarray(guesses, dtype=float).copy()
+    if mus.shape != (n_max,):
+        raise ValidationError(f"need {n_max} guesses, got {mus.size}")
     targets = np.pi * np.arange(1, n_max + 1)
-
-    from scipy.interpolate import CubicSpline
 
     rel = SHOOT_BRACKET_REL
     for sweep in range(2):
@@ -462,14 +467,24 @@ def prufer_eigenvalues(prob: SLProblem, n_max: int, guesses=None) -> np.ndarray:
             rel *= 4.0
         else:
             raise ConvergenceFailure("could not bracket the requested eigenvalues")
-        mus = np.array(
-            [
-                float(CubicSpline(angles[k], grid[k])(targets[k]))
-                for k in range(n_max)
-            ]
-        )
+        mus = _inverse_cubic(angles, grid, targets)
         rel = max(rel * 1e-3, 1e-9)
     return mus
+
+
+def _inverse_cubic(angles, grid, targets):
+    """mu at theta = targets[k] for each row k of increasing angles[k]:
+    the Lagrange cubic of mu in theta through the four samples around the
+    target (two on each side, or the four at the nearer end)."""
+    rows = np.arange(len(targets))[:, None]
+    above = np.sum(angles < targets[:, None], axis=1)  # first sample >= target
+    start = np.clip(above - 2, 0, angles.shape[1] - 4)
+    cols = start[:, None] + np.arange(4)
+    dist = angles[rows, cols] - targets[:, None]  # theta_j - target
+    # basis weight j at the target: prod over m != j of dist_m / (dist_m - dist_j)
+    ratio = dist[:, None, :] / (dist[:, None, :] - dist[:, :, None] + np.eye(4))
+    ratio[:, range(4), range(4)] = 1.0
+    return np.sum(ratio.prod(axis=2) * grid[rows, cols], axis=1)
 
 
 # ==================================================================

@@ -30,6 +30,8 @@ SAMPLE_VALUES = {
     "method": "picard", "amplitude": "0.02", "wavenumber": "5", "seed": "11",
 }
 
+FLOAT_KEYS = sorted(key for key, (_, kind, _) in OPTIONS.items() if kind is float)
+
 
 class TestParseConfig:
     def test_empty_file_requires_mode(self, tmp_path):
@@ -204,6 +206,38 @@ class TestModes:
                          "--seed", "-1", "--amplitude", "0.01"]) == 1
             assert "seed" in capsys.readouterr().err
             assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_flag_exits_one_before_any_output(self, key, text, tmp_path,
+                                                          capsys):
+        out = tmp_path / "run"
+        flag = "--" + key.replace("_", "-")
+        assert main(["--mode", "stability", "--out", str(out), "--dt", "0.002",
+                     "--t-end", "0.004", "--n-rho", "16", "--n-phi", "16",
+                     "--amplitude", "0.01", f"{flag}={text}"]) == 1
+        assert f"{key} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_file_setting_exits_one_before_any_output(self, tmp_path, capsys):
+        path = tmp_path / "scenario.ini"
+        path.write_text("[run]\nmode = evolve\ndt = 0.002\nt_end = nan\n")
+        out = tmp_path / "run"
+        assert main(["--config", str(path), "--out", str(out)]) == 1
+        assert "t_end must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--n-zonal", "101", "--sweep=nan,-10", *MILD_BAND], "lambda must be finite"),
+        # the lambda = 0 cross-check's velocity stencil needs 5 samples
+        (["--method", "picard", "--n-zonal", "4"], "n_zonal must be at least 5"),
+    ], ids=["sweep_nan", "n_zonal_4"])
+    def test_invalid_zonal_run_exits_one_before_any_output(self, argv, message, tmp_path,
+                                                           capsys):
+        out = tmp_path / "run"
+        assert main(["--mode", "zonal", "--out", str(out), *argv]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()  # a sweep is rejected before any worker starts
 
     def test_spectrum_mode(self, tmp_path):
         out = tmp_path / "spec"

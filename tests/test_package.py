@@ -25,39 +25,55 @@ def test_readme_library_example_runs(capsys):
     assert all(math.isfinite(float(value)) for value in printed)
 
 
-def _numpy_random_uses(path):
-    """(line, text) of each import of numpy.random in one source file, and
-    of each .random attribute taken on a name bound to numpy."""
+def _module_uses(path, module):
+    """(line, text) of each import of `module` or a submodule of it in one
+    source file and, for a dotted module such as numpy.random, of each
+    attribute taken by its last name on a name bound to its parent."""
     tree = ast.parse(path.read_text(), filename=str(path))
-    numpy_names = {"numpy"}
+    parent, _, leaf = module.rpartition(".")
+
+    def within(name):
+        return name == module or name.startswith(module + ".")
+
+    parent_names = {parent}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            numpy_names.update(alias.asname for alias in node.names
-                               if alias.name == "numpy" and alias.asname)
+            parent_names.update(alias.asname for alias in node.names
+                                if alias.name == parent and alias.asname)
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             found += [(node.lineno, f"import {alias.name}") for alias in node.names
-                      if alias.name.startswith("numpy.random")]
+                      if within(alias.name)]
         elif isinstance(node, ast.ImportFrom) and node.module:
-            if node.module.startswith("numpy.random") or (
-                    node.module == "numpy"
-                    and any(alias.name == "random" for alias in node.names)):
+            if within(node.module) or (
+                    node.module == parent
+                    and any(alias.name == leaf for alias in node.names)):
                 found.append((node.lineno, f"from {node.module} import ..."))
-        elif (isinstance(node, ast.Attribute) and node.attr == "random"
-              and isinstance(node.value, ast.Name) and node.value.id in numpy_names):
-            found.append((node.lineno, f"{node.value.id}.random"))
+        elif (parent and isinstance(node, ast.Attribute) and node.attr == leaf
+              and isinstance(node.value, ast.Name) and node.value.id in parent_names):
+            found.append((node.lineno, f"{node.value.id}.{leaf}"))
     return found
+
+
+def _library_uses(module):
+    """{file name: uses} of `module` over every source file of the library."""
+    package = pathlib.Path(accband.__file__).resolve().parent
+    sources = sorted(package.glob("*.py"))
+    assert len(sources) >= 10
+    return {path.name: uses for path in sources if (uses := _module_uses(path, module))}
 
 
 def test_library_never_uses_numpy_random():
     """No module of the library imports numpy.random or reaches it as an
     attribute, so no run mode pays for loading it."""
-    package = pathlib.Path(accband.__file__).resolve().parent
-    sources = sorted(package.glob("*.py"))
-    assert len(sources) >= 10
-    found = {path.name: uses for path in sources if (uses := _numpy_random_uses(path))}
-    assert found == {}
+    assert _library_uses("numpy.random") == {}
+
+
+def test_library_never_imports_scipy():
+    """No module of the library imports scipy, so numpy is its only
+    runtime dependency."""
+    assert _library_uses("scipy") == {}
 
 
 def test_numpy_random_scan_finds_each_form(tmp_path):
@@ -69,7 +85,21 @@ def test_numpy_random_scan_finds_each_form(tmp_path):
     for i, text in enumerate(forms):
         path = tmp_path / f"form{i}.py"
         path.write_text(text)
-        assert _numpy_random_uses(path), text
+        assert _module_uses(path, "numpy.random"), text
     clean = tmp_path / "clean.py"
     clean.write_text("import random\nimport numpy as np\nx = random.random()\n")
-    assert _numpy_random_uses(clean) == []
+    assert _module_uses(clean, "numpy.random") == []
+
+
+def test_scipy_scan_finds_each_form(tmp_path):
+    forms = ["import scipy\n",
+             "import scipy.interpolate\n",
+             "from scipy.interpolate import CubicSpline\n",
+             "from scipy import linalg\n"]
+    for i, text in enumerate(forms):
+        path = tmp_path / f"form{i}.py"
+        path.write_text(text)
+        assert _module_uses(path, "scipy"), text
+    clean = tmp_path / "clean.py"
+    clean.write_text("import numpy as np\nfrom .sturm_liouville import eigen_solve\n")
+    assert _module_uses(clean, "scipy") == []

@@ -18,6 +18,7 @@ from accband.sturm_liouville import (
     MAX_REFINEMENTS,
     SLProblem,
     _difference_matrix,
+    _inverse_cubic,
     _lowest_eigenpairs,
     _sturm_counts,
     _tridiagonal_eigen,
@@ -148,6 +149,33 @@ class TestPruferOracle:
         oracle = prufer_eigenvalues(prob, n_max=10, guesses=spec.eigenvalues)
         rel = np.abs(spec.eigenvalues - oracle) / np.abs(oracle)
         assert np.max(rel) <= 1e-6, f"first-10 rel error {np.max(rel):.2e}"
+
+    def test_plain_angle_closed_form(self):
+        """p = w = 1, q = 60 on [0, 1]: mu_k = k^2 pi^2 - 60. The first two
+        are negative, which the scaled angle cannot take, so the plain angle
+        is inverted at negative mu too."""
+        one = lambda x: np.ones_like(np.asarray(x, dtype=float))
+        prob = SLProblem(a=0.0, b=1.0, p=one, q=lambda x: 60.0 * one(x), w=one)
+        mus = prufer_eigenvalues(prob, n_max=4)
+        exact = (np.arange(1, 5) * np.pi) ** 2 - 60.0
+        assert np.sum(exact < 0) == 2
+        assert np.max(np.abs(mus - exact) / np.abs(exact)) <= 1e-8
+
+    def test_inversion_reproduces_a_cubic(self):
+        """mu read off at a target is exact when mu is a cubic of theta,
+        at either end of the samples and between them."""
+        angles = np.linspace(0.0, 2.0, 17) ** 1.5 + np.arange(5.0)[:, None]
+        targets = angles[:, 0] + np.array([1e-3, 0.4, 1.37, 2.5, 2.828])
+        cubic = lambda th: 3.0 - 2.0 * th + 0.5 * th**2 - 0.25 * th**3
+        mus = _inverse_cubic(angles, cubic(angles), targets)
+        assert np.allclose(mus, cubic(targets), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("n_max, guesses", [
+        (0, None), (-1, None), (5, [1.0, 4.0, 9.0]), (2, [1.0, 4.0, 9.0]),
+    ], ids=["zero", "negative", "too_few_guesses", "too_many_guesses"])
+    def test_rejects_bad_arguments(self, n_max, guesses):
+        with pytest.raises(ValidationError):
+            prufer_eigenvalues(textbook_problem(), n_max=n_max, guesses=guesses)
 
 
 class TestTridiagonalOracle:
