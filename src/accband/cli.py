@@ -131,8 +131,6 @@ def parse_config(path=None, overrides=None, out_dir="accband_out") -> RunSpec:
     for key, choices in _CHOICES.items():
         if values[key] not in choices:
             raise ValidationError(f"{key} must be one of {choices}, got {values[key]!r}")
-    if values["mode"] in ("evolve", "stability") and not values["dt"] > 0:
-        raise ValidationError("dt must be positive for evolve/stability runs")
     if values["t_end"] < 0:
         raise ValidationError("t_end must be nonnegative")
     if values["amplitude"] < 0:
@@ -151,6 +149,10 @@ def parse_config(path=None, overrides=None, out_dir="accband_out") -> RunSpec:
         lam=values["lambda"], upsilon=values["upsilon"],
         u_scale=values["u_scale"],
     )
+    if values["mode"] in ("evolve", "stability"):
+        if not values["dt"] > 0:
+            raise ValidationError("dt must be positive for evolve/stability runs")
+        AnnulusGrid.from_band(config, values["n_rho"], values["n_phi"])  # the grid's checks
     return RunSpec(config=config, out_dir=str(out_dir),
                    **{key: values[key] for key in _RUN_KEYS})
 

@@ -27,7 +27,6 @@ the phi sum).
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -264,15 +263,14 @@ class DiagnosticRecord:
     circ2: float
     casimirs: dict
     lyapunov: float
-    stability_lhs: Optional[float]
+    stability_lhs: float
     max_xi: float
     lambda_circ: float
 
     def csv_row(self) -> str:
-        stab = float("nan") if self.stability_lhs is None else self.stability_lhs
         cells = [self.t, self.energy, self.circ1, self.circ2,
                  self.casimirs[2], self.casimirs[3],
-                 stab, self.max_xi, self.lambda_circ]
+                 self.stability_lhs, self.max_xi, self.lambda_circ]
         return ",".join(repr(float(v)) for v in cells)
 
 
@@ -332,7 +330,7 @@ def summary(records) -> dict:
         **{f"casimir{k}": (first.casimirs[k], last.casimirs[k])
            for k in first.casimirs},
     }
-    out = {
+    return {
         "t_first": float(first.t),
         "t_last": float(last.t),
         "records": len(records),
@@ -342,17 +340,15 @@ def summary(records) -> dict:
                    "relative_drift": float(drift(a, b))}
             for name, (a, b) in entries.items()
         },
-    }
-    if first.stability_lhs is not None:
-        out["stability"] = {
+        "stability": {
             "rhs": float(first.stability_lhs),
             "lhs_final": float(last.stability_lhs),
             "defect": float(last.stability_lhs - first.stability_lhs),
-        }
-    return out
+        },
+    }
 
 
-def record(state: SimState, reference: SimState = None) -> DiagnosticRecord:
+def record(state: SimState, reference: SimState) -> DiagnosticRecord:
     """Evaluate the full diagnostic suite on one state.
 
     The stream function, its flat gradient integral and its wall
@@ -372,8 +368,7 @@ def record(state: SimState, reference: SimState = None) -> DiagnosticRecord:
         casimirs={k: casimir(state, k) for k in (2, 3)},
         lyapunov=_lyapunov_terms(grad_sq, planar_circ, absolute_vorticity(state),
                                  state.config, grid),
-        stability_lhs=(None if reference is None
-                       else _stability_lhs(state, psi, reference)),
+        stability_lhs=_stability_lhs(state, psi, reference),
         max_xi=state.max_xi(),
         lambda_circ=state.lambda_circ,
     )

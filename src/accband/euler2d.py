@@ -23,9 +23,9 @@ need the absolute vorticity therefore evaluate s = -zeta.
 Discretization, in (rho, phi) = (log r, azimuth):
 
   * spectral d/dphi (FFT), second-order d/drho (one-sided at walls);
-  * Poisson: FFT in phi + one tridiagonal solve per mode in rho; the
-    radial factorisation depends only on the grid and is cached on it
-    (AnnulusGrid.poisson_factor);
+  * Poisson: FFT in phi + one tridiagonal solve per mode in rho, by the
+    Thomas kernel of sturm_liouville; the radial factorisation depends
+    only on the grid and is cached on it (AnnulusGrid.poisson_factor);
   * transport: semi-Lagrangian, two-stage midpoint trajectories with the
     time-midpoint velocity taken from a predictor step, cubic Lagrange
     interpolation clipped to the local 4x4 stencil range (preserves the
@@ -63,7 +63,8 @@ import numpy as np
 from .errors import CflViolation, ValidationError
 from .geometry import alpha_of_rho, beta_of_rho, integral_flat
 from .grids import AnnulusGrid
-from .zonal import _thomas_solve, solve_fd_rho
+from .sturm_liouville import _thomas_solve
+from .zonal import solve_fd_rho
 
 CFL_LIMIT = 0.8
 
@@ -132,10 +133,11 @@ def _poisson_values(source, grid):
     """Solve Delta psi = -source with psi = 0 on both walls.
 
     FFT in phi, then one tridiagonal solve in rho for all modes at once,
-    through the grid's cached factor.
+    through the grid's cached factor, whose pinned wall rows take psi = 0.
     """
     rhs_hat = np.fft.rfft(-np.exp(2.0 * grid.rho)[:, None] * source, axis=1)
-    psi_hat = _thomas_solve(grid.poisson_factor, rhs_hat, 0.0, 0.0)
+    rhs_hat[0] = rhs_hat[-1] = 0.0
+    psi_hat = _thomas_solve(grid.poisson_factor, rhs_hat)
     return np.fft.irfft(psi_hat, n=grid.n_phi, axis=1)
 
 

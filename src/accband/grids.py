@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ValidationError
-from . import zonal
+from .sturm_liouville import _thomas_factor
 
 
 @dataclass(frozen=True)
@@ -84,13 +84,13 @@ class AnnulusGrid:
         """Pinned radial factor of the Poisson solve, built once per grid.
 
         One tridiagonal d^2/drho^2 - m^2 per rfft mode m of n_phi, with
-        Dirichlet rows pinned at both walls (see zonal._thomas_factor).
+        Dirichlet rows pinned at both walls (sturm_liouville._thomas_factor).
         """
         h = self.d_rho
         m = np.arange(self.n_phi // 2 + 1)
         off = np.full(self.n_rho, 1.0 / h**2)
         diag = np.full((self.n_rho, len(m)), -2.0 / h**2) - (m * m)[None, :]
-        return zonal._thomas_factor(off, diag, off)
+        return _thomas_factor(off, diag, off)
 
     def compatible_with(self, other):
         return (

@@ -23,6 +23,9 @@ Two independent routes to the spectrum are provided:
     and prufer_eigenvalues inverts it at k*pi by cubic interpolation in
     numpy, so neither route imports scipy.
 
+One Thomas kernel (_thomas_factor, _thomas_solve) serves inverse
+iteration, zonal's finite differences and euler2d's Poisson solve, and
+one RK4 loop (_doubled_angle) integrates both forms of the Pruefer angle.
 Every eigen_solve result is index-checked against the angle count so no
 eigenvalue can be silently skipped. eigen_solve itself keeps nothing
 between calls: each call solves and checks afresh, and the one cache of
@@ -40,6 +43,7 @@ import numpy as np
 
 from .errors import (
     ConvergenceFailure,
+    NearEigenvalue,
     ResonantEigenvalue,
     ValidationError,
     ZeroFunction,
@@ -103,6 +107,95 @@ class SLSpectrum:
 
     def __len__(self):
         return len(self.eigenvalues)
+
+
+# ==================================================================
+# Tridiagonal kernel
+# ==================================================================
+
+PIVOT_RTOL = 1e-9  # pivots below this fraction of the matrix scale are singular
+
+
+def _thomas_factor(lower, diag, upper):
+    """Pin the Dirichlet rows, then eliminate: a tridiagonal factor.
+
+    Row i reads lower[i] x[i-1] + diag[i] x[i] + upper[i] x[i+1], batched
+    over trailing axes of diag. Rows 0 and n-1 are overwritten in place by
+    identity rows, equilibrated to the largest interior diagonal entry,
+    which diag[0] and diag[-1] then hold. The factor depends on the matrix
+    only, so one factor serves every right-hand side (see _thomas_solve).
+    The pivots are checked once, after the sweep: one below PIVOT_RTOL
+    times the matrix scale, or NaN, raises NearEigenvalue. One column is
+    eliminated on Python floats, which is cheaper than a ufunc call per
+    row and bit-identical to it; there an exactly zero pivot stops the
+    sweep, also with NearEigenvalue.
+    """
+    row_scale = float(np.max(np.abs(diag[1:-1])))
+    upper[0] = lower[-1] = 0.0
+    diag[0] = diag[-1] = row_scale
+    n = len(diag)
+    scale = float(np.max(np.abs(diag)) + np.max(np.abs(lower)) + np.max(np.abs(upper)))
+    if np.ndim(diag) == 1:
+        lower, diag, upper = lower.tolist(), diag.tolist(), upper.tolist()
+        piv, c = [0.0] * n, [0.0] * n
+    else:
+        piv, c = np.empty(np.shape(diag)), np.empty(np.shape(diag))
+    try:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            piv[0] = p = diag[0]
+            c[0] = upper[0] / p
+            for i in range(1, n):
+                piv[i] = p = diag[i] - lower[i] * c[i - 1]
+                c[i] = upper[i] / p
+    except ZeroDivisionError:  # Python floats raise where numpy gives inf
+        raise NearEigenvalue("tridiagonal pivot 0.000e+00 below threshold") from None
+    size = np.abs(piv)
+    if not np.all(size >= PIVOT_RTOL * scale):
+        raise NearEigenvalue(f"tridiagonal pivot {np.min(size):.3e} below threshold")
+    return lower, piv, c
+
+
+def _thomas_solve(factor, rhs):
+    """Forward and back substitution through a tridiagonal factor.
+
+    factor is (lower, piv, c), pivots piv[i] = diag[i] - lower[i] c[i-1]
+    and c[i] = upper[i] / piv[i] (c[:n-1] is read); rhs is left as it is.
+    Batched rows are substituted into x in place, so a sweep makes no
+    temporaries; one column is substituted on Python floats, which is
+    cheaper than a ufunc call per row and, for real data, bit-identical
+    to it. Both compute
+    x[i] = (rhs[i] - lower[i] x[i-1]) / piv[i], then x[i] -= c[i] x[i+1].
+    """
+    lower, piv, c = factor
+    if np.ndim(rhs) == 1:
+        b = rhs.tolist()
+        x = [0.0] * len(b)
+        x[0] = d = b[0] / piv[0]
+        for i in range(1, len(b)):
+            x[i] = d = (b[i] - lower[i] * d) / piv[i]
+        for i in range(len(b) - 2, -1, -1):
+            x[i] = d = x[i] - c[i] * d
+        return np.array(x)
+    x = np.empty(np.shape(rhs), dtype=np.result_type(rhs, piv))
+    rows = list(x)
+    np.divide(rhs[0], piv[0], out=rows[0])
+    for prev, row, low, b, p in zip(rows, rows[1:], lower[1:], rhs[1:], piv[1:]):
+        np.multiply(low, prev, out=row)
+        np.subtract(b, row, out=row)
+        np.divide(row, p, out=row)
+    term = np.empty_like(rows[0])
+    for row, nxt, ci in zip(rows[-2::-1], rows[:0:-1], c[len(rows) - 2::-1]):
+        np.multiply(ci, nxt, out=term)
+        np.subtract(row, term, out=row)
+    return x
+
+
+def _solve_pinned(lower, diag, upper, rhs, left, right):
+    """Tridiagonal solve with Dirichlet values left and right pinned at
+    both ends; the arguments are overwritten in place."""
+    factor = _thomas_factor(lower, diag, upper)
+    rhs[0], rhs[-1] = left * diag[0], right * diag[-1]
+    return _thomas_solve(factor, rhs)
 
 
 # ==================================================================
@@ -180,28 +273,19 @@ def _start_block(shape):
 def _inverse_iteration(d, e, pivmin, shifts):
     """Unit eigenvectors of T nearest each shift, one column per shift.
 
-    Every column is solved with its own LDL^T(T - s); the factors are
-    near-singular by design, and the guarded pivots keep them finite.
-    Iteration stops when each column has turned by less than INVERSE_RTOL;
-    the start is a fixed pseudo-random block (_start_block), as LAPACK's
-    stein starts from a fixed pseudo-random vector.
+    Every column is solved (by _thomas_solve) with its own LDL^T(T - s);
+    the factors are near-singular by design, and the guarded pivots keep
+    them finite. Iteration stops when each column has turned by less than
+    INVERSE_RTOL; the start is a fixed pseudo-random block (_start_block),
+    as LAPACK's stein starts from a fixed pseudo-random vector.
     """
     piv = np.concatenate([block.copy() for block in
                           _pivot_blocks(d, e * e, pivmin, shifts)])
-    low = e[:, None] / piv[:-1]  # L[i + 1, i]
+    factor = (np.concatenate(([0.0], e)), piv, e[:, None] / piv[:-1])
     x = _start_block(piv.shape)
-    rows = list(x)
-    term = np.empty(len(shifts))
     for _ in range(MAX_INVERSE_ITERATIONS):
-        x /= np.linalg.norm(x, axis=0)
-        before = x.copy()
-        for prev, row, l_i in zip(rows, rows[1:], low):
-            np.multiply(l_i, prev, out=term)
-            row -= term
-        x /= piv
-        for nxt, row, l_i in zip(rows[:0:-1], rows[-2::-1], low[::-1]):
-            np.multiply(l_i, nxt, out=term)
-            row -= term
+        before = x / np.linalg.norm(x, axis=0)
+        x = _thomas_solve(factor, before)
         norms = np.linalg.norm(x, axis=0)
         if np.all(np.abs(np.sum(before * x, axis=0)) >= (1.0 - INVERSE_RTOL) * norms):
             return x / norms
@@ -341,9 +425,9 @@ def prufer_angle(prob: SLProblem, mus, n_steps: int) -> np.ndarray:
 
     The scaled form (used when ln_pw_prime is available and all mu > 0)
     has mu-independent stiffness, so fixed-step RK4 stays accurate for
-    large eigenvalues; it is integrated as the doubled angle (see
-    _doubled_angle). The plain fallback inflates the step count with
-    max|q + mu w| to stay resolved.
+    large eigenvalues. The plain fallback inflates the step count with
+    max|q + mu w| to stay resolved. Both are integrated as the doubled
+    angle (see _doubled_angle).
     """
     mus = np.atleast_1d(np.asarray(mus, dtype=float))
     scaled = prob.ln_pw_prime is not None and np.all(mus > 0)
@@ -358,61 +442,52 @@ def prufer_angle(prob: SLProblem, mus, n_steps: int) -> np.ndarray:
     # coefficient samples at step points and midpoints, reused for all mu
     xs = prob.a + 0.5 * hstep * np.arange(2 * n_steps + 1)
     p, q, w = prob.sample(xs)
+    zero = np.zeros_like(xs)
 
     if scaled:
+        root = np.sqrt(mus)
         twist = 0.25 * prob._eval(prob.ln_pw_prime, xs)
-        return 0.5 * _doubled_angle(mus, hstep, np.sqrt(w / p), q / np.sqrt(p * w), twist)
-
+        return 0.5 * _doubled_angle(hstep, root, 1.0 / root, np.sqrt(w / p),
+                                    q / np.sqrt(p * w), zero, twist)
+    # 2 cos^2 = 1 + cos(2 theta) and 2 sin^2 = 1 - cos(2 theta)
     inv_p = 1.0 / p
-
-    def f(th, j):
-        s = np.sin(th)
-        c = np.cos(th)
-        return inv_p[j] * c * c + (q[j] + mus * w[j]) * s * s
-
-    theta = np.zeros_like(mus)
-    for i in range(n_steps):
-        i0, i1, i2 = 2 * i, 2 * i + 1, 2 * i + 2
-        k1 = f(theta, i0)
-        k2 = f(theta + 0.5 * hstep * k1, i1)
-        k3 = f(theta + 0.5 * hstep * k2, i1)
-        k4 = f(theta + hstep * k3, i2)
-        theta = theta + (hstep / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return theta
+    return 0.5 * _doubled_angle(hstep, np.ones_like(mus), mus, inv_p,
+                                w, q - inv_p, zero)
 
 
-def _doubled_angle(mus, hstep, rate, small, twist):
-    """RK4 for phi = 2 theta of the scaled Pruefer angle; returns phi(b).
+def _doubled_angle(hstep, x_mu, y_mu, rate, small, offset, twist):
+    """RK4 for phi = 2 theta of a Pruefer angle; returns phi(b).
 
-    With R = sqrt(mu) rate, S = small / sqrt(mu) and G = twist,
+        phi' = 2 rate X + (small Y + offset)(1 - cos phi) + 2 twist sin phi,
 
-        phi' = 2 R + S (1 - cos phi) + 2 G sin phi,
-
-    where rate = sqrt(w/p), small = q/sqrt(p w) and twist = (1/4)(log p w)'
-    are sampled at the step points and midpoints. Each sample stays a
-    float, scaled by the per-mu vectors sqrt(mu) and 1/sqrt(mu), so no
-    (points x mu) table is built; the S term is skipped where q is exactly
-    0. Every stage slope is written into one of a few reused buffers.
+    where rate, small, offset and twist are sampled at the step points and
+    midpoints and X, Y are per-mu vectors: X = sqrt(mu), Y = 1/sqrt(mu)
+    with rate = sqrt(w/p), small = q/sqrt(p w), offset = 0 and
+    twist = (1/4)(log p w)' for the scaled angle, and X = 1, Y = mu with
+    rate = 1/p, small = w, offset = q - 1/p and twist = 0 for the plain
+    one. Each sample stays a float, scaled by X or Y, so no (points x mu)
+    table is built; the (1 - cos phi) term is skipped where small and
+    offset are exactly 0. Every stage slope is written into one of a few
+    reused buffers.
     """
-    root = np.sqrt(mus)
-    inv_root = 1.0 / root
     rate2 = (2.0 * rate).tolist()
     twist2 = (2.0 * twist).tolist()
-    small = small.tolist()
-    phi = np.zeros_like(mus)
-    acc, k, arg, tmp = (np.empty_like(mus) for _ in range(4))
+    small, offset = small.tolist(), offset.tolist()
+    phi = np.zeros_like(x_mu)
+    acc, k, arg, tmp, coef = (np.empty_like(x_mu) for _ in range(5))
 
     def slope(angle, j, scale, out):
         """scale * phi' at sample j and the given angle, into out."""
         np.sin(angle, out=out)
         out *= scale * twist2[j]
-        np.multiply(root, scale * rate2[j], out=tmp)
+        np.multiply(x_mu, scale * rate2[j], out=tmp)
         out += tmp
-        if small[j] != 0.0:
+        if small[j] != 0.0 or offset[j] != 0.0:
             np.cos(angle, out=tmp)
             np.subtract(1.0, tmp, out=tmp)
-            np.multiply(tmp, inv_root, out=tmp)
-            np.multiply(tmp, scale * small[j], out=tmp)
+            np.multiply(y_mu, scale * small[j], out=coef)
+            np.add(coef, scale * offset[j], out=coef)
+            np.multiply(tmp, coef, out=tmp)
             out += tmp
         return out
 

@@ -13,7 +13,8 @@ constructions are provided and cross-checked in the tests:
                 zeta = -upsilon log cos + omega sin - (omega/2) artanh(sin),
                 eta' cos = 1 (eta = artanh(sin theta)); c1, c2 from a
                 2x2 solve of the boundary conditions.
-  fd            conservative second-order differences, tridiagonal solve.
+  fd            conservative second-order differences, one pinned
+                tridiagonal solve by sturm_liouville's Thomas kernel.
   picard        fixed-point iteration of the integral form of the
                 log-radius ODE  u'' = (-lam u + upsilon)/cosh^2(t)
                 + 2 omega sinh(t)/cosh^3(t); contracts when
@@ -45,12 +46,12 @@ from .errors import (
     ContractionViolated,
     LambdaNotZero,
     MaxIterExceeded,
-    NearEigenvalue,
     TooFewSamples,
     ValidationError,
 )
 from .sturm_liouville import (
     SLSpectrum,
+    _solve_pinned,
     eigen_solve,
     fourth_order_derivative,
     homogenize_boundary,
@@ -167,88 +168,6 @@ def closed_form_residual(config, thetas) -> np.ndarray:
 # ==================================================================
 # Finite differences
 # ==================================================================
-
-PIVOT_RTOL = 1e-9  # pivots below this fraction of the matrix scale are singular
-
-
-def _thomas_factor(lower, diag, upper):
-    """Pin the Dirichlet rows, then eliminate: a tridiagonal factor.
-
-    Row i reads lower[i] x[i-1] + diag[i] x[i] + upper[i] x[i+1], batched
-    over trailing axes of diag. Rows 0 and n-1 are overwritten in place by
-    identity rows, equilibrated to the largest interior diagonal entry.
-    The factor depends on the matrix only, so one factor serves every
-    right-hand side (see _thomas_solve). The pivots are checked once,
-    after the sweep: one below PIVOT_RTOL times the matrix scale, or NaN,
-    raises NearEigenvalue. One column is eliminated on Python floats,
-    which is cheaper than a ufunc call per row and bit-identical to it;
-    there an exactly zero pivot stops the sweep, also with NearEigenvalue.
-    """
-    row_scale = float(np.max(np.abs(diag[1:-1])))
-    upper[0] = lower[-1] = 0.0
-    diag[0] = diag[-1] = row_scale
-    n = len(diag)
-    scale = float(np.max(np.abs(diag)) + np.max(np.abs(lower)) + np.max(np.abs(upper)))
-    if np.ndim(diag) == 1:
-        lower, diag, upper = lower.tolist(), diag.tolist(), upper.tolist()
-        piv, c = [0.0] * n, [0.0] * n
-    else:
-        piv, c = np.empty(np.shape(diag)), np.empty(np.shape(diag))
-    try:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            piv[0] = p = diag[0]
-            c[0] = upper[0] / p
-            for i in range(1, n):
-                piv[i] = p = diag[i] - lower[i] * c[i - 1]
-                c[i] = upper[i] / p
-    except ZeroDivisionError:  # Python floats raise where numpy gives inf
-        raise NearEigenvalue("tridiagonal pivot 0.000e+00 below threshold") from None
-    size = np.abs(piv)
-    if not np.all(size >= PIVOT_RTOL * scale):
-        raise NearEigenvalue(f"tridiagonal pivot {np.min(size):.3e} below threshold")
-    return lower, piv, c, row_scale
-
-
-def _thomas_solve(factor, rhs, left, right):
-    """Forward and back substitution through a _thomas_factor.
-
-    Rows 0 and n-1 of rhs are overwritten in place by the wall values
-    left and right. Batched rows are substituted into x in place, so a
-    sweep makes no temporaries; one column is substituted on Python
-    floats, which is cheaper than a ufunc call per row and, for real data,
-    bit-identical to it. Both compute
-    x[i] = (rhs[i] - lower[i] x[i-1]) / piv[i], then x[i] -= c[i] x[i+1].
-    """
-    lower, piv, c, row_scale = factor
-    rhs[0], rhs[-1] = left * row_scale, right * row_scale
-    if np.ndim(rhs) == 1:
-        b = rhs.tolist()
-        x = [0.0] * len(b)
-        x[0] = d = b[0] / piv[0]
-        for i in range(1, len(b)):
-            x[i] = d = (b[i] - lower[i] * d) / piv[i]
-        for i in range(len(b) - 2, -1, -1):
-            x[i] = d = x[i] - c[i] * d
-        return np.array(x)
-    x = np.empty(np.shape(rhs), dtype=np.result_type(rhs, piv))
-    rows = list(x)
-    np.divide(rhs[0], piv[0], out=rows[0])
-    for prev, row, low, b, p in zip(rows, rows[1:], lower[1:], rhs[1:], piv[1:]):
-        np.multiply(low, prev, out=row)
-        np.subtract(b, row, out=row)
-        np.divide(row, p, out=row)
-    term = np.empty_like(rows[0])
-    for row, nxt, ci in zip(rows[-2::-1], rows[:0:-1], c[-2::-1]):
-        np.multiply(ci, nxt, out=term)
-        np.subtract(row, term, out=row)
-    return x
-
-
-def _solve_pinned(lower, diag, upper, rhs, left, right):
-    """Tridiagonal solve with Dirichlet values left and right pinned at
-    both ends; the arguments are overwritten in place."""
-    return _thomas_solve(_thomas_factor(lower, diag, upper), rhs, left, right)
-
 
 def solve_fd(config, n: int) -> ZonalProfile:
     """Second-order conservative finite differences on a uniform theta grid."""

@@ -56,12 +56,13 @@ def dt_for_cfl(state, cfl_target):
     return cfl_target / e2.cfl_number(w_rho, w_phi, 1.0, state.grid)
 
 
-def evolve(state, t_end, dt, record_stride=10, reference=None):
+def evolve(state, t_end, dt, record_stride=10):
     """March to t_end; returns the final state and a diagnostic record of
-    every output state of e2.run at record_stride."""
+    every output state of e2.run at record_stride, with the initial state
+    as the stability reference."""
     records = []
     for s in e2.run(state, t_end, dt, record_stride):
-        records.append(dg.record(s, reference=reference))
+        records.append(dg.record(s, reference=state))
     return s, records
 
 

@@ -239,6 +239,26 @@ class TestModes:
         assert message in capsys.readouterr().err
         assert not out.exists()  # a sweep is rejected before any worker starts
 
+    @pytest.mark.parametrize("argv", [
+        ["--mode", "evolve", "--n-rho", "4"],
+        ["--mode", "stability", "--n-phi", "7"],
+        ["--mode", "evolve", "--n-rho", "4", "--sweep=-10,-20"],
+    ], ids=["evolve", "stability", "sweep"])
+    def test_too_small_grid_exits_one_before_any_output(self, argv, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main([*argv, "--out", str(out), "--dt", "0.002", "--t-end", "0.004",
+                     *MILD_BAND]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "grid needs n_rho >= 8" in err[0]
+        assert not out.exists()  # a sweep is rejected before any worker starts
+
+    def test_zonal_run_takes_any_grid(self, tmp_path):
+        """The time-stepping grid is checked only in the modes that build it."""
+        out = tmp_path / "run"
+        assert main(["--mode", "zonal", "--out", str(out), "--n-rho", "4",
+                     "--n-zonal", "101", *MILD_BAND]) == 0
+        assert (out / "profile.csv").exists()
+
     def test_spectrum_mode(self, tmp_path):
         out = tmp_path / "spec"
         code = main(["--mode", "spectrum", "--out", str(out), *MILD_BAND])

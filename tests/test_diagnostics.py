@@ -341,10 +341,3 @@ class TestRecord:
         assert (rec.circ1, rec.circ2) == dg.circulations(state)
         assert rec.lyapunov == dg.lyapunov(state)
         assert rec.stability_lhs == dg.stability_lhs(state, ref)
-
-    def test_stability_column_nan_without_reference(self, mild_config):
-        grid = AnnulusGrid.from_band(mild_config, 48, 48)
-        state = e2.zonal_initial_state(mild_config, grid)
-        rec = dg.record(state)
-        stab_cell = rec.csv_row().split(",")[6]
-        assert math.isnan(float(stab_cell))

@@ -17,7 +17,8 @@ import pytest
 from accband.errors import CflViolation, ValidationError
 from accband.geometry import BandConfig, alpha_of_rho, beta_of_rho
 from accband.grids import AnnulusGrid
-from accband import cli, zonal
+from accband import cli, grids
+from accband.sturm_liouville import _solve_pinned
 from accband.zonal import solve_closed_form_lambda0
 import accband.euler2d as e2
 
@@ -55,7 +56,7 @@ def ref_poisson_values(source, grid):
     m = np.arange(rhs_hat.shape[1])
     off = np.full(n, 1.0 / h**2)
     diag = np.full((n, len(m)), -2.0 / h**2) - (m * m)[None, :]
-    psi_hat = zonal._solve_pinned(off, diag, off, rhs_hat, 0.0, 0.0)
+    psi_hat = _solve_pinned(off, diag, off, rhs_hat, 0.0, 0.0)
     return np.fft.irfft(psi_hat, n=grid.n_phi, axis=1)
 
 
@@ -182,13 +183,13 @@ class TestPoissonFactorCache:
 
     def test_factor_built_once_per_grid(self, mild_config, rng, monkeypatch):
         calls = []
-        factor = zonal._thomas_factor
+        factor = grids._thomas_factor
 
         def counting(*args):
             calls.append(1)
             return factor(*args)
 
-        monkeypatch.setattr(zonal, "_thomas_factor", counting)
+        monkeypatch.setattr(grids, "_thomas_factor", counting)
         grid = make_grid(mild_config, 48, 40)
         src = rng.standard_normal((48, 40))
         first = e2._poisson_values(src, grid)
@@ -199,8 +200,8 @@ class TestPoissonFactorCache:
     def test_grids_do_not_share_a_factor(self, mild_config):
         a = make_grid(mild_config, 64, 64)
         b = make_grid(mild_config, 64, 63)
-        _, piv_a, _, _ = a.poisson_factor
-        _, piv_b, _, _ = b.poisson_factor
+        _, piv_a, _ = a.poisson_factor
+        _, piv_b, _ = b.poisson_factor
         assert piv_a.shape == (64, 33) and piv_b.shape == (64, 32)
         assert make_grid(mild_config, 64, 64).poisson_factor is not a.poisson_factor
 

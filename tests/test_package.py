@@ -28,8 +28,10 @@ def test_readme_library_example_runs(capsys):
 def _module_uses(path, module):
     """(line, text) of each import of `module` or a submodule of it in one
     source file and, for a dotted module such as numpy.random, of each
-    attribute taken by its last name on a name bound to its parent."""
+    attribute taken by its last name on a name bound to its parent. A
+    relative import names a module of the package the file lies in."""
     tree = ast.parse(path.read_text(), filename=str(path))
+    package = path.parent.name
     parent, _, leaf = module.rpartition(".")
 
     def within(name):
@@ -45,11 +47,12 @@ def _module_uses(path, module):
         if isinstance(node, ast.Import):
             found += [(node.lineno, f"import {alias.name}") for alias in node.names
                       if within(alias.name)]
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            if within(node.module) or (
-                    node.module == parent
+        elif isinstance(node, ast.ImportFrom):
+            source = ".".join(filter(None, [package if node.level else "", node.module]))
+            if within(source) or (
+                    source == parent
                     and any(alias.name == leaf for alias in node.names)):
-                found.append((node.lineno, f"from {node.module} import ..."))
+                found.append((node.lineno, f"from {source} import ..."))
         elif (parent and isinstance(node, ast.Attribute) and node.attr == leaf
               and isinstance(node.value, ast.Name) and node.value.id in parent_names):
             found.append((node.lineno, f"{node.value.id}.{leaf}"))
@@ -103,3 +106,35 @@ def test_scipy_scan_finds_each_form(tmp_path):
     clean = tmp_path / "clean.py"
     clean.write_text("import numpy as np\nfrom .sturm_liouville import eigen_solve\n")
     assert _module_uses(clean, "scipy") == []
+
+
+def _sibling_imports(name, candidates):
+    """Those of the library modules `candidates` that accband.`name` imports."""
+    path = pathlib.Path(accband.__file__).resolve().parent / f"{name}.py"
+    return {other for other in candidates if _module_uses(path, f"accband.{other}")}
+
+
+def test_kernel_modules_sit_below_their_callers():
+    """sturm_liouville, which holds the tridiagonal kernel, imports no
+    sibling but errors; geometry and grids import no solver or driver."""
+    package = pathlib.Path(accband.__file__).resolve().parent
+    siblings = {path.stem for path in package.glob("*.py")} - {"__init__", "sturm_liouville"}
+    assert _sibling_imports("sturm_liouville", siblings) <= {"errors"}
+    for name in ("geometry", "grids"):
+        assert _sibling_imports(name, {"zonal", "euler2d", "diagnostics", "cli"}) == set()
+
+
+def test_sibling_scan_finds_each_form(tmp_path):
+    package = tmp_path / "accband"
+    package.mkdir()
+    forms = ["from . import zonal\n",
+             "from .zonal import solve_fd\n",
+             "from accband import zonal\n",
+             "import accband.zonal\n"]
+    for i, text in enumerate(forms):
+        path = package / f"form{i}.py"
+        path.write_text(text)
+        assert _module_uses(path, "accband.zonal"), text
+    clean = package / "clean.py"
+    clean.write_text("from .errors import ValidationError\nfrom . import zonal_extra\n")
+    assert _module_uses(clean, "accband.zonal") == []

@@ -20,7 +20,9 @@ from accband.sturm_liouville import (
     _difference_matrix,
     _inverse_cubic,
     _lowest_eigenpairs,
+    _pivot_blocks,
     _sturm_counts,
+    _thomas_solve,
     _tridiagonal_eigen,
     count_sign_changes,
     eigen_solve,
@@ -45,6 +47,31 @@ def shifted_problem():
     return SLProblem(a=0.0, b=1.0, p=lambda x: 1.0 + x,
                      q=lambda x: 200.0 + 50.0 * np.cos(3.0 * x),
                      w=lambda x: 1.0 + 0.5 * x)
+
+
+def q60_problem():
+    """p = w = 1, q = 60 on [0, 1]: mu_k = k^2 pi^2 - 60, two of them negative."""
+    one = lambda x: np.ones_like(np.asarray(x, dtype=float))
+    return SLProblem(a=0.0, b=1.0, p=one, q=lambda x: 60.0 * one(x), w=one)
+
+
+def theta_rk4(prob, mus, n_steps):
+    """RK4 on the plain angle theta' = cos^2/p + (q + mu w) sin^2 itself,
+    with the coefficients sampled at the step points and midpoints."""
+    hstep = (prob.b - prob.a) / n_steps
+    p, q, w = prob.sample(prob.a + 0.5 * hstep * np.arange(2 * n_steps + 1))
+
+    def f(th, j):
+        return np.cos(th) ** 2 / p[j] + (q[j] + mus * w[j]) * np.sin(th) ** 2
+
+    theta = np.zeros_like(mus)
+    for i in range(n_steps):
+        k1 = f(theta, 2 * i)
+        k2 = f(theta + 0.5 * hstep * k1, 2 * i + 1)
+        k3 = f(theta + 0.5 * hstep * k2, 2 * i + 1)
+        k4 = f(theta + hstep * k3, 2 * i + 2)
+        theta = theta + (hstep / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return theta
 
 
 class TestEigenSolve:
@@ -154,12 +181,27 @@ class TestPruferOracle:
         """p = w = 1, q = 60 on [0, 1]: mu_k = k^2 pi^2 - 60. The first two
         are negative, which the scaled angle cannot take, so the plain angle
         is inverted at negative mu too."""
-        one = lambda x: np.ones_like(np.asarray(x, dtype=float))
-        prob = SLProblem(a=0.0, b=1.0, p=one, q=lambda x: 60.0 * one(x), w=one)
-        mus = prufer_eigenvalues(prob, n_max=4)
+        mus = prufer_eigenvalues(q60_problem(), n_max=4)
         exact = (np.arange(1, 5) * np.pi) ** 2 - 60.0
         assert np.sum(exact < 0) == 2
         assert np.max(np.abs(mus - exact) / np.abs(exact)) <= 1e-8
+
+    @pytest.mark.parametrize("problem, mus", [
+        ("textbook", [-3.0, 0.5, 4.0, 30.0]),
+        ("q60", [-50.0, -10.0, 5.0, 40.0, 300.0]),
+    ])
+    def test_plain_angle_matches_theta_form(self, problem, mus):
+        """The plain angle, integrated as the doubled angle, against RK4 on
+        theta itself: the same RK4 in exact arithmetic."""
+        prob = {"textbook": textbook_problem(), "q60": q60_problem()}[problem]
+        mus = np.array(mus)
+        n_steps = 2048
+        _, q, w = prob.sample(np.linspace(prob.a, prob.b, 257))
+        # the step count the plain angle would inflate to stays below n_steps
+        assert 3.0 * (prob.b - prob.a) * np.max(np.abs(q + mus[:, None] * w)) < n_steps
+        want = theta_rk4(prob, mus, n_steps)
+        got = sturm_liouville.prufer_angle(prob, mus, n_steps)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
     def test_inversion_reproduces_a_cubic(self):
         """mu read off at a target is exact when mu is a cubic of theta,
@@ -214,6 +256,30 @@ class TestTridiagonalOracle:
         pivmin = np.finfo(float).tiny
         assert np.array_equal(_sturm_counts(d, e * e, pivmin, shifts),
                               np.searchsorted(exact, shifts))
+
+
+class TestTridiagonalKernel:
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_unpinned_solve_matches_dense(self, rng, dtype):
+        """_thomas_solve through the LDL^T pivots of T - s, the factor
+        inverse iteration builds, against a dense solve per shift."""
+        n = 150  # more than BLOCK_ROWS, so the pivots span blocks
+        d = rng.uniform(-1.0, 1.0, n)
+        e = rng.uniform(0.5, 1.0, n - 1) * rng.choice([-1.0, 1.0], n - 1)
+        shifts = np.array([-5.0, -3.6, 3.7, 6.0])  # outside the spectrum in [-3, 3]
+        piv = np.concatenate([block.copy() for block in _pivot_blocks(
+            d, e * e, np.finfo(float).tiny, shifts)])
+        factor = (np.concatenate(([0.0], e)), piv, e[:, None] / piv[:-1])
+        rhs = rng.standard_normal((n, len(shifts))).astype(dtype)
+        if dtype is complex:
+            rhs += 1j * rng.standard_normal(rhs.shape)
+        kept = rhs.copy()
+        got = _thomas_solve(factor, rhs)
+        assert np.array_equal(rhs, kept)
+        matrix = np.diag(e, -1) + np.diag(e, 1)
+        for j, s in enumerate(shifts):
+            want = np.linalg.solve(matrix + np.diag(d - s), rhs[:, j])
+            assert np.max(np.abs(got[:, j] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestRayleighQuotient:

@@ -19,7 +19,7 @@ from accband.errors import (
     ValidationError,
 )
 from accband.geometry import BandConfig
-from accband.sturm_liouville import eigen_solve, zonal_homogeneous_problem
+from accband.sturm_liouville import _solve_pinned, eigen_solve, zonal_homogeneous_problem
 from accband.zonal import (
     SL_TERMS,
     ZonalProfile,
@@ -36,7 +36,6 @@ from accband.zonal import (
     write_profile_csv,
     zeta_particular,
     _closed_form_constants,
-    _solve_pinned,
 )
 
 OMEGA_OFF = 1e-30  # stand-in for a switched-off rotation (config needs omega > 0)
