@@ -235,12 +235,14 @@ def _stability_lhs(state, psi, reference):
 
     ||u - u*||^2 is conformally flat, so a planar integral, and
     Omega - Omega* = -(zeta - zeta*). stability_lhs and record both come
-    here, so this is where the two states' grids are checked.
+    here, so this is where the two states' grids are checked. The
+    reference's stream is formed once per reference (SimState.stream),
+    not once per call.
     """
     grid = state.grid
     if not grid.compatible_with(reference.grid):
         raise GridMismatch("state and reference live on different grids")
-    velocity = integral_flat(grad_square_flat(psi - stream_of(reference), grid), grid)
+    velocity = integral_flat(grad_square_flat(psi - reference.stream, grid), grid)
     vorticity = integral_dsigma((state.zeta - reference.zeta) ** 2, grid)
     return -state.config.lam * velocity + vorticity
 

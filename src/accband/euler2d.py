@@ -23,9 +23,11 @@ need the absolute vorticity therefore evaluate s = -zeta.
 Discretization, in (rho, phi) = (log r, azimuth):
 
   * spectral d/dphi (FFT), second-order d/drho (one-sided at walls);
-  * Poisson: FFT in phi + one tridiagonal solve per mode in rho, by the
-    Thomas kernel of sturm_liouville; the radial factorisation depends
-    only on the grid and is cached on it (AnnulusGrid.poisson_factor);
+  * Poisson: FFT in phi, then the interior rho rows of every mode at
+    once by odd-even cyclic reduction (sturm_liouville._cyclic_solve):
+    about log2(n_rho) levels of whole-array operations, no loop over
+    rings; the per-level coefficients depend only on the grid and are
+    cached on it (AnnulusGrid.poisson_factor);
   * transport: semi-Lagrangian, two-stage midpoint trajectories with the
     time-midpoint velocity taken from a predictor step, cubic Lagrange
     interpolation clipped to the local 4x4 stencil range (preserves the
@@ -57,13 +59,14 @@ import math
 import operator
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import CflViolation, ValidationError
 from .geometry import alpha_of_rho, beta_of_rho, integral_flat
 from .grids import AnnulusGrid
-from .sturm_liouville import _thomas_solve
+from .sturm_liouville import _cyclic_solve
 from .zonal import solve_fd_rho
 
 CFL_LIMIT = 0.8
@@ -132,13 +135,18 @@ def grad_square_flat(psi_values, grid):
 def _poisson_values(source, grid):
     """Solve Delta psi = -source with psi = 0 on both walls.
 
-    FFT in phi, then one tridiagonal solve in rho for all modes at once,
-    through the grid's cached factor, whose pinned wall rows take psi = 0.
+    FFT in phi, then cyclic reduction in rho for all modes at once,
+    through the grid's cached factor. The spectrum is written into the
+    padded block the factor solves in, whose wall rows hold psi = 0 and
+    are never written by the solve.
     """
-    rhs_hat = np.fft.rfft(-np.exp(2.0 * grid.rho)[:, None] * source, axis=1)
-    rhs_hat[0] = rhs_hat[-1] = 0.0
-    psi_hat = _thomas_solve(grid.poisson_factor, rhs_hat)
-    return np.fft.irfft(psi_hat, n=grid.n_phi, axis=1)
+    factor = grid.poisson_factor
+    n = grid.n_rho
+    psi_hat = np.empty((factor[0], grid.n_phi // 2 + 1), dtype=complex)
+    np.fft.rfft(-np.exp(2.0 * grid.rho)[:, None] * source, axis=1, out=psi_hat[:n])
+    psi_hat[0] = psi_hat[n - 1:] = 0.0
+    _cyclic_solve(factor, psi_hat.view(float))
+    return np.fft.irfft(psi_hat[:n], n=grid.n_phi, axis=1)
 
 
 # ==================================================================
@@ -196,6 +204,17 @@ class SimState:
     def __post_init__(self):
         self.zeta.setflags(write=False)
         self.bar_stream.setflags(write=False)
+
+    @cached_property
+    def stream(self):
+        """stream_of(self), formed on first use and then kept, read-only.
+
+        For a state read many times, such as the reference that every
+        diagnostics.record of a run compares with; stream_of keeps nothing.
+        """
+        psi = stream_of(self)
+        psi.setflags(write=False)
+        return psi
 
     def xi_values(self):
         a = alpha_of_rho(self.grid.rho)[:, None]

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ValidationError
-from .sturm_liouville import _thomas_factor
+from .sturm_liouville import _cyclic_factor
 
 
 @dataclass(frozen=True)
@@ -81,16 +81,18 @@ class AnnulusGrid:
 
     @cached_property
     def poisson_factor(self):
-        """Pinned radial factor of the Poisson solve, built once per grid.
+        """Cyclic-reduction levels of the Poisson solve, built once per grid.
 
-        One tridiagonal d^2/drho^2 - m^2 per rfft mode m of n_phi, with
-        Dirichlet rows pinned at both walls (sturm_liouville._thomas_factor).
+        The interior rows of d^2/drho^2 - m^2 for every rfft mode m of
+        n_phi, with psi = 0 on both walls (sturm_liouville._cyclic_factor).
+        Each mode's coefficient is repeated for the real and imaginary
+        parts, so the factor solves the complex spectrum viewed as float64
+        rows of twice the width.
         """
         h = self.d_rho
         m = np.arange(self.n_phi // 2 + 1)
-        off = np.full(self.n_rho, 1.0 / h**2)
-        diag = np.full((self.n_rho, len(m)), -2.0 / h**2) - (m * m)[None, :]
-        return _thomas_factor(off, diag, off)
+        diag = np.repeat(-2.0 / h**2 - m * m, 2)
+        return _cyclic_factor(1.0 / h**2, diag, self.n_rho - 2)
 
     def compatible_with(self, other):
         return (

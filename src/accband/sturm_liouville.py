@@ -24,8 +24,12 @@ Two independent routes to the spectrum are provided:
     numpy, so neither route imports scipy.
 
 One Thomas kernel (_thomas_factor, _thomas_solve) serves inverse
-iteration, zonal's finite differences and euler2d's Poisson solve, and
-one RK4 loop (_doubled_angle) integrates both forms of the Pruefer angle.
+iteration and zonal's finite differences, whose variable-coefficient,
+possibly indefinite or near-singular matrices it pivots and checks;
+euler2d's Poisson solve, a family of diagonally dominant Toeplitz
+systems, goes by cyclic reduction instead (_cyclic_factor,
+_cyclic_solve). One RK4 loop (_doubled_angle) integrates both forms of
+the Pruefer angle.
 Every eigen_solve result is index-checked against the angle count so no
 eigenvalue can be silently skipped. eigen_solve itself keeps nothing
 between calls: each call solves and checks afresh, and the one cache of
@@ -110,7 +114,7 @@ class SLSpectrum:
 
 
 # ==================================================================
-# Tridiagonal kernel
+# Tridiagonal kernels
 # ==================================================================
 
 PIVOT_RTOL = 1e-9  # pivots below this fraction of the matrix scale are singular
@@ -158,8 +162,10 @@ def _thomas_factor(lower, diag, upper):
 def _thomas_solve(factor, rhs):
     """Forward and back substitution through a tridiagonal factor.
 
-    factor is (lower, piv, c), pivots piv[i] = diag[i] - lower[i] c[i-1]
-    and c[i] = upper[i] / piv[i] (c[:n-1] is read); rhs is left as it is.
+    Inverse iteration solves its shifted columns here and zonal's finite
+    differences their one column. factor is (lower, piv, c), pivots
+    piv[i] = diag[i] - lower[i] c[i-1] and c[i] = upper[i] / piv[i]
+    (c[:n-1] is read); rhs is left as it is.
     Batched rows are substituted into x in place, so a sweep makes no
     temporaries; one column is substituted on Python floats, which is
     cheaper than a ufunc call per row and, for real data, bit-identical
@@ -196,6 +202,109 @@ def _solve_pinned(lower, diag, upper, rhs, left, right):
     factor = _thomas_factor(lower, diag, upper)
     rhs[0], rhs[-1] = left * diag[0], right * diag[-1]
     return _thomas_solve(factor, rhs)
+
+
+def _cyclic_factor(off, diag, n):
+    """Odd-even cyclic reduction of a family of symmetric Toeplitz systems.
+
+    Each entry k of the vector diag poses
+    off x[i-1] + diag[k] x[i] + off x[i+1] = f[i] for the n unknowns
+    x[1..n], with x[0] = x[n+1] = 0. Reducing to the unknowns at multiples
+    of s = 1, 2, 4, ... keeps every equation Toeplitz (one coefficient per
+    entry and level) except that of the last unknown, whose gap to the
+    wall at n+1 is shorter than s; that one row is carried on its own.
+    Cyclic reduction is stable for diagonally dominant systems, so the
+    factor refuses any other (0 < |diag| and 2 |off| <= |diag|). Each
+    level's diagonal is rebuilt from the dominance margin
+    |diag| - 2 |off|, which is carried by its own recurrence: b - 2a^2/b
+    would lose it to cancellation whenever the margin is small.
+
+    The factor is (rows, reductions, substitutions); see _cyclic_solve for
+    the layout it solves in. Every coefficient vector it keeps is a row of
+    one block, allocated once: a factor lives as long as its grid, and a
+    few dozen small long-lived arrays would be scattered through the heap
+    of the thread that builds it.
+    """
+    diag = np.asarray(diag, dtype=float)
+    if not np.all((diag != 0) & (np.abs(diag) >= 2.0 * abs(off))):
+        raise ValidationError("cyclic reduction needs diag != 0 and 2 |off| <= |diag|")
+    sign = np.sign(diag)
+    a = np.full(diag.shape, float(off))
+    margin = np.abs(diag) - 2.0 * abs(off)  # exact while |diag| <= 4 |off|
+    b = b_last = diag
+    slots = iter(np.empty((6 * max(n, 1).bit_length(), diag.size)))
+
+    def keep(values):
+        row = next(slots)
+        row[...] = values
+        return row
+
+    reductions, substitutions = [], []
+    s = 1
+    while True:
+        last = s * (n // s)  # the last unknown left at stride s
+        odd_last = last % (2 * s) == s
+        # substituted at stride s: the odd multiples of s, the last one
+        # separately when its diagonal is not the level's
+        own_tail = odd_last and not np.array_equal(b_last, b)
+        tail = (last, last - s, keep(1.0 / b_last), keep(a / b_last)) if own_tail else None
+        substitutions.append((s, (n + s) // (2 * s) - own_tail, keep(1.0 / b), keep(a / b), tail))
+        if 2 * s > n:
+            break
+        alpha = -a / b
+        size = np.abs(a)
+        margin = margin * (4.0 * size + margin) / (2.0 * size + margin)
+        next_a = alpha * a
+        next_b = sign * (2.0 * np.abs(next_a) + margin)
+        if odd_last:  # the last unknown is the last target's right neighbour
+            delta = -a / b_last - alpha
+            fix = (last - s, last, keep(delta)) if np.any(delta) else None
+            b_last = next_b + delta * a
+        else:  # the last unknown is itself the last target, with no right neighbour
+            fix = None
+            b_last = b_last + alpha * a
+        reductions.append((s, n // (2 * s), keep(alpha), fix))
+        a, b = next_a, next_b
+        s *= 2
+    return 2 * s + 1, reductions, substitutions[::-1]
+
+
+def _cyclic_solve(factor, x):
+    """Solve in place by the levels of a _cyclic_factor.
+
+    x has factor[0] = 2^k + 1 rows, for the smallest power of two 2^k
+    above n, and one column per entry of the factor's diag; rows 1..n hold the right-hand
+    side and are overwritten by the solution, and row 0 and rows n+1..
+    must hold zeros, which stay as they are. Each level is a handful of
+    whole-array operations on every other row at its stride, into one
+    scratch block allocated per call, so no loop runs over rows.
+    """
+    _, reductions, substitutions = factor
+    scratch = np.empty_like(x[:len(x) // 2])
+    for s, count, alpha, fix in reductions:
+        # f[j] += alpha (f[j-s] + f[j+s]) at j = 2s, 4s, ..., 2s count
+        t = scratch[:count]
+        np.add(x[s:2 * s * count:2 * s], x[3 * s:2 * s * count + 2 * s:2 * s], out=t)
+        t *= alpha
+        x[2 * s:2 * s * count + 1:2 * s] += t
+        if fix is not None:
+            row, nxt, delta = fix
+            np.multiply(x[nxt], delta, out=scratch[0])
+            x[row] += scratch[0]
+    for s, span, inv, ratio, tail in substitutions:
+        # x[j] = f[j] / b - (a / b) (x[j-s] + x[j+s]) at j = s, 3s, ...
+        if span:
+            t = scratch[:span]
+            np.add(x[0:2 * s * span - s:2 * s], x[2 * s:2 * s * span + 1:2 * s], out=t)
+            t *= ratio
+            rows = x[s:2 * s * span:2 * s]
+            rows *= inv
+            rows -= t
+        if tail is not None:
+            row, prev, inv_last, ratio_last = tail
+            np.multiply(x[prev], ratio_last, out=scratch[0])
+            x[row] *= inv_last
+            x[row] -= scratch[0]
 
 
 # ==================================================================

@@ -341,3 +341,24 @@ class TestRecord:
         assert (rec.circ1, rec.circ2) == dg.circulations(state)
         assert rec.lyapunov == dg.lyapunov(state)
         assert rec.stability_lhs == dg.stability_lhs(state, ref)
+
+    def test_reference_stream_formed_once(self, mild_neg_lam_config, monkeypatch):
+        """Records of one run form the reference's stream once, not per
+        record, and their stability column is unchanged by it."""
+        grid = AnnulusGrid.from_band(mild_neg_lam_config, 48, 48)
+        ref = e2.zonal_initial_state(mild_neg_lam_config, grid)
+        states = [e2.perturbed_zonal_state(mild_neg_lam_config, grid, 0.01, 2, seed=s)
+                  for s in (1, 2, 3)]
+        want = [dg._stability_lhs(s, e2.stream_of(s), replace(ref)) for s in states]
+        calls = []
+        stream_of = e2.stream_of
+
+        def counting(state):
+            calls.append(state)
+            return stream_of(state)
+
+        monkeypatch.setattr(e2, "stream_of", counting)
+        got = [dg.record(s, reference=ref).stability_lhs for s in states]
+        assert got == want
+        assert [c for c in calls if c is ref] == [ref]
+        assert not ref.stream.flags.writeable

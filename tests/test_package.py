@@ -115,8 +115,9 @@ def _sibling_imports(name, candidates):
 
 
 def test_kernel_modules_sit_below_their_callers():
-    """sturm_liouville, which holds the tridiagonal kernel, imports no
-    sibling but errors; geometry and grids import no solver or driver."""
+    """sturm_liouville, which holds the tridiagonal kernels (Thomas and
+    cyclic reduction), imports no sibling but errors; geometry and grids
+    import none of zonal, euler2d, diagnostics and cli."""
     package = pathlib.Path(accband.__file__).resolve().parent
     siblings = {path.stem for path in package.glob("*.py")} - {"__init__", "sturm_liouville"}
     assert _sibling_imports("sturm_liouville", siblings) <= {"errors"}
