@@ -23,13 +23,14 @@ Two independent routes to the spectrum are provided:
     and prufer_eigenvalues inverts it at k*pi by cubic interpolation in
     numpy, so neither route imports scipy.
 
-One Thomas kernel (_thomas_factor, _thomas_solve) serves inverse
-iteration and zonal's finite differences, whose variable-coefficient,
-possibly indefinite or near-singular matrices it pivots and checks;
-euler2d's Poisson solve, a family of diagonally dominant Toeplitz
-systems, goes by cyclic reduction instead (_cyclic_factor,
-_cyclic_solve). One RK4 loop (_doubled_angle) integrates both forms of
-the Pruefer angle.
+Thomas elimination solves the variable-coefficient, possibly indefinite
+or near-singular tridiagonal matrices: _solve_pinned one column with
+Dirichlet ends on Python floats, for zonal's finite differences, with
+its pivots checked; _thomas_solve inverse iteration's numpy batch of
+shifted columns, through the pivots of _pivot_blocks. euler2d's Poisson
+solve, a family of diagonally dominant Toeplitz systems, goes by cyclic
+reduction instead (_cyclic_factor, _cyclic_solve). One RK4 loop
+(_doubled_angle) integrates both forms of the Pruefer angle.
 Every eigen_solve result is index-checked against the angle count so no
 eigenvalue can be silently skipped. eigen_solve itself keeps nothing
 between calls: each call solves and checks afresh, and the one cache of
@@ -49,6 +50,7 @@ from .errors import (
     ConvergenceFailure,
     NearEigenvalue,
     ResonantEigenvalue,
+    TooFewSamples,
     ValidationError,
     ZeroFunction,
 )
@@ -120,68 +122,55 @@ class SLSpectrum:
 PIVOT_RTOL = 1e-9  # pivots below this fraction of the matrix scale are singular
 
 
-def _thomas_factor(lower, diag, upper):
-    """Pin the Dirichlet rows, then eliminate: a tridiagonal factor.
+def _solve_pinned(lower, diag, upper, rhs, left, right):
+    """One tridiagonal column with the Dirichlet values left and right
+    pinned at its ends; the arguments are left as they are.
 
-    Row i reads lower[i] x[i-1] + diag[i] x[i] + upper[i] x[i+1], batched
-    over trailing axes of diag. Rows 0 and n-1 are overwritten in place by
-    identity rows, equilibrated to the largest interior diagonal entry,
-    which diag[0] and diag[-1] then hold. The factor depends on the matrix
-    only, so one factor serves every right-hand side (see _thomas_solve).
-    The pivots are checked once, after the sweep: one below PIVOT_RTOL
-    times the matrix scale, or NaN, raises NearEigenvalue. One column is
-    eliminated on Python floats, which is cheaper than a ufunc call per
-    row and bit-identical to it; there an exactly zero pivot stops the
-    sweep, also with NearEigenvalue.
+    Row i reads lower[i] x[i-1] + diag[i] x[i] + upper[i] x[i+1] = rhs[i].
+    Rows 0 and n-1 become identity rows equilibrated to the largest
+    interior |diag[i]|, s, with right-hand sides left s and right s.
+    Elimination, forward and back substitution run on Python floats,
+    which is cheaper than a ufunc call per row and bit-identical to it.
+    A pivot below PIVOT_RTOL times the matrix scale
+    s + max|lower[:-1]| + max|upper[1:]|, or NaN, raises NearEigenvalue
+    after the sweep; an exactly zero one stops it, also with NearEigenvalue.
     """
-    row_scale = float(np.max(np.abs(diag[1:-1])))
+    s = float(np.max(np.abs(diag[1:-1])))
+    scale = s + float(np.max(np.abs(lower[:-1]))) + float(np.max(np.abs(upper[1:])))
+    lower, diag, upper, b = lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist()
     upper[0] = lower[-1] = 0.0
-    diag[0] = diag[-1] = row_scale
-    n = len(diag)
-    scale = float(np.max(np.abs(diag)) + np.max(np.abs(lower)) + np.max(np.abs(upper)))
-    if np.ndim(diag) == 1:
-        lower, diag, upper = lower.tolist(), diag.tolist(), upper.tolist()
-        piv, c = [0.0] * n, [0.0] * n
-    else:
-        piv, c = np.empty(np.shape(diag)), np.empty(np.shape(diag))
+    diag[0] = diag[-1] = s
+    b[0], b[-1] = left * s, right * s
+    n = len(b)
+    piv, c, x = [0.0] * n, [0.0] * n, [0.0] * n
     try:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            piv[0] = p = diag[0]
-            c[0] = upper[0] / p
-            for i in range(1, n):
-                piv[i] = p = diag[i] - lower[i] * c[i - 1]
-                c[i] = upper[i] / p
+        piv[0] = p = s
+        c[0] = upper[0] / p
+        x[0] = d = b[0] / p
+        for i in range(1, n):
+            piv[i] = p = diag[i] - lower[i] * c[i - 1]
+            c[i] = upper[i] / p
+            x[i] = d = (b[i] - lower[i] * d) / p
     except ZeroDivisionError:  # Python floats raise where numpy gives inf
         raise NearEigenvalue("tridiagonal pivot 0.000e+00 below threshold") from None
     size = np.abs(piv)
     if not np.all(size >= PIVOT_RTOL * scale):
         raise NearEigenvalue(f"tridiagonal pivot {np.min(size):.3e} below threshold")
-    return lower, piv, c
+    for i in range(n - 2, -1, -1):
+        x[i] = d = x[i] - c[i] * d
+    return np.array(x)
 
 
 def _thomas_solve(factor, rhs):
-    """Forward and back substitution through a tridiagonal factor.
+    """Inverse iteration's forward and back substitution, one column per shift.
 
-    Inverse iteration solves its shifted columns here and zonal's finite
-    differences their one column. factor is (lower, piv, c), pivots
-    piv[i] = diag[i] - lower[i] c[i-1] and c[i] = upper[i] / piv[i]
-    (c[:n-1] is read); rhs is left as it is.
-    Batched rows are substituted into x in place, so a sweep makes no
-    temporaries; one column is substituted on Python floats, which is
-    cheaper than a ufunc call per row and, for real data, bit-identical
-    to it. Both compute
-    x[i] = (rhs[i] - lower[i] x[i-1]) / piv[i], then x[i] -= c[i] x[i+1].
+    factor is (lower, piv, c), pivots piv[i] = diag[i] - lower[i] c[i-1]
+    and c[i] = upper[i] / piv[i] (c[:n-1] is read), with rows of piv
+    matching those of rhs; rhs is left as it is. The rows are substituted
+    into x in place, x[i] = (rhs[i] - lower[i] x[i-1]) / piv[i], then
+    x[i] -= c[i] x[i+1], so a sweep makes no temporaries.
     """
     lower, piv, c = factor
-    if np.ndim(rhs) == 1:
-        b = rhs.tolist()
-        x = [0.0] * len(b)
-        x[0] = d = b[0] / piv[0]
-        for i in range(1, len(b)):
-            x[i] = d = (b[i] - lower[i] * d) / piv[i]
-        for i in range(len(b) - 2, -1, -1):
-            x[i] = d = x[i] - c[i] * d
-        return np.array(x)
     x = np.empty(np.shape(rhs), dtype=np.result_type(rhs, piv))
     rows = list(x)
     np.divide(rhs[0], piv[0], out=rows[0])
@@ -194,14 +183,6 @@ def _thomas_solve(factor, rhs):
         np.multiply(ci, nxt, out=term)
         np.subtract(row, term, out=row)
     return x
-
-
-def _solve_pinned(lower, diag, upper, rhs, left, right):
-    """Tridiagonal solve with Dirichlet values left and right pinned at
-    both ends; the arguments are overwritten in place."""
-    factor = _thomas_factor(lower, diag, upper)
-    rhs[0], rhs[-1] = left * diag[0], right * diag[-1]
-    return _thomas_solve(factor, rhs)
 
 
 def _cyclic_factor(off, diag, n):
@@ -487,7 +468,7 @@ def _tridiagonal_eigen(prob, n_max, grid_size):
     return vals, funcs, x
 
 
-def eigen_solve(prob: SLProblem, n_max: int, grid_size: int = 1025) -> SLSpectrum:
+def eigen_solve(prob: SLProblem, n_max: int, grid_size: int) -> SLSpectrum:
     """First n_max eigenpairs of the homogeneous problem.
 
     The matrix spectrum is validated against the Pruefer angle: at the
@@ -675,12 +656,19 @@ def _inverse_cubic(angles, grid, targets):
 # Functionals and expansions
 # ==================================================================
 
-def fourth_order_derivative(y, h):
-    """dy/dx by fourth-order differences on a uniform grid (len(y) >= 5).
+def fourth_order_derivative(y, x):
+    """dy/dx by fourth-order differences on the uniform grid x.
 
     Centered five-point stencil inside, one-sided five-point stencils on
-    the two nodes nearest each end.
+    the two nodes nearest each end. Fewer than 5 samples raise
+    TooFewSamples, and a grid whose steps differ from x[1] - x[0] by more
+    than 1e-10 of it raises ValidationError.
     """
+    if len(x) < 5:
+        raise TooFewSamples("fourth-order differences need at least 5 samples")
+    h = x[1] - x[0]
+    if np.max(np.abs(np.diff(x) - h)) > 1e-10 * abs(h):
+        raise ValidationError("fourth-order differences need a uniform grid")
     dy = np.empty(len(y))
     dy[2:-2] = (y[:-4] - 8 * y[1:-3] + 8 * y[3:-1] - y[4:]) / (12 * h)
     dy[0] = (-25 * y[0] + 48 * y[1] - 36 * y[2] + 16 * y[3] - 3 * y[4]) / (12 * h)
@@ -702,11 +690,7 @@ def rayleigh_quotient(prob: SLProblem, y, x) -> float:
     norm = np.trapezoid(w * y * y, x)
     if norm < 1e-14:
         raise ZeroFunction("<y, y>_w is numerically zero")
-    h = x[1] - x[0]
-    if len(y) < 7 or np.max(np.abs(np.diff(x) - h)) > 1e-10 * abs(h):
-        dy = np.gradient(y, x, edge_order=2)
-    else:
-        dy = fourth_order_derivative(y, h)
+    dy = fourth_order_derivative(y, x)
     boundary = p[0] * y[0] * dy[0] - p[-1] * y[-1] * dy[-1]
     return float((boundary + np.trapezoid(p * dy * dy - q * y * y, x)) / norm)
 

@@ -18,11 +18,12 @@ from .errors import NumericalError
 
 WIDTH, HEIGHT = 640, 420
 MARGIN = 56
+TICKS = 5  # labelled ticks per axis, both ends included
 
 
-def _ticks(lo, hi, n=5):
-    step = (hi - lo) / (n - 1)
-    return [lo + i * step for i in range(n)]
+def _ticks(lo, hi):
+    step = (hi - lo) / (TICKS - 1)
+    return [lo + i * step for i in range(TICKS)]
 
 
 def line_plot(path, x, y, *, xlabel="", ylabel="", title=""):

@@ -14,7 +14,7 @@ constructions are provided and cross-checked in the tests:
                 eta' cos = 1 (eta = artanh(sin theta)); c1, c2 from a
                 2x2 solve of the boundary conditions.
   fd            conservative second-order differences, one pinned
-                tridiagonal solve by sturm_liouville's Thomas kernel.
+                tridiagonal column by sturm_liouville._solve_pinned.
   picard        fixed-point iteration of the integral form of the
                 log-radius ODE  u'' = (-lam u + upsilon)/cosh^2(t)
                 + 2 omega sinh(t)/cosh^3(t); contracts when
@@ -365,16 +365,7 @@ def solve_sl_expansion(config, n_terms: int = SL_TERMS,
 
 def velocity_profile(profile: ZonalProfile) -> ZonalProfile:
     """u = -dPsi/dtheta by fourth-order differences on the uniform grid."""
-    th = profile.thetas
-    psi = profile.psi
-    n = len(th)
-    if n < 5:
-        raise TooFewSamples("fourth-order stencils need at least 5 samples")
-    h = th[1] - th[0]
-    if np.max(np.abs(np.diff(th) - h)) > 1e-10 * abs(h):
-        raise ValidationError("velocity_profile expects a uniform theta grid")
-
-    u = -fourth_order_derivative(psi, h)
+    u = -fourth_order_derivative(profile.psi, profile.thetas)
     return replace(profile, u=u, u_dimensional=u * profile.config.u_scale)
 
 

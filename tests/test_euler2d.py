@@ -51,13 +51,15 @@ def make_state(zeta, lambda_circ, config, grid):
 # ------------------------------------------------------------------
 
 def ref_poisson_values(source, grid):
+    """Thomas on each rfft mode m, its real and imaginary parts one column each."""
     rhs_hat = np.fft.rfft(-np.exp(2.0 * grid.rho)[:, None] * source, axis=1)
-    n = grid.n_rho
     h = grid.d_rho
-    m = np.arange(rhs_hat.shape[1])
-    off = np.full(n, 1.0 / h**2)
-    diag = np.full((n, len(m)), -2.0 / h**2) - (m * m)[None, :]
-    psi_hat = _solve_pinned(off, diag, off, rhs_hat, 0.0, 0.0)
+    off = np.full(grid.n_rho, 1.0 / h**2)
+    psi_hat = np.empty_like(rhs_hat)
+    for m in range(rhs_hat.shape[1]):
+        diag = np.full(grid.n_rho, -2.0 / h**2) - m * m
+        psi_hat.real[:, m] = _solve_pinned(off, diag, off, rhs_hat.real[:, m], 0.0, 0.0)
+        psi_hat.imag[:, m] = _solve_pinned(off, diag, off, rhs_hat.imag[:, m], 0.0, 0.0)
     return np.fft.irfft(psi_hat, n=grid.n_phi, axis=1)
 
 
@@ -178,7 +180,7 @@ class TestPoissonFactorCache:
     def test_cached_solve_matches_fresh_factorisation(self, mild_config, rng, shape):
         """The cached factor solves bit for bit as a fresh cyclic
         factorisation of an equal grid, and agrees with the Thomas
-        reference to 5e-14 of the field's maximum (measured: 3.7e-15)."""
+        reference to 5e-14 of the field's maximum (measured: 3.9e-15)."""
         grid = make_grid(mild_config, *shape)
         for _ in range(2):  # the second solve reuses the factor
             src = rng.standard_normal(shape)

@@ -10,6 +10,7 @@ from accband import sturm_liouville
 from accband.errors import (
     ConvergenceFailure,
     ResonantEigenvalue,
+    TooFewSamples,
     ValidationError,
     ZeroFunction,
 )
@@ -118,7 +119,7 @@ class TestEigenSolve:
 
     def test_rejects_inhomogeneous_and_coarse_grids(self):
         with pytest.raises(ValidationError):
-            eigen_solve(textbook_problem(h=np.sin), n_max=2)
+            eigen_solve(textbook_problem(h=np.sin), n_max=2, grid_size=1025)
         with pytest.raises(ValidationError):
             eigen_solve(textbook_problem(), n_max=2, grid_size=32)
 
@@ -307,6 +308,16 @@ class TestRayleighQuotient:
         x = np.linspace(0.0, math.pi, 257)
         with pytest.raises(ZeroFunction):
             rayleigh_quotient(textbook_problem(), np.zeros_like(x), x)
+
+    def test_too_few_samples_rejected(self):
+        x = np.linspace(0.0, math.pi, 4)
+        with pytest.raises(TooFewSamples):
+            rayleigh_quotient(textbook_problem(), np.sin(x), x)
+
+    def test_non_uniform_grid_rejected(self):
+        x = math.pi * np.linspace(0.0, 1.0, 257) ** 2
+        with pytest.raises(ValidationError, match="uniform grid"):
+            rayleigh_quotient(textbook_problem(), np.sin(x), x)
 
 
 class TestInhomogeneous:

@@ -47,8 +47,8 @@ def closed_form_values(config, thetas):
 
 
 def one_pass_sweep(lower, diag, upper, rhs, left, right):
-    """Pinned tridiagonal solve eliminating rhs in the same sweep as the
-    matrix, elementwise on numpy arrays (numpy scalars for one column)."""
+    """Pinned tridiagonal solve of one column on numpy scalars, eliminating
+    rhs in the same sweep as the matrix."""
     n = len(diag)
     row_scale = float(np.max(np.abs(diag[1:-1])))
     lo, dg, up, b = lower.copy(), diag.copy(), upper.copy(), rhs.copy()
@@ -148,22 +148,6 @@ class TestFiniteDifference:
             solve_fd(bad, n)
 
     @pytest.mark.parametrize("dtype", [float, complex])
-    def test_split_thomas_matches_one_pass_sweep(self, rng, dtype):
-        """Factor-then-solve is bit-identical to eliminating the rhs in the
-        same sweep as the matrix (the arithmetic of each row is unchanged)."""
-        n, modes = 40, 7
-        lower = rng.uniform(0.5, 1.0, n)
-        upper = lower.copy()
-        diag = -2.5 - rng.uniform(0.0, 1.0, (n, modes))
-        rhs = rng.standard_normal((n, modes)).astype(dtype)
-        if dtype is complex:
-            rhs += 1j * rng.standard_normal((n, modes))
-
-        want = one_pass_sweep(lower, diag, upper, rhs, 0.3, -0.7)
-        got = _solve_pinned(lower, diag, upper, rhs, 0.3, -0.7)
-        assert np.array_equal(got, want)
-
-    @pytest.mark.parametrize("dtype", [float, complex])
     def test_one_column_float_path_matches_numpy_scalars(self, rng, dtype):
         """One column is solved on Python floats; the same loop on numpy
         scalars is its bit-for-bit reference for real data (both are IEEE
@@ -187,11 +171,44 @@ class TestFiniteDifference:
 
     def test_one_column_zero_pivot_raises_near_eigenvalue(self):
         """Pivot 2 is exactly 1 - 1 * 1/1 = 0. Numpy scalars divided by it
-        into inf; Python floats raise ZeroDivisionError, which the factor
+        into inf; Python floats raise ZeroDivisionError, which _solve_pinned
         reports as the documented NearEigenvalue."""
         ones = np.ones(5)
         with pytest.raises(NearEigenvalue):
-            _solve_pinned(ones.copy(), ones.copy(), ones.copy(), ones.copy(), 0.0, 1.0)
+            _solve_pinned(ones, ones, ones, ones, 0.0, 1.0)
+
+    def test_small_pivot_raises_near_eigenvalue(self):
+        """Pivot 2 is 1 - 1/(1 + 1e-12), about 1e-12: not zero, but below
+        PIVOT_RTOL times the matrix scale 1 + 1 + 1."""
+        ones = np.ones(5)
+        diag = np.array([1.0, 1.0 + 1e-12, 1.0, 1.0, 1.0])
+        with pytest.raises(NearEigenvalue, match=r"pivot 1\.000e-12 below"):
+            _solve_pinned(ones, diag, ones, ones, 0.0, 1.0)
+
+    @pytest.mark.parametrize("where", ["lower", "diag", "upper"])
+    def test_nan_entry_raises_near_eigenvalue(self, rng, where):
+        n = 9
+        bands = {"lower": rng.uniform(0.5, 1.0, n), "diag": -2.5 - rng.uniform(0.0, 1.0, n),
+                 "upper": rng.uniform(0.5, 1.0, n)}
+        bands[where][n // 2] = np.nan
+        with pytest.raises(NearEigenvalue):
+            _solve_pinned(bands["lower"], bands["diag"], bands["upper"], np.ones(n), 0.0, 1.0)
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_arguments_left_unchanged(self, rng, shared):
+        """Nothing is pinned in place, also when one array is both lower
+        and upper, as solve_fd_rho passes it."""
+        n = 12
+        lower = rng.uniform(0.5, 1.0, n)
+        upper = lower if shared else rng.uniform(0.5, 1.0, n)
+        diag = -2.5 - rng.uniform(0.0, 1.0, n)
+        rhs = rng.standard_normal(n)
+        kept = [a.copy() for a in (lower, diag, upper, rhs)]
+        want = one_pass_sweep(lower, diag, upper, rhs, 0.3, -0.7)
+        got = _solve_pinned(lower, diag, upper, rhs, 0.3, -0.7)
+        assert np.array_equal(got, want)
+        for arg, before in zip((lower, diag, upper, rhs), kept):
+            assert np.array_equal(arg, before)
 
     def test_linear_system_residual_tiny(self, fig1_config):
         prof = solve_fd(fig1_config, n=1001)
@@ -387,6 +404,13 @@ class TestVelocityProfile:
         th = np.linspace(mild_config.theta1, mild_config.theta2, 4)
         prof = ZonalProfile(th, th, None, None, "finite_difference", config=mild_config)
         with pytest.raises(TooFewSamples):
+            velocity_profile(prof)
+
+    def test_non_uniform_grid_rejected(self, mild_config):
+        th = np.linspace(mild_config.theta1, mild_config.theta2, 33)
+        th[16] += 1e-3 * (th[1] - th[0])
+        prof = ZonalProfile(th, th, None, None, "finite_difference", config=mild_config)
+        with pytest.raises(ValidationError, match="uniform grid"):
             velocity_profile(prof)
 
 
