@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch, ValidationError
+from .errors import GridMismatch, NumericalError, ValidationError
 from .geometry import alpha_of_rho, beta_of_rho, integral_dsigma, integral_flat
 from . import euler2d
 from .euler2d import (
@@ -356,6 +356,7 @@ def record(state: SimState, reference: SimState) -> DiagnosticRecord:
     The stream function, its flat gradient integral and its wall
     circulations are computed once and shared by the energy, the
     circulations, the Lyapunov functional and the stability identity.
+    A value that is not finite raises NumericalError.
     """
     grid = state.grid
     psi = stream_of(state)
@@ -377,5 +378,5 @@ def record(state: SimState, reference: SimState) -> DiagnosticRecord:
     for v in (rec.energy, rec.circ1, rec.circ2, rec.lyapunov, rec.max_xi,
               *rec.casimirs.values()):
         if not math.isfinite(v):
-            raise ValidationError("diagnostic produced a non-finite value")
+            raise NumericalError("diagnostic produced a non-finite value")
     return rec

@@ -36,10 +36,14 @@ Discretization, in (rho, phi) = (log r, azimuth):
     stencil is gathered with flat takes from a padded copy of the field
     (edge rows at the walls, periodic columns). The fields are padded
     once per advection; trajectories and interpolations then run over
-    tiles of whole rows, about TILE_POINTS foot points each, in reused
-    buffers, so a tile's temporaries stay in L2 cache where full-field
-    ones (512 KB each at 256^2) would not. Each point's arithmetic is the
-    same in every tile, so the result does not depend on the tiling;
+    tiles of whole rows, about TILE_POINTS foot points each, in one
+    reused scratch of 12 float planes, one index plane and two mask
+    planes, each computed value written over a plane whose last reader
+    has run. A tile costs about 200 numpy calls of about 1 us fixed cost
+    each, and under --sweep each call hands the GIL to the other worker,
+    so the scratch budget, not the cache, sets the tile size. Each
+    point's arithmetic is the same in every tile, so the result does not
+    depend on the tiling;
   * characteristics in these coordinates: d(rho)/ds = cosh^2(rho) psi_phi,
     d(phi)/ds = -cosh^2(rho) psi_rho, since alpha e^{-2 rho} = cosh^2(rho).
 
@@ -300,9 +304,14 @@ def cfl_number(w_rho, w_phi, dt, grid) -> float:
     )
 
 
-# Foot points per tile in advect_values: a float64 temporary of one tile
-# is 64 KB, so a tile's working set fits a 2 MB L2 cache.
-TILE_POINTS = 8192
+# Foot points per tile in advect_values. Its kernel makes about 200 numpy
+# calls per tile, each with about 1 us of fixed cost and, under --sweep,
+# one GIL handoff to the other worker thread, so a tile is as large as the
+# scratch budget allows: SCRATCH_PLANES float planes, one intp index plane
+# and two bool planes, 106 B per foot point and about 1.7 MB per tile. A
+# 128^2 field is one tile, a 256^2 field four.
+TILE_POINTS = 16384
+SCRATCH_PLANES = 12
 
 
 def _padded(values, edge_rows, left, right):
@@ -319,22 +328,24 @@ def _padded(values, edge_rows, left, right):
     return out
 
 
-def _scratch(shape, planes):
-    """Reusable work arrays for foot points of one shape: float planes,
-    two integer index planes and two boolean mask planes."""
-    return (np.empty((planes,) + shape), np.empty((2,) + shape, dtype=np.intp),
+def _scratch(shape):
+    """Reusable work arrays for foot points of one shape: SCRATCH_PLANES
+    float planes, one integer index plane and two boolean mask planes."""
+    return (np.empty((SCRATCH_PLANES,) + shape), np.empty(shape, dtype=np.intp),
             np.empty((2,) + shape, dtype=bool))
 
 
-def _cubic_weights(t, out):
+def _cubic_weights(t, planes):
     """Lagrange cubic weights on the 4-point stencil {-1, 0, 1, 2}.
 
     Each weight keeps its expression tree, -t (t-1) (t-2) / 6,
     (t+1) (t-1) (t-2) / 2, -t (t+1) (t-2) / 2 and t (t+1) (t-1) / 6; only
-    the factors -t, t-1, t+1, t-2 are computed once. out is eight arrays
-    of t's shape: the four weights, then the four factors.
+    the factors -t, t-1, t+1, t-2 are computed once. planes is five
+    arrays of t's shape: the first weight goes to planes[2], and the
+    others overwrite t, -t and t+1 once each has no reader left, so
+    planes[3:] are free again on return.
     """
-    w0, w1, w2, w3, neg, tm1, tp1, tm2 = out
+    neg, tp1, w0, tm1, tm2 = planes
     np.negative(t, out=neg)
     np.subtract(t, 1.0, out=tm1)
     np.add(t, 1.0, out=tp1)
@@ -342,15 +353,15 @@ def _cubic_weights(t, out):
     np.multiply(neg, tm1, out=w0)
     w0 *= tm2
     w0 /= 6.0
-    np.multiply(tp1, tm1, out=w1)
-    w1 *= tm2
-    w1 /= 2.0
-    np.multiply(neg, tp1, out=w2)
-    w2 *= tm2
-    w2 /= 2.0
-    np.multiply(t, tp1, out=w3)
+    w3 = np.multiply(t, tp1, out=t)
     w3 *= tm1
     w3 /= 6.0
+    w2 = np.multiply(neg, tp1, out=neg)
+    w2 *= tm2
+    w2 /= 2.0
+    w1 = np.multiply(tp1, tm1, out=tp1)
+    w1 *= tm2
+    w1 /= 2.0
     return w0, w1, w2, w3
 
 
@@ -360,30 +371,30 @@ def _foot_cells(x, phi_f, grid, width, scratch):
     x is the radial position in cell units; the cell row i0 is clamped to
     the last full cell and phi wraps periodically into [0, 2 pi). Returns
     (base, tx, ty) with base = i0 * width + j0, the flat index of cell
-    (i0, j0) in a padded field of row length width; tx overwrites x.
+    (i0, j0) in a padded field of row length width; tx overwrites x and
+    ty overwrites phi_f. scratch is (a float plane, the index plane, two
+    mask planes).
     """
-    (ty, floor), (i0, j0), (outside, inside) = scratch
+    floor, base, (outside, inside) = scratch
     np.floor(x, out=floor)
-    np.copyto(i0, floor, casting="unsafe")
-    np.clip(i0, 0, grid.n_rho - 2, out=i0)
-    np.subtract(x, i0, out=x)
+    np.copyto(base, floor, casting="unsafe")
+    np.clip(base, 0, grid.n_rho - 2, out=base)
+    np.subtract(x, base, out=x)
     # np.mod returns phi itself on (0, 2 pi), so only the rest needs it
     np.greater(phi_f, 0.0, out=outside)
     np.less(phi_f, 2.0 * np.pi, out=inside)
     outside &= inside
     np.logical_not(outside, out=outside)
-    np.copyto(ty, phi_f)
-    np.mod(phi_f, 2.0 * np.pi, out=ty, where=outside)
+    ty = np.mod(phi_f, 2.0 * np.pi, out=phi_f, where=outside)
     ty /= grid.d_phi
     np.floor(ty, out=floor)
-    np.copyto(j0, floor, casting="unsafe")
-    # a wrapped phi rounds up to at most 2 pi, whose column n_phi is column 0
-    np.equal(j0, grid.n_phi, out=outside)
-    np.copyto(j0, 0, where=outside)
     ty -= floor
-    i0 *= width
-    i0 += j0
-    return i0, x, ty
+    # a wrapped phi rounds up to at most 2 pi, whose column n_phi is column 0
+    np.equal(floor, grid.n_phi, out=outside)
+    np.copyto(floor, 0.0, where=outside)
+    base *= width
+    np.add(base, floor, out=base, casting="unsafe")
+    return base, x, ty
 
 
 def _interp_bicubic_clipped(padded, rho_f, phi_f, grid, out, scratch):
@@ -394,17 +405,18 @@ def _interp_bicubic_clipped(padded, rho_f, phi_f, grid, out, scratch):
     1 left and 2 right, hold stencil columns j0 - 1 .. j0 + 2. The result
     is clipped to the min/max of its own 4x4 stencil, which keeps the
     global range of the field inside the initial range exactly. The
-    result goes to out; scratch is a _scratch of the foot points' shape
-    with at least 20 float planes.
+    result goes to out; rho_f and phi_f are overwritten, and scratch is a
+    _scratch of the foot points' shape with at least 10 float planes.
     """
     planes, index, mask = scratch
-    x, ty, floor, row, block, term, lo, hi = planes[:8]
     width = padded.shape[1]
-    np.subtract(rho_f, grid.rho1, out=x)
-    x /= grid.d_rho
-    base, tx, ty = _foot_cells(x, phi_f, grid, width, ((ty, floor), index, mask))
-    wx = _cubic_weights(tx, planes[8:16])
-    wy = _cubic_weights(ty, (*planes[16:20], *planes[12:16]))
+    np.subtract(rho_f, grid.rho1, out=rho_f)
+    rho_f /= grid.d_rho
+    base, tx, ty = _foot_cells(rho_f, phi_f, grid, width, (planes[0], index, mask))
+    # each _cubic_weights call leaves the last two of its planes free
+    wx = _cubic_weights(tx, planes[0:5])
+    wy = _cubic_weights(ty, planes[3:8])
+    row, block, lo, hi = planes[6:10]
 
     # Stencil entry (a, b) sits at flat offset a * width + b from base.
     # Every index is in range; take's default mode="raise" would buffer out.
@@ -414,14 +426,14 @@ def _interp_bicubic_clipped(padded, rho_f, phi_f, grid, out, scratch):
         row.fill(0.0)
         for b in range(4):
             flat[a * width + b:].take(base, out=block, mode="clip")
-            np.multiply(wy[b], block, out=term)
-            row += term
             if a == b == 0:
                 np.copyto(lo, block)
                 np.copyto(hi, block)
             else:
                 np.minimum(lo, block, out=lo)
                 np.maximum(hi, block, out=hi)
+            block *= wy[b]
+            row += block
         row *= wx[a]
         out += row
     return np.clip(out, lo, hi, out=out)
@@ -432,16 +444,16 @@ def _interp_bilinear_pair(u_pad, v_pad, rho_f, phi_f, grid, out, scratch):
 
     u_pad and v_pad are the fields as _padded(values, 0, 0, 1) lays them
     out: one periodic pad column wraps j0 + 1. The two results go to
-    out[0] and out[1]; scratch is a _scratch of the foot points' shape
-    with at least 7 float planes.
+    out[0] and out[1]; rho_f and phi_f are overwritten, and scratch is a
+    _scratch of the foot points' shape with at least 4 float planes.
     """
     planes, index, mask = scratch
-    x, ty, floor, sx, sy, near, far = planes[:7]
+    sx, sy, near, far = planes[:4]
     width = u_pad.shape[1]
-    np.subtract(rho_f, grid.rho1, out=x)
-    x /= grid.d_rho
-    np.clip(x, 0.0, grid.n_rho - 1.0, out=x)
-    base, tx, ty = _foot_cells(x, phi_f, grid, width, ((ty, floor), index, mask))
+    np.subtract(rho_f, grid.rho1, out=rho_f)
+    rho_f /= grid.d_rho
+    np.clip(rho_f, 0.0, grid.n_rho - 1.0, out=rho_f)
+    base, tx, ty = _foot_cells(rho_f, phi_f, grid, width, (sx, index, mask))
     np.subtract(1, tx, out=sx)
     np.subtract(1, ty, out=sy)
     # sx * (sy * v00 + ty * v01) + tx * (sy * v10 + ty * v11)
@@ -493,32 +505,34 @@ def advect_values(zeta_values, w_rho, w_phi, dt, grid):
     w_rho_pad = _padded(w_rho, 0, 0, 1)
     w_phi_pad = _padded(w_phi, 0, 0, 1)
     rows = max(1, TILE_POINTS // grid.n_phi)
-    planes, index, mask = _scratch((rows, grid.n_phi), 4 + 20)
+    planes, index, mask = _scratch((rows, grid.n_phi))
     phi_n = grid.phi[None, :]
     new = np.empty((grid.n_rho, grid.n_phi))
     clamps = 0
     for r0 in range(0, grid.n_rho, rows):
         r1 = min(r0 + rows, grid.n_rho)
-        rho_h, phi_h, rho_f, phi_f, *kernel_planes = planes[:, :r1 - r0]
-        scratch = (kernel_planes, index[:, :r1 - r0], mask[:, :r1 - r0])
+        rho_h, phi_h, rho_f, phi_f, *spare = planes[:, :r1 - r0]
+        index_t, mask_t = index[:r1 - r0], mask[:, :r1 - r0]
         rho_n = grid.rho[r0:r1, None]
 
         np.multiply(0.5 * dt, w_rho[r0:r1], out=rho_h)
         np.subtract(rho_n, rho_h, out=rho_h)
         np.multiply(0.5 * dt, w_phi[r0:r1], out=phi_h)
         np.subtract(phi_n, phi_h, out=phi_h)
-        clamps += _clamp_to_walls(rho_h, grid, scratch[2])
+        clamps += _clamp_to_walls(rho_h, grid, mask_t)
 
-        # the midpoint velocity, then the foot point, in place
+        # the midpoint velocity, then the foot point, in place; the
+        # midpoint's planes are free after the velocity is sampled
         _interp_bilinear_pair(w_rho_pad, w_phi_pad, rho_h, phi_h, grid,
-                              (rho_f, phi_f), scratch)
+                              (rho_f, phi_f), (spare, index_t, mask_t))
         rho_f *= dt
         np.subtract(rho_n, rho_f, out=rho_f)
         phi_f *= dt
         np.subtract(phi_n, phi_f, out=phi_f)
-        clamps += _clamp_to_walls(rho_f, grid, scratch[2])
+        clamps += _clamp_to_walls(rho_f, grid, mask_t)
 
-        _interp_bicubic_clipped(zeta_pad, rho_f, phi_f, grid, new[r0:r1], scratch)
+        _interp_bicubic_clipped(zeta_pad, rho_f, phi_f, grid, new[r0:r1],
+                                ((rho_h, phi_h, *spare), index_t, mask_t))
     return new, clamps
 
 

@@ -296,6 +296,17 @@ class TestModes:
         assert code == 2
         assert "suggested dt" in capsys.readouterr().err
 
+    def test_non_finite_diagnostic_exits_two(self, tmp_path, capsys):
+        """A finite but huge omega overflows the diagnostics of the initial
+        state: a numerical failure, not a configuration error."""
+        with np.errstate(all="ignore"):
+            code = main(["--mode", "evolve", "--out", str(tmp_path / "huge"),
+                         "--n-rho", "16", "--n-phi", "16", "--dt", "0.001",
+                         "--t-end", "0.002", "--omega", "1e300", "--amplitude", "0.01"])
+        assert code == 2
+        assert "numerical failure: diagnostic produced a non-finite value" in (
+            capsys.readouterr().err)
+
     def test_stability_failing_first_step_keeps_t0_rows(self, tmp_path, capsys):
         out = tmp_path / "stabfail"
         code = main([
