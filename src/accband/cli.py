@@ -249,8 +249,12 @@ def run_mode_evolve(spec, out):
             file=sys.stderr,
         )
     grid = AnnulusGrid.from_band(spec.config, spec.n_rho, spec.n_phi)
-    state = _initial_state(spec, grid)
-    reference = euler2d.zonal_initial_state(spec.config, grid)
+    with np.errstate(all="ignore"):  # a huge setting overflows; checked below
+        state = _initial_state(spec, grid)
+        reference = euler2d.zonal_initial_state(spec.config, grid)
+    for name, s in (("initial", state), ("zonal reference", reference)):
+        if not (np.isfinite(s.zeta).all() and np.isfinite(s.bar_stream).all()):
+            raise NumericalError(f"the {name} state is not finite")
     ckpt_dir = out / "checkpoints"
     records = []
     with contextlib.ExitStack() as files:

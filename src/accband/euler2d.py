@@ -33,17 +33,19 @@ Discretization, in (rho, phi) = (log r, azimuth):
     interpolation clipped to the local 4x4 stencil range (preserves the
     initial min/max of zeta, hence the |xi| <= A ||zeta0||_inf + B bound);
     each foot point's cell is located once per interpolation, and its
-    stencil is gathered with flat takes from a padded copy of the field
-    (edge rows at the walls, periodic columns). The fields are padded
-    once per advection; trajectories and interpolations then run over
-    tiles of whole rows, about TILE_POINTS foot points each, in one
-    reused scratch of 12 float planes, one index plane and two mask
-    planes, each computed value written over a plane whose last reader
-    has run. A tile costs about 200 numpy calls of about 1 us fixed cost
-    each, and under --sweep each call hands the GIL to the other worker,
-    so the scratch budget, not the cache, sets the tile size. Each
-    point's arithmetic is the same in every tile, so the result does not
-    depend on the tiling;
+    stencil is gathered with flat takes from a padded field: zeta padded
+    once per advection (edge rows at the walls, periodic columns), the
+    velocity pair built as one block whose last column repeats column 0.
+    Trajectories and interpolations run over tiles of whole rows, about
+    TILE_POINTS foot points each, in one reused scratch of 12 float
+    planes, one index plane and two mask planes, each computed value
+    written over a plane whose last reader has run. A tile costs about
+    200 numpy calls of about 1 us fixed cost each, and under --sweep each
+    call hands the GIL to the other worker, so the scratch budget, not
+    the cache, sets the tile size. Each point's arithmetic is the same in
+    every tile, so the result does not depend on the tiling. A step holds
+    the velocity block (2 fields), the padded and the new zeta, and the
+    scratch (1.7 MB, 3.3 fields at 256^2): 7.6 fields at 256^2;
   * characteristics in these coordinates: d(rho)/ds = cosh^2(rho) psi_phi,
     d(phi)/ds = -cosh^2(rho) psi_rho, since alpha e^{-2 rho} = cosh^2(rho).
 
@@ -291,10 +293,22 @@ def fix_circulation(bar_stream, grid, targets):
 # Semi-Lagrangian transport
 # ==================================================================
 
-def advecting_velocity(psi_values, grid):
-    """(w_rho, w_phi): the characteristic field in (rho, phi) coordinates."""
+def _velocity_components(psi_values, grid):
+    """w_rho, then w_phi, of psi's characteristic field, one at a time."""
     chi = np.cosh(grid.rho)[:, None] ** 2  # alpha e^{-2 rho}
-    return chi * dphi(psi_values, grid), -chi * drho(psi_values, grid)
+    yield chi * dphi(psi_values, grid)
+    yield -chi * drho(psi_values, grid)
+
+
+def advecting_velocity(psi_values, grid):
+    """(w_rho, w_phi), the characteristic field in (rho, phi), as one
+    (2, n_rho, n_phi + 1) block: each last column repeats column 0, the
+    periodic pad that advect_values samples (and cfl_number's max keeps)."""
+    w = np.empty((2, grid.n_rho, grid.n_phi + 1))
+    for w_k, values in zip(w, _velocity_components(psi_values, grid)):
+        w_k[:, :-1] = values
+        w_k[:, -1] = w_k[:, 0]
+    return w
 
 
 def cfl_number(w_rho, w_phi, dt, grid) -> float:
@@ -314,17 +328,14 @@ TILE_POINTS = 16384
 SCRATCH_PLANES = 12
 
 
-def _padded(values, edge_rows, left, right):
-    """values with its wall rows repeated edge_rows times at each wall and
-    left/right periodic columns wrapped around, as one contiguous array."""
-    n, m = values.shape
-    out = np.empty((n + 2 * edge_rows, left + m + right))
-    core = out[edge_rows:edge_rows + n]
-    core[:, left:left + m] = values
-    core[:, :left] = values[:, m - left:]
-    core[:, left + m:] = values[:, :right]
-    out[:edge_rows] = core[0]
-    out[edge_rows + n:] = core[-1]
+def _padded(values):
+    """values with one edge row repeating each wall row, and periodic
+    columns wrapped around, 1 left and 2 right, as one contiguous array."""
+    out = np.empty((values.shape[0] + 2, values.shape[1] + 3))
+    out[1:-1, 1:-2] = values
+    out[1:-1, :1] = values[:, -1:]
+    out[1:-1, -2:] = values[:, :2]
+    out[0], out[-1] = out[1], out[-2]
     return out
 
 
@@ -400,7 +411,7 @@ def _foot_cells(x, phi_f, grid, width, scratch):
 def _interp_bicubic_clipped(padded, rho_f, phi_f, grid, out, scratch):
     """Clipped cubic Lagrange interpolation at foot points.
 
-    padded is the field as _padded(values, 1, 1, 2) lays it out: one edge
+    padded is the field as _padded(values) lays it out: one edge
     row at each wall repeats it (the radial clamp), and periodic columns,
     1 left and 2 right, hold stencil columns j0 - 1 .. j0 + 2. The result
     is clipped to the min/max of its own 4x4 stencil, which keeps the
@@ -442,8 +453,8 @@ def _interp_bicubic_clipped(padded, rho_f, phi_f, grid, out, scratch):
 def _interp_bilinear_pair(u_pad, v_pad, rho_f, phi_f, grid, out, scratch):
     """Bilinear interpolation of two fields at the same foot points.
 
-    u_pad and v_pad are the fields as _padded(values, 0, 0, 1) lays them
-    out: one periodic pad column wraps j0 + 1. The two results go to
+    u_pad and v_pad are laid out as advecting_velocity's block: a last
+    column repeats column 0 for j0 + 1. The two results go to
     out[0] and out[1]; rho_f and phi_f are overwritten, and scratch is a
     _scratch of the foot points' shape with at least 4 float planes.
     """
@@ -489,6 +500,8 @@ def _clamp_to_walls(rho, grid, mask):
 def advect_values(zeta_values, w_rho, w_phi, dt, grid):
     """One semi-Lagrangian transport step; returns (new values, clamps).
 
+    w_rho and w_phi are laid out as advecting_velocity's block, whose
+    pad column is read as it is (any other shape is a ValidationError).
     Trajectories are traced backwards with the explicit midpoint rule:
     a half-step with the node velocity locates the midpoint, where the
     velocity is re-sampled (bilinear) for the full step. Radial foot
@@ -497,13 +510,14 @@ def advect_values(zeta_values, w_rho, w_phi, dt, grid):
     interpolated in tiles of whole rows, about TILE_POINTS each; the
     result does not depend on the tiling.
     """
+    shape = (grid.n_rho, grid.n_phi + 1)
+    if np.shape(w_rho) != shape or np.shape(w_phi) != shape:
+        raise ValidationError(f"advect_values needs velocities with a pad column, {shape}")
     cfl = cfl_number(w_rho, w_phi, dt, grid)
     if cfl > CFL_LIMIT:
         raise CflViolation(cfl, dt, CFL_LIMIT * abs(dt) / cfl)
 
-    zeta_pad = _padded(zeta_values, 1, 1, 2)
-    w_rho_pad = _padded(w_rho, 0, 0, 1)
-    w_phi_pad = _padded(w_phi, 0, 0, 1)
+    zeta_pad = _padded(zeta_values)
     rows = max(1, TILE_POINTS // grid.n_phi)
     planes, index, mask = _scratch((rows, grid.n_phi))
     phi_n = grid.phi[None, :]
@@ -515,15 +529,15 @@ def advect_values(zeta_values, w_rho, w_phi, dt, grid):
         index_t, mask_t = index[:r1 - r0], mask[:, :r1 - r0]
         rho_n = grid.rho[r0:r1, None]
 
-        np.multiply(0.5 * dt, w_rho[r0:r1], out=rho_h)
+        np.multiply(0.5 * dt, w_rho[r0:r1, :-1], out=rho_h)
         np.subtract(rho_n, rho_h, out=rho_h)
-        np.multiply(0.5 * dt, w_phi[r0:r1], out=phi_h)
+        np.multiply(0.5 * dt, w_phi[r0:r1, :-1], out=phi_h)
         np.subtract(phi_n, phi_h, out=phi_h)
         clamps += _clamp_to_walls(rho_h, grid, mask_t)
 
         # the midpoint velocity, then the foot point, in place; the
         # midpoint's planes are free after the velocity is sampled
-        _interp_bilinear_pair(w_rho_pad, w_phi_pad, rho_h, phi_h, grid,
+        _interp_bilinear_pair(w_rho, w_phi, rho_h, phi_h, grid,
                               (rho_f, phi_f), (spare, index_t, mask_t))
         rho_f *= dt
         np.subtract(rho_n, rho_f, out=rho_f)
@@ -551,26 +565,26 @@ def step(state: SimState, dt: float, targets) -> SimState:
     """Advance one step: predictor velocity, midpoint velocity, transport.
 
     targets are the run's circulation_targets of its initial state, held
-    fixed over every step. Deterministic: identical inputs give
+    fixed over every step. The predictor's zeta and G xi are freed once
+    its stream is formed, and the midpoint velocity is formed in place,
+    one component at a time. Deterministic: identical inputs give
     bit-identical outputs.
     """
     grid = state.grid
     config = state.config
 
-    w_rho_a, w_phi_a = advecting_velocity(stream_of(state), grid)
+    w = advecting_velocity(stream_of(state), grid)
+    zeta_pred, _ = advect_values(state.zeta, *w, dt, grid)
+    psi_pred = stream_of(_closed_state(state.t + dt, zeta_pred, config, grid, targets, 0))
+    del zeta_pred
 
-    zeta_pred, _ = advect_values(state.zeta, w_rho_a, w_phi_a, dt, grid)
-    pred = _closed_state(state.t + dt, zeta_pred, config, grid, targets, 0)
-    w_rho_b, w_phi_b = advecting_velocity(stream_of(pred), grid)
-
-    # the midpoint velocity 0.5 * (a + b), formed in place in a; b is
-    # dropped, so the corrector's advection holds two fields fewer
-    w_rho_a += w_rho_b
-    w_rho_a *= 0.5
-    w_phi_a += w_phi_b
-    w_phi_a *= 0.5
-    del w_rho_b, w_phi_b
-    zeta_new, clamps = advect_values(state.zeta, w_rho_a, w_phi_a, dt, grid)
+    for w_k, b_k in zip(w, _velocity_components(psi_pred, grid)):
+        w_k[:, :-1] += b_k  # the midpoint velocity 0.5 * (a + b)
+        w_k[:, -1] = w_k[:, 0]
+        w_k *= 0.5
+    del psi_pred, b_k
+    zeta_new, clamps = advect_values(state.zeta, *w, dt, grid)
+    del w
     return _closed_state(state.t + dt, zeta_new, config, grid, targets,
                          state.clamp_events + clamps)
 

@@ -1,5 +1,6 @@
 """tools/bench.py: alternating pairs and the per-metric summary, with the
-revisions, the unpacking and perfbench stubbed out."""
+revisions, the unpacking, perfbench and the fresh step processes stubbed
+out, and its step probe on a small grid."""
 
 import importlib.util
 import json
@@ -28,6 +29,8 @@ def bench(monkeypatch, tmp_path):
             {"name": "work_per_s", "better": "higher"}]}))
 
     monkeypatch.setattr(module.compare_outputs, "unpack", unpack)
+    monkeypatch.setattr(module, "step_layer", lambda tree: {
+        "128x128": {"peak_fields": 18.0 if tree.name == "b" else 22.0, "minor_faults": 0}})
     return module
 
 
@@ -58,6 +61,8 @@ def test_pairs_alternate_and_metrics_are_summarized(bench, monkeypatch):
     assert report["run_command"][-4:] == ["--seconds", "30", "--trace", "0"]
     assert report["pair_order"][:2] == ["ab", "ba"] and report["correct"]
     assert report["failed"] == {"a": [0] * 10, "b": [0] * 10}
+    assert report["step"] == {side: {"128x128": {"peak_fields": peak, "minor_faults": 0}}
+                              for side, peak in (("a", 22.0), ("b", 18.0))}
     run_s = report["metrics"]["run_s"]
     values_a = [1.0 + 0.01 * k for k in range(10)]
     q1, _, q3 = statistics.quantiles(values_a, n=4)
@@ -90,3 +95,11 @@ def test_label_is_a_plain_file_name(bench):
     with pytest.raises(SystemExit) as err:
         bench.main(["a", "b", "--label", "../x"])
     assert err.value.code == 2
+
+
+def test_step_probe_measures_each_size(bench):
+    figures = bench.step_probe([16, 24])
+    assert list(figures) == ["16x16", "24x24"]
+    for size in figures.values():
+        assert size["peak_fields"] > 2  # the new state's zeta and G xi at least
+        assert size["minor_faults"] >= 0

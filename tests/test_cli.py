@@ -7,6 +7,7 @@ import pathlib
 import subprocess
 import sys
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -297,15 +298,34 @@ class TestModes:
         assert "suggested dt" in capsys.readouterr().err
 
     def test_non_finite_diagnostic_exits_two(self, tmp_path, capsys):
-        """A finite but huge omega overflows the diagnostics of the initial
-        state: a numerical failure, not a configuration error."""
+        """A finite but huge omega overflows the diagnostics of the (finite,
+        unperturbed) initial state: a numerical failure, not a
+        configuration error."""
         with np.errstate(all="ignore"):
             code = main(["--mode", "evolve", "--out", str(tmp_path / "huge"),
                          "--n-rho", "16", "--n-phi", "16", "--dt", "0.001",
-                         "--t-end", "0.002", "--omega", "1e300", "--amplitude", "0.01"])
+                         "--t-end", "0.002", "--omega", "1e300", "--amplitude", "0"])
         assert code == 2
         assert "numerical failure: diagnostic produced a non-finite value" in (
             capsys.readouterr().err)
+
+    def test_non_finite_initial_state_exits_two_before_any_file(self, tmp_path,
+                                                                 capsys):
+        """The perturbation's scale overflows at a huge omega: the run stops
+        on the initial state, without numpy's warnings and without a
+        header-only diagnostics.csv."""
+        out = tmp_path / "huge"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["--mode", "evolve", "--out", str(out), "--omega", "1e300",
+                         "--amplitude", "0.01", "--n-rho", "16", "--n-phi", "16",
+                         "--dt", "1e-3", "--t-end", "1e-2"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "numerical failure: the initial state is not finite" in err
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not (out / "diagnostics.csv").exists()
 
     def test_stability_failing_first_step_keeps_t0_rows(self, tmp_path, capsys):
         out = tmp_path / "stabfail"

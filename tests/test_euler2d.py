@@ -114,6 +114,25 @@ def ref_bilinear(values, rho_f, phi_f, grid):
     )
 
 
+def traced_peak(call):
+    """tracemalloc's peak over call(), in bytes."""
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+
+
+def padded(w):
+    """A velocity component as advect_values takes it: column 0 repeated
+    as the last, periodic pad column."""
+    return np.concatenate([w, w[:, :1]], axis=1)
+
+
 def wall_advection(config, sign):
     """advect_values arguments on a 48x40 grid whose foot points cross a wall."""
     grid = make_grid(config, 48, 40)
@@ -126,6 +145,7 @@ def wall_advection(config, sign):
 
 
 def ref_advect_values(zeta_values, w_rho, w_phi, dt, grid):
+    w_rho, w_phi = w_rho[:, :-1], w_phi[:, :-1]  # the pad column is not read
     rho_n, phi_n = mesh(grid)
     rho_h = rho_n - 0.5 * dt * w_rho
     phi_h = phi_n - 0.5 * dt * w_phi
@@ -432,8 +452,8 @@ class TestAdvection:
         grid = make_grid(mild_config, 48, 48)
         rho_n, phi_n = mesh(grid)
         zeta = np.sin(3 * phi_n) * np.cosh(rho_n)
-        out, clamps = e2.advect_values(zeta, np.zeros_like(zeta),
-                                       np.zeros_like(zeta), 0.01, grid)
+        out, clamps = e2.advect_values(zeta, padded(np.zeros_like(zeta)),
+                                       padded(np.zeros_like(zeta)), 0.01, grid)
         assert clamps == 0
         assert np.max(np.abs(out - zeta)) <= 1e-12
 
@@ -444,8 +464,8 @@ class TestAdvection:
             s = (rho_n - grid.rho1) / (grid.rho2 - grid.rho1)
             zeta0 = np.sin(phi_n) * (1.0 + 0.5 * s)
             sigma = 1.0
-            w_phi = np.full_like(zeta0, sigma)
-            w_rho = np.zeros_like(zeta0)
+            w_phi = padded(np.full_like(zeta0, sigma))
+            w_rho = padded(np.zeros_like(zeta0))
             dt = 2 * math.pi / sigma / n_steps
             vals = zeta0
             for _ in range(n_steps):
@@ -465,7 +485,7 @@ class TestAdvection:
         psi = e2.stream_of(state)
         w_rho, w_phi = e2.advecting_velocity(psi, grid)
         factor = (alpha_of_rho(grid.rho) * np.exp(-grid.rho))[:, None]
-        for w, u in zip((w_rho, w_phi), e2.velocity_from_stream(psi, grid)):
+        for w, u in zip((w_rho[:, :-1], w_phi[:, :-1]), e2.velocity_from_stream(psi, grid)):
             assert np.max(np.abs(w - factor * u)) <= 1e-12 * np.max(np.abs(w_phi))
         out, _ = e2.advect_values(state.zeta, w_rho, w_phi, 2e-3, grid)
         assert np.max(np.abs(out - state.zeta)) <= 1e-12
@@ -473,13 +493,26 @@ class TestAdvection:
     def test_cfl_violation_suggests_dt(self, mild_config):
         grid = make_grid(mild_config, 48, 48)
         zeta = np.ones((48, 48))
-        w_phi = np.full_like(zeta, 10.0)
+        w_phi = padded(np.full_like(zeta, 10.0))
         with pytest.raises(CflViolation) as err:
-            e2.advect_values(zeta, np.zeros_like(zeta), w_phi, 1.0, grid)
+            e2.advect_values(zeta, padded(np.zeros_like(zeta)), w_phi, 1.0, grid)
         assert 0.0 < err.value.suggested_dt < 1.0
         # the suggested step passes
-        e2.advect_values(zeta, np.zeros_like(zeta), w_phi,
+        e2.advect_values(zeta, padded(np.zeros_like(zeta)), w_phi,
                          err.value.suggested_dt, grid)
+
+    def test_velocity_without_pad_column_rejected(self, mild_config):
+        grid = make_grid(mild_config, 48, 48)
+        zeta = np.ones((48, 48))
+        with pytest.raises(ValidationError, match="pad column"):
+            e2.advect_values(zeta, np.zeros_like(zeta), np.zeros_like(zeta), 0.01, grid)
+
+    def test_velocity_block_repeats_column_zero(self, mild_neg_lam_config):
+        grid = make_grid(mild_neg_lam_config, 48, 40)
+        state = e2.perturbed_zonal_state(mild_neg_lam_config, grid, 0.05, 3, seed=6)
+        w = e2.advecting_velocity(e2.stream_of(state), grid)
+        assert w.shape == (2, 48, 41)
+        assert np.array_equal(w[:, :, -1], w[:, :, 0])
 
     def test_tracer_reversibility_third_order(self, mild_config):
         """Exactly-interpolated setup isolates the midpoint tracer error."""
@@ -487,8 +520,8 @@ class TestAdvection:
         rho_n, phi_n = mesh(grid)
         s = (rho_n - grid.rho1) / (grid.rho2 - grid.rho1)
         zeta0 = 1.0 + s + 0.5 * s**2 - 0.3 * s**3  # cubic: interpolation exact
-        w_rho = 0.01 + 0.03 * s                    # affine: velocity interp exact
-        w_phi = 0.8 + 0.3 * s
+        w_rho = padded(0.01 + 0.03 * s)            # affine: velocity interp exact
+        w_phi = padded(0.8 + 0.3 * s)
         errs = []
         for dt in (0.03, 0.015):
             fwd, _ = e2.advect_values(zeta0, w_rho, w_phi, dt, grid)
@@ -535,7 +568,7 @@ class TestInterpolationReference:
         values = rng.standard_normal(shape)
         rho_f, phi_f = self.foot_points(grid, rng)
         # the kernel overwrites the foot points it is given
-        got = e2._interp_bicubic_clipped(e2._padded(values, 1, 1, 2), rho_f.copy(),
+        got = e2._interp_bicubic_clipped(e2._padded(values), rho_f.copy(),
                                          phi_f.copy(), grid, np.empty_like(rho_f),
                                          e2._scratch(rho_f.shape))
         assert np.array_equal(got, ref_bicubic_clipped(values, rho_f, phi_f, grid))
@@ -551,7 +584,7 @@ class TestInterpolationReference:
         rho_f = np.concatenate([rho_f, [grid.rho1 - 0.1, grid.rho2 + 0.1]])
         phi_f = np.concatenate([phi_f, [0.5, 0.5]])
         got_u, got_v = e2._interp_bilinear_pair(
-            e2._padded(u, 0, 0, 1), e2._padded(v, 0, 0, 1), rho_f.copy(), phi_f.copy(),
+            padded(u), padded(v), rho_f.copy(), phi_f.copy(),
             grid, np.empty((2,) + rho_f.shape), e2._scratch(rho_f.shape))
         assert np.array_equal(got_u, ref_bilinear(u, rho_f, phi_f, grid))
         assert np.array_equal(got_v, ref_bilinear(v, rho_f, phi_f, grid))
@@ -603,15 +636,7 @@ class TestTiles:
         state = e2.perturbed_zonal_state(config, grid, 0.01, 3, seed=6)
         w_rho, w_phi = e2.advecting_velocity(e2.stream_of(state), grid)
         dt = 0.5 / e2.cfl_number(w_rho, w_phi, 1.0, grid)
-        was_tracing = tracemalloc.is_tracing()
-        tracemalloc.start()
-        tracemalloc.reset_peak()
-        try:
-            e2.advect_values(state.zeta, w_rho, w_phi, dt, grid)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            if not was_tracing:
-                tracemalloc.stop()
+        peak = traced_peak(lambda: e2.advect_values(state.zeta, w_rho, w_phi, dt, grid))
         return peak / state.zeta.nbytes
 
     def test_one_call_allocates_under_twelve_fields(self, mild_neg_lam_config):
@@ -660,6 +685,48 @@ class TestStepAndRun:
         a, b = one_run(), one_run()
         assert np.array_equal(a.zeta, b.zeta)
         assert a.lambda_circ == b.lambda_circ
+
+    def test_step_matches_whole_block_midpoint(self, mild_neg_lam_config):
+        """The midpoint velocity formed in place, one component at a time,
+        is the average of the two whole blocks, pad columns included."""
+        config = mild_neg_lam_config
+        grid = make_grid(config, 48, 40)
+        state = e2.perturbed_zonal_state(config, grid, 0.05, 3, seed=6)
+        targets = e2.circulation_targets(state)
+        w_a = e2.advecting_velocity(e2.stream_of(state), grid)
+        dt = 0.5 / e2.cfl_number(*w_a, 1.0, grid)
+        zeta_pred, _ = e2.advect_values(state.zeta, *w_a, dt, grid)
+        pred = e2._closed_state(dt, zeta_pred, config, grid, targets, 0)
+        w = 0.5 * (w_a + e2.advecting_velocity(e2.stream_of(pred), grid))
+        zeta_new, clamps = e2.advect_values(state.zeta, *w, dt, grid)
+        got = e2.step(state, dt, targets)
+        assert got.zeta.tobytes() == zeta_new.tobytes()
+        assert got.clamp_events == clamps
+        assert got.lambda_circ == e2._closed_state(dt, zeta_new, config, grid,
+                                                   targets, 0).lambda_circ
+
+    @staticmethod
+    def step_peak_fields(config, n):
+        """tracemalloc's peak over one steady n x n step, in fields: the
+        state it returns included, after warm-up steps at Courant 0.5."""
+        grid = make_grid(config, n, n)
+        state = e2.perturbed_zonal_state(config, grid, 0.01, 3, seed=6)
+        dt = 0.5 / e2.cfl_number(*e2.advecting_velocity(e2.stream_of(state), grid),
+                                 1.0, grid)
+        targets = e2.circulation_targets(state)
+        for _ in range(2):
+            state = e2.step(state, dt, targets)
+        return traced_peak(lambda: e2.step(state, dt, targets)) / state.zeta.nbytes
+
+    def test_steady_step_allocates_under_eight_fields(self, mild_neg_lam_config):
+        """A step that kept its predictor and padded a copy of the velocity
+        pair on every advection peaked at 11.6 fields here, this one at 7.6."""
+        assert self.step_peak_fields(mild_neg_lam_config, 256) < 8
+
+    def test_steady_step_at_128_stays_in_budget(self, mild_neg_lam_config):
+        """At 128^2 the advection scratch is 12 fields by itself: 18.3 in
+        all, where the step with its predictor kept peaked at 22.3."""
+        assert self.step_peak_fields(mild_neg_lam_config, 128) < 19
 
     def test_run_zero_horizon_returns_initial_only(self, mild_config, tmp_path):
         grid = make_grid(mild_config, 48, 48)

@@ -6,8 +6,9 @@ sturm_liouville.prufer_angle, ...). A wrap of a name that has gone makes
 every traced benchmark run fail, so each one is checked here against a
 tracer that wraps nothing. perfbench/workloads.py and
 perfbench/record_inputs.py call accband too, to check outputs and record
-inputs; an ast scan lists what they use, which must match USED, and each
-use must resolve and accept the arguments it is called with.
+inputs, and tools/bench.py calls it to measure a step directly; an ast
+scan lists what each uses, which must match USED and BENCH_USED, and
+each use must resolve and accept the arguments it is called with.
 """
 
 import ast
@@ -18,6 +19,7 @@ import pathlib
 import sys
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+BENCH = PERFBENCH.parent / "tools" / "bench.py"
 
 
 class CheckingTracer:
@@ -71,13 +73,20 @@ USED = {
 }
 
 
-def accband_roots(monkeypatch):
-    """The names the two files give accband objects, and those objects."""
-    roots = dict(vars(load_perfbench(monkeypatch, "run").load_accband()))
-    for node in ast.walk(ast.parse((PERFBENCH / "record_inputs.py").read_text())):
+def imported_roots(tree):
+    """The names tree's `from accband... import` statements bind, and their objects."""
+    roots = {}
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "accband":
             module = importlib.import_module(node.module)
             roots.update({a.asname or a.name: getattr(module, a.name) for a in node.names})
+    return roots
+
+
+def accband_roots(monkeypatch):
+    """The names the two files give accband objects, and those objects."""
+    roots = dict(vars(load_perfbench(monkeypatch, "run").load_accband()))
+    roots.update(imported_roots(ast.parse((PERFBENCH / "record_inputs.py").read_text())))
     return roots
 
 
@@ -103,13 +112,8 @@ def accband_uses(tree, roots):
     return uses
 
 
-def test_benchmark_uses_of_accband_resolve(monkeypatch):
-    roots = accband_roots(monkeypatch)
-    uses = {}
-    for user in USERS:
-        for name, calls in accband_uses(ast.parse((PERFBENCH / user).read_text()), roots).items():
-            uses.setdefault(name, []).extend(calls)
-    assert set(uses) == USED, "update USED with what the benchmark now uses"
+def assert_uses_resolve(uses, roots):
+    """Each use names an existing object that accepts the arguments of its calls."""
     for name, calls in uses.items():
         head, *attrs = name.split(".")
         target = roots[head]
@@ -118,3 +122,29 @@ def test_benchmark_uses_of_accband_resolve(monkeypatch):
             target = getattr(target, attr)
         for call in calls:  # the argument nodes stand in for the values
             inspect.signature(target).bind(*call.args, **{k.arg: k for k in call.keywords})
+
+
+def test_benchmark_uses_of_accband_resolve(monkeypatch):
+    roots = accband_roots(monkeypatch)
+    uses = {}
+    for user in USERS:
+        for name, calls in accband_uses(ast.parse((PERFBENCH / user).read_text()), roots).items():
+            uses.setdefault(name, []).extend(calls)
+    assert set(uses) == USED, "update USED with what the benchmark now uses"
+    assert_uses_resolve(uses, roots)
+
+
+# What tools/bench.py's step_probe imports from accband and calls.
+BENCH_USED = {
+    "euler2d.perturbed_zonal_state", "euler2d.advecting_velocity",
+    "euler2d.stream_of", "euler2d.cfl_number", "euler2d.circulation_targets",
+    "euler2d.step", "AnnulusGrid.from_band", "BandConfig",
+}
+
+
+def test_bench_tool_uses_of_accband_resolve():
+    tree = ast.parse(BENCH.read_text())
+    roots = imported_roots(tree)
+    uses = accband_uses(tree, roots)
+    assert set(uses) == BENCH_USED, "update BENCH_USED with what tools/bench.py now uses"
+    assert_uses_resolve(uses, roots)

@@ -12,12 +12,20 @@ and collects the end-to-end metrics of its last output line. W defaults
 to ``all`` and N to 1; S is the ``run_seconds`` of side a's
 BENCHMARK.json, the run length the benchmark sets.
 
+Before the pairs, each tree's ``euler2d.step`` is also measured directly,
+in a fresh process of its own with that tree's ``src/`` first on the
+path (step_probe): at 128^2, 256^2 and 512^2, on the MILD_NEG band of
+the test suite at Courant 0.5 and after two warm-up steps, the minor
+page faults of one steady step and the tracemalloc peak of the next, in
+fields (the peak's bytes over one n_rho x n_phi float64 field).
+
 ``BENCH_<L>.json``, written to the current directory, records the two
 commits and their ``src/`` trees, the machine, the command line, each
-run's count of failed (sub-)runs and, per metric, each side's values,
-median and interquartile range, the pairs each side won (ties count for
-neither) and ``b_better``: whether b won at least nine tenths of the
-pairs and its median beats a's by more than a's interquartile range.
+tree's step figures, each run's count of failed (sub-)runs and, per
+metric, each side's values, median and interquartile range, the pairs
+each side won (ties count for neither) and ``b_better``: whether b won
+at least nine tenths of the pairs and its median beats a's by more than
+a's interquartile range.
 Which direction is better also comes from side a's BENCHMARK.json.
 
 Exit code: 0 when every run of both sides checked its outputs as correct,
@@ -30,10 +38,12 @@ import os
 import pathlib
 import platform
 import re
+import resource
 import statistics
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 
@@ -41,6 +51,8 @@ import compare_outputs
 
 # The fewest alternating pairs that can show a gain.
 PAIRS = 10
+STEP_SIZES = (128, 256, 512)
+TOOLS = pathlib.Path(__file__).resolve().parent
 
 
 def run_perfbench(tree, workload, seed, seconds):
@@ -50,6 +62,44 @@ def run_perfbench(tree, workload, seed, seconds):
          "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, capture_output=True, text=True, check=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def step_probe(sizes):
+    """{"<n>x<n>": {"peak_fields", "minor_faults"}} of one steady step per size."""
+    from accband import euler2d
+    from accband.geometry import BandConfig
+    from accband.grids import AnnulusGrid
+
+    config = BandConfig(psi1=-0.2, psi2=0.2, omega=2.0, lam=-10.0, upsilon=1.0)
+    figures = {}
+    for n in sizes:
+        grid = AnnulusGrid.from_band(config, n, n)
+        state = euler2d.perturbed_zonal_state(config, grid, 0.01, 3, seed=6)
+        w_rho, w_phi = euler2d.advecting_velocity(euler2d.stream_of(state), grid)
+        dt = 0.5 / euler2d.cfl_number(w_rho, w_phi, 1.0, grid)
+        del w_rho, w_phi
+        targets = euler2d.circulation_targets(state)
+        for _ in range(2):
+            state = euler2d.step(state, dt, targets)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        state = euler2d.step(state, dt, targets)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+        tracemalloc.start()
+        state = euler2d.step(state, dt, targets)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        figures[f"{n}x{n}"] = {"peak_fields": peak / state.zeta.nbytes,
+                               "minor_faults": faults}
+    return figures
+
+
+def step_layer(tree):
+    """step_probe(STEP_SIZES) run on tree's src/ in a fresh process."""
+    code = f"import json, bench; print(json.dumps(bench.step_probe({STEP_SIZES!r})))"
+    done = subprocess.run([sys.executable, "-c", code], cwd=tree, capture_output=True,
+                          text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": f"{tree / 'src'}{os.pathsep}{TOOLS}"})
+    return json.loads(done.stdout)
 
 
 def revision(rev):
@@ -108,6 +158,11 @@ def main(argv):
         spec = json.loads((trees["a"] / "BENCHMARK.json").read_text())
         better = {m["name"]: m["better"] for m in spec["end_to_end"]}
         seconds = spec["run_seconds"]
+        steps = {side: step_layer(trees[side]) for side in "ab"}
+        for size in steps["a"]:
+            print(f"step {size}: " + ", ".join(
+                f"{side} {steps[side][size]['peak_fields']:.3f} fields, "
+                f"{steps[side][size]['minor_faults']} faults" for side in "ab"), flush=True)
         for k in range(PAIRS):
             for side in "ab" if k % 2 == 0 else "ba":
                 result = run_perfbench(trees[side], args.workload, args.seed, seconds)
@@ -135,6 +190,7 @@ def main(argv):
         "run_command": ["perfbench/run.py", "--workload", args.workload, "--seed",
                         str(args.seed), "--seconds", str(seconds), "--trace", "0"],
         "pair_order": ["ab" if k % 2 == 0 else "ba" for k in range(PAIRS)],
+        "step": steps,
         "failed": failed, "correct": correct, "metrics": metrics,
     }
     path = pathlib.Path(f"BENCH_{args.label}.json")
