@@ -236,7 +236,8 @@ def run_mode_evolve(spec, out):
     checkpoint (evolve) or a stability.csv row (stability), whose rhs is
     the t = 0 stability_lhs. Each row is flushed as it is written, so a
     step that fails mid-run leaves the rows of every state before it.
-    After the last state come summary.json and the invariant check.
+    After the last state come summary.json and the invariant check. The
+    loop keeps only the current output state.
 
     Returns 2 if max|xi| exceeded the transport bound or the inner-wall
     circulation drifted, else 0.
@@ -253,8 +254,9 @@ def run_mode_evolve(spec, out):
         state = _initial_state(spec, grid)
         reference = euler2d.zonal_initial_state(spec.config, grid)
     for name, s in (("initial", state), ("zonal reference", reference)):
-        if not (np.isfinite(s.zeta).all() and np.isfinite(s.bar_stream).all()):
+        if not (np.isfinite(s.zeta).all() and np.isfinite(s.stream).all()):
             raise NumericalError(f"the {name} state is not finite")
+    bound = euler2d.xi_bound(spec.config, state.zeta)
     ckpt_dir = out / "checkpoints"
     records = []
     with contextlib.ExitStack() as files:
@@ -266,7 +268,8 @@ def run_mode_evolve(spec, out):
         else:
             ckpt_dir.mkdir(exist_ok=True)
         outputs = euler2d.run(state, spec.t_end, spec.dt, spec.output_stride)
-        for index, s in enumerate(outputs):
+        del state  # run holds it until its first step
+        for s in outputs:
             rec = diagnostics.record(s, reference=reference)
             records.append(rec)
             diag_csv.write(rec.csv_row() + "\n")
@@ -277,12 +280,12 @@ def run_mode_evolve(spec, out):
                                f"{float(lhs - rhs)!r}\n")
                 stab_csv.flush()
             else:
-                euler2d.write_checkpoint(ckpt_dir / f"checkpoint_{index:06d}.txt", s)
+                euler2d.write_checkpoint(ckpt_dir / f"checkpoint_{len(records) - 1:06d}.txt", s)
+            del s  # not kept while the run steps
 
     (out / "summary.json").write_text(
         json.dumps(diagnostics.summary(records), indent=2, sort_keys=True) + "\n"
     )
-    bound = euler2d.xi_bound(spec.config, state.zeta)
     breaches = []
     if any(rec.max_xi > bound + 1e-10 for rec in records):
         breaches.append("max|xi| exceeded the transport bound")

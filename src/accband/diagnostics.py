@@ -40,7 +40,6 @@ from .euler2d import (
     drho,
     grad_square_flat,
     laplacian_values,
-    stream_of,
 )
 
 CSV_HEADER = "t,energy,circ1,circ2,casimir2,casimir3,stability_identity,max_xi,lambda_circ"
@@ -53,7 +52,7 @@ CSV_HEADER = "t,energy,circ1,circ2,casimir2,casimir3,stability_identity,max_xi,l
 def energy(state: SimState) -> float:
     """Kinetic energy 1/2 int (u^2 + v^2) dsigma."""
     grid = state.grid
-    return 0.5 * integral_flat(grad_square_flat(stream_of(state), grid), grid)
+    return 0.5 * integral_flat(grad_square_flat(state.stream, grid), grid)
 
 
 def energy_zonal_profile(profile) -> float:
@@ -66,7 +65,7 @@ def energy_zonal_profile(profile) -> float:
 def circulations(state: SimState):
     """Spherical circulations int psi_theta dphi at (theta1, theta2)."""
     return _spherical_circulations(
-        boundary_circulations(stream_of(state), state.grid), state.grid
+        boundary_circulations(state.stream, state.grid), state.grid
     )
 
 
@@ -132,7 +131,7 @@ def _lyapunov_of(psi_values, s_values, config, grid):
 
 def lyapunov(state: SimState) -> float:
     """E evaluated on a simulation state (zeta is the prognostic field)."""
-    return _lyapunov_of(stream_of(state), absolute_vorticity(state),
+    return _lyapunov_of(state.stream, absolute_vorticity(state),
                         state.config, state.grid)
 
 
@@ -227,22 +226,16 @@ def zonal_critical_stream(config, grid, dtype=float) -> np.ndarray:
 # ==================================================================
 
 def stability_lhs(state: SimState, reference: SimState) -> float:
-    return _stability_lhs(state, stream_of(state), reference)
-
-
-def _stability_lhs(state, psi, reference):
-    """-lam ||u - u*||^2 + ||Omega - Omega*||^2 of a state with stream psi.
+    """-lam ||u - u*||^2 + ||Omega - Omega*||^2 of a state.
 
     ||u - u*||^2 is conformally flat, so a planar integral, and
-    Omega - Omega* = -(zeta - zeta*). stability_lhs and record both come
-    here, so this is where the two states' grids are checked. The
-    reference's stream is formed once per reference (SimState.stream),
-    not once per call.
+    Omega - Omega* = -(zeta - zeta*). record comes here too, so this is
+    where the two states' grids are checked.
     """
     grid = state.grid
     if not grid.compatible_with(reference.grid):
         raise GridMismatch("state and reference live on different grids")
-    velocity = integral_flat(grad_square_flat(psi - reference.stream, grid), grid)
+    velocity = integral_flat(grad_square_flat(state.stream - reference.stream, grid), grid)
     vorticity = integral_dsigma((state.zeta - reference.zeta) ** 2, grid)
     return -state.config.lam * velocity + vorticity
 
@@ -295,9 +288,10 @@ def harmonic_ode_coefficients(state: SimState) -> dict:
     """
     grid = state.grid
     config = state.config
-    psi_bar = state.bar_stream
-    u_r, u_phi = euler2d.velocity_from_stream(psi_bar, grid)
     c, norm = euler2d.harmonic_component(grid)
+    psi_bar = (state.stream - config.psi2
+               - (state.lambda_circ / norm) * euler2d.harmonic_profile(grid)[:, None])
+    u_r, u_phi = euler2d.velocity_from_stream(psi_bar, grid)
     r = np.exp(grid.rho)[:, None]
     w_geom = (1.0 + r**2) * (1.0 - r**2) / (4.0 * r)
     b = beta_of_rho(grid.rho, config.omega)[:, None]
@@ -350,16 +344,17 @@ def summary(records) -> dict:
     }
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def record(state: SimState, reference: SimState) -> DiagnosticRecord:
     """Evaluate the full diagnostic suite on one state.
 
-    The stream function, its flat gradient integral and its wall
-    circulations are computed once and shared by the energy, the
-    circulations, the Lyapunov functional and the stability identity.
-    A value that is not finite raises NumericalError.
+    The flat gradient integral and the wall circulations of the state's
+    stream are computed once and shared by the energy, the circulations
+    and the Lyapunov functional. A value that is not finite raises
+    NumericalError, not a numpy warning.
     """
     grid = state.grid
-    psi = stream_of(state)
+    psi = state.stream
     grad_sq = integral_flat(grad_square_flat(psi, grid), grid)
     planar_circ = boundary_circulations(psi, grid)
     c1, c2 = _spherical_circulations(planar_circ, grid)
@@ -371,12 +366,12 @@ def record(state: SimState, reference: SimState) -> DiagnosticRecord:
         casimirs={k: casimir(state, k) for k in (2, 3)},
         lyapunov=_lyapunov_terms(grad_sq, planar_circ, absolute_vorticity(state),
                                  state.config, grid),
-        stability_lhs=_stability_lhs(state, psi, reference),
+        stability_lhs=stability_lhs(state, reference),
         max_xi=state.max_xi(),
         lambda_circ=state.lambda_circ,
     )
-    for v in (rec.energy, rec.circ1, rec.circ2, rec.lyapunov, rec.max_xi,
-              *rec.casimirs.values()):
+    for v in (rec.energy, rec.circ1, rec.circ2, rec.lyapunov, rec.stability_lhs,
+              rec.max_xi, *rec.casimirs.values()):
         if not math.isfinite(v):
             raise NumericalError("diagnostic produced a non-finite value")
     return rec

@@ -54,9 +54,9 @@ points stay on their own grid ring and every zonal steady state is
 preserved to round-off, not merely to O(h^2).
 
 Concurrency: everything here is deterministic, serial numpy. A SimState
-is a frozen snapshot: its zeta, lambda_circ and bar_stream are fixed when
-it is built (the arrays read-only), so it is safe to hand to diagnostic
-consumers on other threads.
+is a frozen snapshot: its zeta, lambda_circ and full stream function are
+fixed when it is built (the arrays read-only), so it is safe to hand to
+diagnostic consumers on other threads.
 """
 
 import contextlib
@@ -64,8 +64,7 @@ import json
 import math
 import operator
 import os
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -192,10 +191,12 @@ def harmonic_component(grid):
 class SimState:
     """One snapshot of the transported field and its circulation closure.
 
-    zeta is the (n_rho, n_phi) array of the transported field and
-    bar_stream its G xi, bar_stream_values(zeta, config, grid), solved
-    once by whoever builds the state. Both arrays are made read-only
-    here, so no holder can break bar_stream = G xi(zeta) by writing into
+    zeta is the (n_rho, n_phi) array of the transported field. Its
+    builder passes bar_stream, its G xi, bar_stream_values(zeta, config,
+    grid), solved once; the state keeps only the full stream function
+    formed from it, stream = G xi + psi2 + (lambda_circ/N) psi_star, and
+    dataclasses.replace must be handed G xi again. Both arrays are
+    read-only, so no holder can break stream = psi(zeta) by writing into
     one of them; build a new state from an edited copy instead.
     """
 
@@ -204,23 +205,17 @@ class SimState:
     lambda_circ: float
     config: object
     grid: AnnulusGrid
-    bar_stream: np.ndarray
+    bar_stream: InitVar[np.ndarray]
     clamp_events: int = 0
+    stream: np.ndarray = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, bar_stream):
+        n = harmonic_normalization(self.grid)
+        stream = (bar_stream + self.config.psi2
+                  + (self.lambda_circ / n) * harmonic_profile(self.grid)[:, None])
+        object.__setattr__(self, "stream", stream)
         self.zeta.setflags(write=False)
-        self.bar_stream.setflags(write=False)
-
-    @cached_property
-    def stream(self):
-        """stream_of(self), formed on first use and then kept, read-only.
-
-        For a state read many times, such as the reference that every
-        diagnostics.record of a run compares with; stream_of keeps nothing.
-        """
-        psi = stream_of(self)
-        psi.setflags(write=False)
-        return psi
+        stream.setflags(write=False)
 
     def xi_values(self):
         a = alpha_of_rho(self.grid.rho)[:, None]
@@ -247,11 +242,8 @@ def bar_stream_values(zeta_values, config, grid):
 
 
 def stream_of(state: SimState):
-    """Full stream function: G xi + psi2 + (lambda_circ/N) psi_star."""
-    grid = state.grid
-    n = harmonic_normalization(grid)
-    return (state.bar_stream + state.config.psi2
-            + (state.lambda_circ / n) * harmonic_profile(grid)[:, None])
+    """Full stream function G xi + psi2 + (lambda_circ/N) psi_star: state.stream."""
+    return state.stream
 
 
 def velocity_from_stream(psi_values, grid):
@@ -272,7 +264,7 @@ def boundary_circulations(psi_values, grid):
 
 def circulation_targets(state: SimState):
     """Initial-data circulations that the closure holds fixed."""
-    return boundary_circulations(stream_of(state), state.grid)
+    return boundary_circulations(state.stream, state.grid)
 
 
 def fix_circulation(bar_stream, grid, targets):
@@ -565,17 +557,17 @@ def step(state: SimState, dt: float, targets) -> SimState:
     """Advance one step: predictor velocity, midpoint velocity, transport.
 
     targets are the run's circulation_targets of its initial state, held
-    fixed over every step. The predictor's zeta and G xi are freed once
-    its stream is formed, and the midpoint velocity is formed in place,
-    one component at a time. Deterministic: identical inputs give
+    fixed over every step. The predictor state is freed once its stream
+    is formed, and the midpoint velocity is formed in place, one
+    component at a time. Deterministic: identical inputs give
     bit-identical outputs.
     """
     grid = state.grid
     config = state.config
 
-    w = advecting_velocity(stream_of(state), grid)
+    w = advecting_velocity(state.stream, grid)
     zeta_pred, _ = advect_values(state.zeta, *w, dt, grid)
-    psi_pred = stream_of(_closed_state(state.t + dt, zeta_pred, config, grid, targets, 0))
+    psi_pred = _closed_state(state.t + dt, zeta_pred, config, grid, targets, 0).stream
     del zeta_pred
 
     for w_k, b_k in zip(w, _velocity_components(psi_pred, grid)):
@@ -728,7 +720,7 @@ def perturbed_zonal_state(config, grid, amplitude, wavenumber, seed):
     base = zonal_initial_state(config, grid)
     if amplitude == 0.0:
         return base
-    psi_zonal = stream_of(base)
+    psi_zonal = base.stream
     dpsi_unit = stream_perturbation(grid, 1.0, wavenumber, seed)
 
     def flat_norm(psi_like):

@@ -171,7 +171,7 @@ def _thomas_solve(factor, rhs):
     x[i] -= c[i] x[i+1], so a sweep makes no temporaries.
     """
     lower, piv, c = factor
-    x = np.empty(np.shape(rhs), dtype=np.result_type(rhs, piv))
+    x = np.empty(np.shape(rhs))
     rows = list(x)
     np.divide(rhs[0], piv[0], out=rows[0])
     for prev, row, low, b, p in zip(rows, rows[1:], lower[1:], rhs[1:], piv[1:]):

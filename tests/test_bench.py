@@ -1,11 +1,14 @@
 """tools/bench.py: alternating pairs and the per-metric summary, with the
-revisions, the unpacking, perfbench and the fresh step processes stubbed
-out, and its step probe on a small grid."""
+revisions, the unpacking, perfbench, the launcher and the fresh step
+processes stubbed out, and its step probe on a small grid; tools/launch.py
+on a stub tree."""
 
 import importlib.util
 import json
 import pathlib
 import statistics
+import subprocess
+import sys
 
 import pytest
 
@@ -24,11 +27,13 @@ def bench(monkeypatch, tmp_path):
 
     def unpack(rev, dest):
         dest.mkdir()
-        (dest / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 30, "end_to_end": [
-            {"name": "run_s", "better": "lower"},
-            {"name": "work_per_s", "better": "higher"}]}))
+        (dest / "BENCHMARK.json").write_text(json.dumps({
+            "run_seconds": 30, "workloads": [{"name": "w1"}, {"name": "w2"}],
+            "end_to_end": [{"name": "run_s", "better": "lower"},
+                           {"name": "work_per_s", "better": "higher"}]}))
 
     monkeypatch.setattr(module.compare_outputs, "unpack", unpack)
+    monkeypatch.setattr(module, "run_launcher", fake_launcher([]))
     monkeypatch.setattr(module, "step_layer", lambda tree: {
         "128x128": {"peak_fields": 18.0 if tree.name == "b" else 22.0, "minor_faults": 0}})
     return module
@@ -45,6 +50,16 @@ def fake_runner(calls, correct=True):
                 "metrics": {"run_s": {"value": run_s, "unit": "s"},
                             "work_per_s": {"value": 5.0, "unit": "1/s"}}}
     return run
+
+
+def fake_launcher(calls):
+    """Side b peaks 1 MB lower than side a in every run."""
+    def launch(tree, workload, seed):
+        calls.append((tree.name, workload, seed))
+        k = len(calls)
+        return {"run_s": 1.0 + 0.01 * k, "exit": 0,
+                "peak_rss_mb": 40.0 + 0.01 * k - (tree.name == "b")}
+    return launch
 
 
 def test_pairs_alternate_and_metrics_are_summarized(bench, monkeypatch):
@@ -95,6 +110,79 @@ def test_label_is_a_plain_file_name(bench):
     with pytest.raises(SystemExit) as err:
         bench.main(["a", "b", "--label", "../x"])
     assert err.value.code == 2
+
+
+def test_launcher_runs_alternate_per_workload(bench, monkeypatch):
+    calls = []
+    monkeypatch.setattr(bench, "run_perfbench", fake_runner([]))
+    monkeypatch.setattr(bench, "run_launcher", fake_launcher(calls))
+    assert bench.main(["base", "change", "--label", "t", "--seed", "5"]) == 0
+    assert calls == [(side, w, 5) for w in ("w1", "w2") for side in "abbaab"]
+    launcher = json.loads(pathlib.Path("BENCH_t.json").read_text())["launcher"]
+    assert list(launcher) == ["w1", "w2"]
+    w1 = launcher["w1"]
+    assert w1["order"] == ["ab", "ba", "ab"]
+    assert w1["exit"] == {"a": [0, 0, 0], "b": [0, 0, 0]}
+    assert w1["peak_rss_mb"]["a"]["values"] == [40.01, 40.04, 40.05]
+    assert (w1["peak_rss_mb"]["b_wins"], w1["peak_rss_mb"]["b_better"]) == (3, True)
+    assert w1["run_s"]["better"] == "lower"
+
+
+def test_launcher_runs_one_workload_when_named(bench, monkeypatch):
+    calls = []
+    monkeypatch.setattr(bench, "run_perfbench", fake_runner([]))
+    monkeypatch.setattr(bench, "run_launcher", fake_launcher(calls))
+    assert bench.main(["base", "change", "--label", "t", "--workload", "w2"]) == 0
+    assert {w for _, w, _ in calls} == {"w2"}
+
+
+STUB_WORKLOADS = """
+def load_inputs(workload, seed):
+    return {"seed": seed}
+def evolve_argv(workload, inp, out):
+    return [workload, str(inp["seed"]), out]
+def zonal_configs(seed):
+    return [0, 2, 1]
+def zonal_argv(config, out):
+    return ["zonal", str(config), out]
+"""
+STUB_CLI = """
+import json, os
+def main(argv):
+    with open(os.path.join(os.path.dirname(argv[-1]), "calls.txt"), "a") as fh:
+        fh.write(json.dumps(argv) + "\\n")
+    return int(argv[1]) if argv[0] == "zonal" else 0
+"""
+
+
+def test_launcher_runs_tree_cli_without_numpy(tmp_path):
+    """tools/launch.py takes the argv lists from the tree's workloads.py and
+    runs them through the tree's accband.cli in a child, importing no numpy."""
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "workloads.py").write_text(STUB_WORKLOADS)
+    (tmp_path / "src" / "accband").mkdir(parents=True)
+    (tmp_path / "src" / "accband" / "__init__.py").write_text("")
+    (tmp_path / "src" / "accband" / "cli.py").write_text(STUB_CLI)
+    out = tmp_path / "out"
+    out.mkdir()
+    script = ("import json, sys\n"
+              f"sys.path.insert(0, {str(TOOLS)!r})\n"
+              "import launch\n"
+              f"runs = [launch.launch({str(tmp_path)!r}, w, 7, {str(out)!r})"
+              " for w in ('evolve_x', 'zonal_scan')]\n"
+              "assert 'numpy' not in sys.modules\n"
+              "print(json.dumps(runs))\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    evolve, zonal = json.loads(done.stdout)
+    assert (evolve["exit"], zonal["exit"]) == (0, 2)
+    assert evolve["peak_rss_mb"] > 0 and evolve["run_s"] > 0
+    calls = [json.loads(line) for line in (tmp_path / "calls.txt").read_text().splitlines()]
+    assert calls == [["evolve_x", "7", str(out)]]
+    calls = [json.loads(line) for line in (out / "calls.txt").read_text().splitlines()]
+    assert calls == [["zonal", str(c), str(out / f"cfg_{i:02d}")]
+                     for i, c in enumerate([0, 2, 1])]
 
 
 def test_step_probe_measures_each_size(bench):

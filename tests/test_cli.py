@@ -8,6 +8,7 @@ import subprocess
 import sys
 import types
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -308,6 +309,51 @@ class TestModes:
         assert code == 2
         assert "numerical failure: diagnostic produced a non-finite value" in (
             capsys.readouterr().err)
+
+    HUGE_OMEGA = ["--mode", "evolve", "--omega", "1e300", "--amplitude", "0",
+                  "--n-rho", "16", "--n-phi", "16", "--dt", "1e-3", "--t-end", "1e-2"]
+
+    def test_non_finite_diagnostic_is_quiet_in_process(self, tmp_path, capsys):
+        """record turns the overflow into NumericalError without numpy's
+        warnings, and the t = 0 failure leaves only the CSV header."""
+        out = tmp_path / "huge"
+        with np.errstate(all="warn"), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([*self.HUGE_OMEGA, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "numerical failure: diagnostic produced a non-finite value" in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert (out / "diagnostics.csv").read_text().splitlines() == [
+            cli.diagnostics.CSV_HEADER]
+
+    def test_non_finite_diagnostic_is_quiet_on_stderr(self, tmp_path):
+        src = str(pathlib.Path(accband.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "accband.cli", *self.HUGE_OMEGA, "--out",
+             str(tmp_path / "huge")],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+            timeout=120)
+        assert done.returncode == 2
+        assert "numerical failure: diagnostic produced a non-finite value" in done.stderr
+        assert "RuntimeWarning" not in done.stderr
+
+    def test_initial_state_released_during_strided_run(self, tmp_path, monkeypatch):
+        """With outputs every 4th step, the t = 0 state is dropped once its
+        row and checkpoint are written, not kept until the next output."""
+        step, refs, alive = euler2d.step, [], []
+
+        def spy(state, dt, targets):
+            if not refs:
+                refs.append(weakref.ref(state))
+            alive.append(refs[0]() is not None)
+            return step(state, dt, targets)
+
+        monkeypatch.setattr(euler2d, "step", spy)
+        assert main(["--mode", "evolve", "--out", str(tmp_path / "run"), "--n-rho", "32",
+                     "--n-phi", "32", "--dt", "0.002", "--t-end", "0.016",
+                     "--output-stride", "4", "--amplitude", "0.01", *MILD_BAND]) == 0
+        assert len(alive) == 8 and not any(alive[2:]), alive
 
     def test_non_finite_initial_state_exits_two_before_any_file(self, tmp_path,
                                                                  capsys):

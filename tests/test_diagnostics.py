@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from accband.errors import GridMismatch, ValidationError
+from accband.errors import GridMismatch, NumericalError, ValidationError
 from accband.geometry import alpha_of_rho, band_area, beta_of_rho, integral_dsigma
 from accband.grids import AnnulusGrid
 from accband import cli
@@ -295,8 +295,9 @@ class TestHarmonicOde:
         zeta = base.zeta - a * e2.laplacian_values(dpsi, grid)
         state = make_state(zeta, base.lambda_circ, config, grid)
         targets = e2.circulation_targets(state)
-        lam, _ = e2.fix_circulation(state.bar_stream, grid, targets)
-        return replace(state, lambda_circ=lam), targets
+        bar = e2.bar_stream_values(zeta, config, grid)
+        lam, _ = e2.fix_circulation(bar, grid, targets)
+        return replace(state, lambda_circ=lam, bar_stream=bar), targets
 
     def test_gamma2_vanishes_on_annulus(self, mild_neg_lam_config):
         grid = AnnulusGrid.from_band(mild_neg_lam_config, 96, 96)
@@ -343,13 +344,14 @@ class TestRecord:
         assert rec.stability_lhs == dg.stability_lhs(state, ref)
 
     def test_reference_stream_formed_once(self, mild_neg_lam_config, monkeypatch):
-        """Records of one run form the reference's stream once, not per
-        record, and their stability column is unchanged by it."""
+        """Each stream is formed once, when its state is built, so records
+        form none, and their stability column is unchanged by it."""
         grid = AnnulusGrid.from_band(mild_neg_lam_config, 48, 48)
         ref = e2.zonal_initial_state(mild_neg_lam_config, grid)
         states = [e2.perturbed_zonal_state(mild_neg_lam_config, grid, 0.01, 2, seed=s)
                   for s in (1, 2, 3)]
-        want = [dg._stability_lhs(s, e2.stream_of(s), replace(ref)) for s in states]
+        fresh = replace(ref, bar_stream=e2.bar_stream_values(ref.zeta, ref.config, grid))
+        want = [dg.stability_lhs(s, fresh) for s in states]
         calls = []
         stream_of = e2.stream_of
 
@@ -360,5 +362,12 @@ class TestRecord:
         monkeypatch.setattr(e2, "stream_of", counting)
         got = [dg.record(s, reference=ref).stability_lhs for s in states]
         assert got == want
-        assert [c for c in calls if c is ref] == [ref]
+        assert calls == []
         assert not ref.stream.flags.writeable
+
+    def test_non_finite_stability_lhs_raises(self, mild_neg_lam_config, monkeypatch):
+        grid = AnnulusGrid.from_band(mild_neg_lam_config, 16, 16)
+        ref = e2.zonal_initial_state(mild_neg_lam_config, grid)
+        monkeypatch.setattr(dg, "stability_lhs", lambda *args: math.inf)
+        with pytest.raises(NumericalError, match="non-finite"):
+            dg.record(ref, reference=ref)

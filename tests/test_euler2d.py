@@ -17,7 +17,7 @@ import pytest
 from accband.errors import CflViolation, ValidationError
 from accband.geometry import BandConfig, alpha_of_rho, beta_of_rho
 from accband.grids import AnnulusGrid
-from accband import cli, grids
+from accband import cli, diagnostics, grids
 from accband.sturm_liouville import _solve_pinned
 import accband.sturm_liouville as sl
 from accband.zonal import solve_closed_form_lambda0
@@ -407,7 +407,8 @@ class TestCirculationClosure:
         config = mild_neg_lam_config
         state = e2.perturbed_zonal_state(config, grid, 0.02, 2, seed=3)
         targets = e2.circulation_targets(state)
-        lam1, _ = e2.fix_circulation(state.bar_stream, grid, targets)
+        lam1, _ = e2.fix_circulation(e2.bar_stream_values(state.zeta, config, grid), grid,
+                                     targets)
         beta_field = beta_of_rho(grid.rho, config.omega)[:, None]
         doubled = e2.bar_stream_values(beta_field + 2.0 * (state.zeta - beta_field),
                                        config, grid)
@@ -801,7 +802,8 @@ class TestSeedPhase:
 
 class TestFrozenState:
     """A SimState is a snapshot: nothing is assigned to it after it is
-    built, and its bar_stream is G xi of its own zeta, from every builder."""
+    built, and its stream is formed from G xi of its own zeta, from every
+    builder."""
 
     @staticmethod
     def built_states(config, tmp_path):
@@ -824,7 +826,7 @@ class TestFrozenState:
 
     def test_arrays_are_read_only(self, mild_neg_lam_config, tmp_path):
         for name, state in self.built_states(mild_neg_lam_config, tmp_path).items():
-            for array in (state.zeta, state.bar_stream):
+            for array in (state.zeta, state.stream):
                 assert not array.flags.writeable, name
                 with pytest.raises(ValueError, match="read-only"):
                     array[0, 0] = 1.0
@@ -833,8 +835,19 @@ class TestFrozenState:
         states = self.built_states(mild_neg_lam_config, tmp_path)
         assert states["step"].t == 2e-3 and states["state_from_checkpoint"].t == 2e-3
         for name, state in states.items():
-            want = e2.bar_stream_values(state.zeta, state.config, state.grid)
-            assert state.bar_stream.tobytes() == want.tobytes(), name
+            grid = state.grid
+            want = (e2.bar_stream_values(state.zeta, state.config, grid) + state.config.psi2
+                    + (state.lambda_circ / e2.harmonic_normalization(grid))
+                    * e2.harmonic_profile(grid)[:, None])
+            assert state.stream.tobytes() == want.tobytes(), name
+
+    def test_holds_only_zeta_and_stream(self, mild_neg_lam_config, tmp_path):
+        """No state keeps G xi or a second stream beside its own, also
+        after a record has read it as the reference."""
+        for name, state in self.built_states(mild_neg_lam_config, tmp_path).items():
+            diagnostics.record(state, reference=state)
+            arrays = {k for k, v in vars(state).items() if isinstance(v, np.ndarray)}
+            assert arrays == {"zeta", "stream"}, name
 
 
 class TestCheckpoints:
@@ -921,7 +934,8 @@ class TestCheckpoints:
         path = tmp_path / "state.txt"
         e2.write_checkpoint(path, state)
         before = path.read_bytes()
-        later = dataclasses.replace(state, t=1.0)
+        later = dataclasses.replace(
+            state, t=1.0, bar_stream=e2.bar_stream_values(state.zeta, mild_config, grid))
         for inject in (self.fail_payload_write, self.fail_rename):
             with monkeypatch.context() as patch:
                 inject(patch)

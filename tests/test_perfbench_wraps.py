@@ -6,9 +6,10 @@ sturm_liouville.prufer_angle, ...). A wrap of a name that has gone makes
 every traced benchmark run fail, so each one is checked here against a
 tracer that wraps nothing. perfbench/workloads.py and
 perfbench/record_inputs.py call accband too, to check outputs and record
-inputs, and tools/bench.py calls it to measure a step directly; an ast
-scan lists what each uses, which must match USED and BENCH_USED, and
-each use must resolve and accept the arguments it is called with.
+inputs, tools/bench.py calls it to measure a step directly and
+tools/launch.py to run the CLI; an ast scan lists what each uses, which
+must match USED, BENCH_USED and LAUNCH_USED, and each use must resolve
+and accept the arguments it is called with.
 """
 
 import ast
@@ -20,6 +21,7 @@ import sys
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 BENCH = PERFBENCH.parent / "tools" / "bench.py"
+LAUNCH = PERFBENCH.parent / "tools" / "launch.py"
 
 
 class CheckingTracer:
@@ -147,4 +149,16 @@ def test_bench_tool_uses_of_accband_resolve():
     roots = imported_roots(tree)
     uses = accband_uses(tree, roots)
     assert set(uses) == BENCH_USED, "update BENCH_USED with what tools/bench.py now uses"
+    assert_uses_resolve(uses, roots)
+
+
+# What tools/launch.py's child imports from accband and calls.
+LAUNCH_USED = {"cli.main"}
+
+
+def test_launcher_uses_of_accband_resolve():
+    tree = ast.parse(LAUNCH.read_text())
+    roots = imported_roots(tree)
+    uses = accband_uses(tree, roots)
+    assert set(uses) == LAUNCH_USED, "update LAUNCH_USED with what tools/launch.py now uses"
     assert_uses_resolve(uses, roots)

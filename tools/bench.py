@@ -19,14 +19,22 @@ the test suite at Courant 0.5 and after two warm-up steps, the minor
 page faults of one steady step and the tracemalloc peak of the next, in
 fields (the peak's bytes over one n_rho x n_phi float64 field).
 
+After the pairs, each tree's CLI also runs each workload LAUNCHES times
+through tools/launch.py, alternating sides as the pairs do: a plain
+launcher that imports no numpy and reads the child's wall time and
+ru_maxrss from os.wait4, so the reading carries no floor from a large
+parent process (perfbench/run.py holds numpy when it starts its child).
+
 ``BENCH_<L>.json``, written to the current directory, records the two
 commits and their ``src/`` trees, the machine, the command line, each
 tree's step figures, each run's count of failed (sub-)runs and, per
 metric, each side's values, median and interquartile range, the pairs
 each side won (ties count for neither) and ``b_better``: whether b won
 at least nine tenths of the pairs and its median beats a's by more than
-a's interquartile range.
-Which direction is better also comes from side a's BENCHMARK.json.
+a's interquartile range. Which direction is better also comes from side
+a's BENCHMARK.json. The launcher's ``run_s`` and ``peak_rss_mb`` per
+workload, summarized the same way, and its exit codes go under the
+``launcher`` key.
 
 Exit code: 0 when every run of both sides checked its outputs as correct,
 1 otherwise.
@@ -51,6 +59,8 @@ import compare_outputs
 
 # The fewest alternating pairs that can show a gain.
 PAIRS = 10
+# Launcher runs per side and workload: a check on the pairs, not a claim.
+LAUNCHES = 3
 STEP_SIZES = (128, 256, 512)
 TOOLS = pathlib.Path(__file__).resolve().parent
 
@@ -62,6 +72,36 @@ def run_perfbench(tree, workload, seed, seconds):
          "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, capture_output=True, text=True, check=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def run_launcher(tree, workload, seed):
+    """One run of tree's CLI on workload through tools/launch.py; its JSON line."""
+    with tempfile.TemporaryDirectory(prefix="accband-launch-") as out:
+        done = subprocess.run(
+            [sys.executable, str(TOOLS / "launch.py"), str(tree), workload, str(seed), out],
+            capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+def launcher_layer(trees, workloads, seed):
+    """{workload: run_s and peak_rss_mb compared, exit codes} over LAUNCHES
+    alternating runs per side."""
+    layer = {}
+    for workload in workloads:
+        runs = {"a": [], "b": []}
+        for k in range(LAUNCHES):
+            for side in "ab" if k % 2 == 0 else "ba":
+                runs[side].append(run_launcher(trees[side], workload, seed))
+        layer[workload] = {
+            "order": ["ab" if k % 2 == 0 else "ba" for k in range(LAUNCHES)],
+            "exit": {side: [r["exit"] for r in runs[side]] for side in "ab"},
+            **{name: compare([r[name] for r in runs["a"]], [r[name] for r in runs["b"]],
+                             "lower") for name in ("run_s", "peak_rss_mb")}}
+        print(f"launcher {workload}: " + ", ".join(
+            f"{name} a {layer[workload][name]['a']['median']:.4g}, "
+            f"b {layer[workload][name]['b']['median']:.4g}"
+            for name in ("run_s", "peak_rss_mb")), flush=True)
+    return layer
 
 
 def step_probe(sizes):
@@ -170,6 +210,9 @@ def main(argv):
                 print(f"pair {k} side {side}: " + ", ".join(
                     f"{name} {m['value']:.6g}" for name, m in result["metrics"].items()),
                     flush=True)
+        workloads = ([w["name"] for w in spec["workloads"]] if args.workload == "all"
+                     else [args.workload])
+        launcher = launcher_layer(trees, workloads, args.seed)
 
     metrics = {}
     for name, first in runs["a"][0]["metrics"].items():
@@ -191,6 +234,7 @@ def main(argv):
                         str(args.seed), "--seconds", str(seconds), "--trace", "0"],
         "pair_order": ["ab" if k % 2 == 0 else "ba" for k in range(PAIRS)],
         "step": steps,
+        "launcher": launcher,
         "failed": failed, "correct": correct, "metrics": metrics,
     }
     path = pathlib.Path(f"BENCH_{args.label}.json")
