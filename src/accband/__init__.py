@@ -2,8 +2,9 @@
 
 The package splits into:
 
-  geometry         band configuration, stereographic projection, conformal
-                   coefficients, metric-aware quadratures (integral_dsigma,
+  geometry         band configuration, the stereographic projection's
+                   conformal coefficients on grid rings (alpha_of_rho,
+                   beta_of_rho), metric-aware quadratures (integral_dsigma,
                    integral_flat)
   grids            the log-radial x periodic grid; fields are plain
                    (n_rho, n_phi) ndarrays on it
@@ -13,8 +14,9 @@ The package splits into:
   euler2d          the time-dependent transport solver on the projected
                    annulus (Poisson, harmonic component, semi-Lagrangian
                    stepping, checkpoints)
-  diagnostics      conserved quantities, the Lyapunov functional and its
-                   variations, the zonal-stability identity
+  diagnostics      conserved quantities, the Lyapunov functional on a
+                   state or on any stream field and its zonal critical
+                   point, the zonal-stability identity, per-state records
   cli              scenario files, run modes, CSV/SVG artifacts
 """
 
@@ -41,7 +43,6 @@ from .zonal import (
 from .euler2d import (
     SimState,
     fix_circulation,
-    harmonic_component,
     perturbed_zonal_state,
     run,
     step,
@@ -51,7 +52,6 @@ from .diagnostics import (
     DiagnosticRecord,
     casimir,
     circulations,
-    en_functional,
     energy,
     lyapunov,
     record,
@@ -65,9 +65,9 @@ __all__ = [
     "prufer_eigenvalues", "rayleigh_quotient", "solve_inhomogeneous",
     "ZonalProfile", "solve_closed_form_lambda0", "solve_fd", "solve_picard",
     "solve_sl_expansion", "velocity_profile",
-    "SimState", "fix_circulation", "harmonic_component", "perturbed_zonal_state",
+    "SimState", "fix_circulation", "perturbed_zonal_state",
     "run", "step", "zonal_initial_state",
-    "DiagnosticRecord", "casimir", "circulations", "en_functional", "energy",
+    "DiagnosticRecord", "casimir", "circulations", "energy",
     "lyapunov", "record", "stability_identity",
 ]
 

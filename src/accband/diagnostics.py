@@ -15,14 +15,17 @@ s = -zeta the absolute vorticity and psi the full stream function:
                     a_w = psi2 cos(theta2), b_w = -psi1 cos(theta1)
   stability_lhs     -lam ||u - u*||^2 + ||Omega - Omega*||^2, with
                     Omega - Omega* = -(zeta - zeta*)
-  en_functional     int [ -upsilon (n+1)/n s^n + s^{n+1} ] dsigma
 
 E is exactly quadratic in psi. zonal_critical_stream builds the zonal
 restriction of the discrete quadratic form explicitly (by polarization)
 and solves for its critical point with the boundary values pinned; that
 state makes the discrete first variation vanish to round-off in every
 admissible direction, zonal or not (nonzonal modes decouple exactly in
-the phi sum).
+the phi sum). lyapunov_of_stream evaluates E on any stream field, so the
+criteria take its variations about that state.
+
+record evaluates the suite on one state (one CSV row), and summary
+reduces a run's records to its JSON summary.
 """
 
 import math
@@ -32,7 +35,6 @@ import numpy as np
 
 from .errors import GridMismatch, NumericalError, ValidationError
 from .geometry import alpha_of_rho, beta_of_rho, integral_dsigma, integral_flat
-from . import euler2d
 from .euler2d import (
     SimState,
     boundary_circulations,
@@ -53,13 +55,6 @@ def energy(state: SimState) -> float:
     """Kinetic energy 1/2 int (u^2 + v^2) dsigma."""
     grid = state.grid
     return 0.5 * integral_flat(grad_square_flat(state.stream, grid), grid)
-
-
-def energy_zonal_profile(profile) -> float:
-    """1-D oracle: pi int u(theta)^2 cos(theta) dtheta."""
-    return math.pi * float(
-        np.trapezoid(profile.u**2 * np.cos(profile.thetas), profile.thetas)
-    )
 
 
 def circulations(state: SimState):
@@ -93,15 +88,6 @@ def casimir(state: SimState, k: int) -> float:
     if not isinstance(k, int) or not 0 <= k <= 6:
         raise ValidationError(f"casimir takes an int power 0 <= k <= 6, got {k!r}")
     return integral_dsigma(_power(absolute_vorticity(state), k), state.grid)
-
-
-def en_functional(state: SimState, n: int) -> float:
-    """The lam = 0 conserved family: int [-ups (n+1)/n s^n + s^(n+1)] dsigma."""
-    if n < 1:
-        raise ValidationError("n must be at least 1")
-    ups = state.config.upsilon
-    s = absolute_vorticity(state)
-    return integral_dsigma(-ups * (n + 1) / n * s**n + s ** (n + 1), state.grid)
 
 
 # ==================================================================
@@ -267,48 +253,6 @@ class DiagnosticRecord:
                  self.casimirs[2], self.casimirs[3],
                  self.stability_lhs, self.max_xi, self.lambda_circ]
         return ",".join(repr(float(v)) for v in cells)
-
-
-def harmonic_ode_coefficients(state: SimState) -> dict:
-    """Quadratures of the harmonic-coefficient ODE, an optional diagnostic.
-
-    The time-dependent construction evolves the harmonic coefficient by
-    a quadratic ODE; in the decomposition-consistent normalization it
-    reads lambda' = -N (gamma1 + gamma2 lambda). With U* purely azimuthal
-    and grad(alpha) radial most of the quadratures drop, leaving (u_r,
-    u_phi the Green-part velocity, c the azimuthal U* profile):
-
-      gamma1 = int c u_r (2 u_phi W + beta) dA,
-      gamma2 = int c^2 u_r W dA,          W = (1+r^2)(1-r^2)/(4r),
-
-    and gamma2 vanishes identically on the annulus (the ring average of
-    u_r is exactly zero). The algebraic circulation closure reproduces
-    the same lambda(t) without integrating this ODE; comparing the
-    predicted rate against the observed one exercises the formulas.
-    """
-    grid = state.grid
-    config = state.config
-    c, norm = euler2d.harmonic_component(grid)
-    psi_bar = (state.stream - config.psi2
-               - (state.lambda_circ / norm) * euler2d.harmonic_profile(grid)[:, None])
-    u_r, u_phi = euler2d.velocity_from_stream(psi_bar, grid)
-    r = np.exp(grid.rho)[:, None]
-    w_geom = (1.0 + r**2) * (1.0 - r**2) / (4.0 * r)
-    b = beta_of_rho(grid.rho, config.omega)[:, None]
-    area = grid.radial_weights[:, None] * np.exp(2.0 * grid.rho)[:, None] * grid.d_phi
-    gamma1 = float(np.sum(area * c * u_r * (2.0 * u_phi * w_geom + b)))
-    gamma2 = float(np.sum(area * c**2 * u_r * w_geom))
-    return {
-        "gamma1": gamma1,
-        "gamma2": gamma2,
-        "predicted_lambda_rate": -norm * (gamma1 + gamma2 * state.lambda_circ),
-    }
-
-
-def harmonic_ode_residual(prev: SimState, mid: SimState, nxt: SimState) -> float:
-    """Observed minus predicted lambda rate, centered at the middle state."""
-    lam_dot = (nxt.lambda_circ - prev.lambda_circ) / (nxt.t - prev.t)
-    return lam_dot - harmonic_ode_coefficients(mid)["predicted_lambda_rate"]
 
 
 def summary(records) -> dict:

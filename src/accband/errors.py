@@ -36,10 +36,6 @@ class NumericalError(AccBandError):
     """Base class for failures of the numerical machinery."""
 
 
-class OriginUndefined(NumericalError):
-    """Longitude recovery requested at the projection plane origin."""
-
-
 class GridMismatch(NumericalError):
     """Fields defined on incompatible grids were combined."""
 

@@ -168,21 +168,6 @@ def harmonic_normalization(grid) -> float:
     return 2.0 * math.pi / (grid.rho2 - grid.rho1)
 
 
-def harmonic_component(grid):
-    """(u_phi, N): the normalized harmonic field U_star = perp-grad(psi_star)/N.
-
-    Purely azimuthal (its u_r is identically 0); its circulation around
-    either wall is exactly 1/N times that of perp-grad(psi_star), i.e. the
-    circulation carried by lambda_circ * U_star is exactly lambda_circ.
-    """
-    n = harmonic_normalization(grid)
-    u_phi = np.broadcast_to(
-        (np.exp(-grid.rho) / ((grid.rho2 - grid.rho1) * n))[:, None],
-        (grid.n_rho, grid.n_phi),
-    ).copy()
-    return u_phi, n
-
-
 # ==================================================================
 # State and velocity reconstruction
 # ==================================================================
@@ -244,12 +229,6 @@ def bar_stream_values(zeta_values, config, grid):
 def stream_of(state: SimState):
     """Full stream function G xi + psi2 + (lambda_circ/N) psi_star: state.stream."""
     return state.stream
-
-
-def velocity_from_stream(psi_values, grid):
-    """(u_r, u_phi) = (e^-rho psi_phi, -e^-rho psi_rho)."""
-    inv_r = np.exp(-grid.rho)[:, None]
-    return inv_r * dphi(psi_values, grid), -inv_r * drho(psi_values, grid)
 
 
 def boundary_circulations(psi_values, grid):

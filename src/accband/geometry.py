@@ -22,7 +22,10 @@ the plane is
 
     beta(x, y) = 2 omega (1 - x^2 - y^2)/(1 + x^2 + y^2) = -2 omega sin(theta).
 
-Every point operation is a plain function of floats or ndarrays.
+Both depend on the point only through r^2 = x^2 + y^2, so the library
+evaluates them on grid rings, as alpha_of_rho and beta_of_rho of
+rho = log r; the grid inverts the projection ring by ring
+(AnnulusGrid.theta: sin(theta) = (r^2 - 1)/(r^2 + 1)).
 """
 
 import math
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OriginUndefined, ValidationError
+from .errors import ValidationError
 
 
 # ==================================================================
@@ -78,47 +81,8 @@ class BandConfig:
 
 
 # ==================================================================
-# Projection and conformal coefficients
+# Conformal coefficients
 # ==================================================================
-
-def project(phi, theta):
-    """Stereographic image (x, y) of the sphere point(s) (phi, theta)."""
-    phi = np.asarray(phi, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    r = np.cos(theta) / (1.0 - np.sin(theta))
-    return r * np.cos(phi), r * np.sin(phi)
-
-
-def unproject(x, y):
-    """Inverse projection: (phi, theta) with phi in [0, 2pi).
-
-    Raises OriginUndefined at the plane origin, where the longitude has
-    no preimage (the South Pole is not part of the chart).
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    rho2 = x * x + y * y
-    if np.any(rho2 == 0.0):
-        raise OriginUndefined("longitude is undefined at (x, y) = (0, 0)")
-    phi = np.mod(np.arctan2(y, x), 2.0 * np.pi)
-    theta = np.arcsin((rho2 - 1.0) / (rho2 + 1.0))
-    return phi, theta
-
-
-def alpha(x, y):
-    """Conformal coefficient (1 + x^2 + y^2)^2 / 4."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return (1.0 + x * x + y * y) ** 2 / 4.0
-
-
-def beta(x, y, omega):
-    """Planetary vorticity on the plane: 2 omega (1-x^2-y^2)/(1+x^2+y^2)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    rho2 = x * x + y * y
-    return 2.0 * omega * (1.0 - rho2) / (1.0 + rho2)
-
 
 def alpha_of_rho(rho):
     """alpha on a grid ring, as a function of rho = log r."""
@@ -130,36 +94,6 @@ def beta_of_rho(rho, omega):
     """beta on a grid ring, as a function of rho = log r."""
     r2 = np.exp(2.0 * np.asarray(rho, dtype=float))
     return 2.0 * omega * (1.0 - r2) / (1.0 + r2)
-
-
-# ==================================================================
-# Tangent-vector transport
-# ==================================================================
-
-def vector_to_plane(u, v, phi, theta):
-    """Spherical velocity components -> planar (U, V).
-
-    U = (1 - sin theta) [ v cos phi - u sin phi ]
-    V = (1 - sin theta) [ u cos phi + v sin phi ]
-
-    The (1 - sin theta) factor makes the planar field divergence-free
-    whenever the spherical one is.
-    """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    s = 1.0 - np.sin(theta)
-    big_u = s * (v * np.cos(phi) - u * np.sin(phi))
-    big_v = s * (u * np.cos(phi) + v * np.sin(phi))
-    return big_u, big_v
-
-
-def vector_to_sphere(big_u, big_v, x, y):
-    """Planar (U, V) -> spherical velocity components (u, v)."""
-    phi, theta = unproject(x, y)
-    s = 1.0 - np.sin(theta)
-    u = (big_v * np.cos(phi) - big_u * np.sin(phi)) / s
-    v = (big_u * np.cos(phi) + big_v * np.sin(phi)) / s
-    return u, v
 
 
 # ==================================================================
@@ -182,7 +116,3 @@ def integral_flat(values, grid):
     """Integral against drho dphi (gradient-type integrands), same rule."""
     return grid.d_phi * np.sum(grid.radial_weights[:, None] * values)
 
-
-def band_area(config) -> float:
-    """Closed-form band area 2 pi (sin theta2 - sin theta1)."""
-    return 2.0 * math.pi * (math.sin(config.theta2) - math.sin(config.theta1))

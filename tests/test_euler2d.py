@@ -23,6 +23,8 @@ import accband.sturm_liouville as sl
 from accband.zonal import solve_closed_form_lambda0
 import accband.euler2d as e2
 
+from oracles import harmonic_component, velocity_from_stream
+
 
 # The mild_config band as CLI flags.
 MILD_ARGS = ["--psi1", "-0.2", "--psi2", "0.2", "--omega", "2.0", "--upsilon", "1.0",
@@ -326,7 +328,7 @@ class TestHarmonicComponent:
     def test_unit_circulation(self, mild_config):
         """Line-integral oracle: circulation of U_star around either wall."""
         grid = make_grid(mild_config)
-        ustar_phi, norm = e2.harmonic_component(grid)
+        ustar_phi, norm = harmonic_component(grid)
         for row in (0, -1):
             r_wall = math.exp(grid.rho[row])
             circ = grid.d_phi * float(np.sum(ustar_phi[row] * r_wall))
@@ -337,8 +339,8 @@ class TestHarmonicComponent:
         grid = make_grid(mild_config, 96, 96)
         src = e2._poisson_values(rng.standard_normal((96, 96)), grid)  # smooth field
         psi_bar = e2._poisson_values(src, grid)
-        u_r, u_phi = e2.velocity_from_stream(psi_bar, grid)
-        ustar_phi, _ = e2.harmonic_component(grid)
+        u_r, u_phi = velocity_from_stream(psi_bar, grid)
+        ustar_phi, _ = harmonic_component(grid)
         ustar_r = np.zeros_like(ustar_phi)  # U_star is purely azimuthal
         w = grid.radial_weights[:, None] * np.exp(2.0 * grid.rho)[:, None]
 
@@ -359,7 +361,7 @@ class TestReconstruction:
             (grid.n_rho, grid.n_phi),
         ).copy()
         state = make_state(beta_field, 0.0, mild_config, grid)
-        u_r, u_phi = e2.velocity_from_stream(e2.stream_of(state), grid)
+        u_r, u_phi = velocity_from_stream(e2.stream_of(state), grid)
         assert np.max(np.abs(u_r)) <= 1e-12
         assert np.max(np.abs(u_phi)) <= 1e-12
 
@@ -368,7 +370,7 @@ class TestReconstruction:
         for n in (64, 128):
             grid = make_grid(mild_config, n, 16)
             state = e2.zonal_initial_state(mild_config, grid)
-            _, u_phi = e2.velocity_from_stream(e2.stream_of(state), grid)
+            _, u_phi = velocity_from_stream(e2.stream_of(state), grid)
             prof = solve_closed_form_lambda0(mild_config, 4097)
             u_interp = np.interp(grid.theta, prof.thetas, prof.u)
             # planar azimuthal component of a zonal spherical flow
@@ -379,7 +381,7 @@ class TestReconstruction:
     def test_boundary_impermeability_and_divergence(self, mild_neg_lam_config):
         grid = make_grid(mild_neg_lam_config, 64, 64)
         state = e2.perturbed_zonal_state(mild_neg_lam_config, grid, 0.05, 3, seed=2)
-        u_r, u_phi = e2.velocity_from_stream(e2.stream_of(state), grid)
+        u_r, u_phi = velocity_from_stream(e2.stream_of(state), grid)
         scale = np.max(np.abs(u_phi))
         assert np.max(np.abs(u_r[0])) <= 1e-12 * scale
         assert np.max(np.abs(u_r[-1])) <= 1e-12 * scale
@@ -396,8 +398,8 @@ class TestCirculationClosure:
     def test_lambda_matches_projection_of_initial_velocity(self, mild_config):
         grid = make_grid(mild_config, 128, 64)
         state = e2.zonal_initial_state(mild_config, grid)
-        _, u_phi = e2.velocity_from_stream(e2.stream_of(state), grid)
-        ustar_phi, norm = e2.harmonic_component(grid)  # U_star has no u_r
+        _, u_phi = velocity_from_stream(e2.stream_of(state), grid)
+        ustar_phi, norm = harmonic_component(grid)  # U_star has no u_r
         w = grid.radial_weights[:, None] * np.exp(2.0 * grid.rho)[:, None]
         inner = grid.d_phi * float(np.sum(w * u_phi * ustar_phi))
         assert inner * norm == pytest.approx(state.lambda_circ, rel=2e-4)
@@ -486,7 +488,7 @@ class TestAdvection:
         psi = e2.stream_of(state)
         w_rho, w_phi = e2.advecting_velocity(psi, grid)
         factor = (alpha_of_rho(grid.rho) * np.exp(-grid.rho))[:, None]
-        for w, u in zip((w_rho[:, :-1], w_phi[:, :-1]), e2.velocity_from_stream(psi, grid)):
+        for w, u in zip((w_rho[:, :-1], w_phi[:, :-1]), velocity_from_stream(psi, grid)):
             assert np.max(np.abs(w - factor * u)) <= 1e-12 * np.max(np.abs(w_phi))
         out, _ = e2.advect_values(state.zeta, w_rho, w_phi, 2e-3, grid)
         assert np.max(np.abs(out - state.zeta)) <= 1e-12

@@ -1,29 +1,16 @@
-"""Projection, conformal coefficients, vector transport, band quadrature."""
+"""The band's projection (radii forward, grid latitudes back), the
+conformal coefficients on grid rings, and the band quadrature."""
 
 import math
 
 import numpy as np
 import pytest
 
-from accband.errors import OriginUndefined, ValidationError
-from accband.geometry import (
-    BandConfig,
-    alpha,
-    band_area,
-    beta,
-    integral_dsigma,
-    project,
-    unproject,
-    vector_to_plane,
-    vector_to_sphere,
-)
+from accband.errors import ValidationError
+from accband.geometry import BandConfig, alpha_of_rho, beta_of_rho, integral_dsigma
 from accband.grids import AnnulusGrid
 
-
-def random_band_points(config, rng, n):
-    phi = rng.uniform(0.0, 2.0 * np.pi, n)
-    theta = rng.uniform(config.theta1, config.theta2, n)
-    return phi, theta
+from oracles import band_area
 
 
 class TestConfig:
@@ -47,91 +34,79 @@ class TestConfig:
 
 
 class TestProjection:
+    """Forward, BandConfig's radii r = cos(theta)/(1 - sin(theta)); back,
+    the grid's ring latitudes sin(theta) = (r^2 - 1)/(r^2 + 1)."""
+
     def test_equator_points(self):
-        x, y = project(0.0, 0.0)
-        assert (x, y) == pytest.approx((1.0, 0.0), abs=1e-15)
-        x, y = project(np.pi / 4, 0.0)
+        grid = AnnulusGrid(8, 8, -1.0, 0.0)
+        assert grid.r[-1] == pytest.approx(1.0, abs=1e-15)
+        assert grid.theta[-1] == pytest.approx(0.0, abs=1e-15)
+        x, y = grid.r[-1] * np.cos(grid.phi[1]), grid.r[-1] * np.sin(grid.phi[1])
         assert (x, y) == pytest.approx((np.sqrt(2) / 2, np.sqrt(2) / 2), abs=1e-15)
 
     def test_band_latitude_value(self):
         # cos(-pi/3) / (1 - sin(-pi/3)) = tan(pi/12)
-        x, y = project(0.0, -np.pi / 3)
-        assert x == pytest.approx(math.tan(math.pi / 12), abs=1e-14)
-        assert x == pytest.approx(0.26794919243112275, abs=1e-12)
-        assert y == pytest.approx(0.0, abs=1e-15)
+        r1 = BandConfig(theta1=-np.pi / 3, theta2=-0.5).r1
+        assert r1 == pytest.approx(math.tan(math.pi / 12), abs=1e-14)
+        assert r1 == pytest.approx(0.26794919243112275, abs=1e-12)
 
     def test_unproject_examples(self):
-        phi, theta = unproject(1.0, 0.0)
-        assert (phi, theta) == pytest.approx((0.0, 0.0), abs=1e-15)
-        phi, theta = unproject(0.5, 0.0)
-        assert theta == pytest.approx(math.asin(-0.6), abs=1e-14)
+        grid = AnnulusGrid(8, 8, math.log(0.5), 0.0)
+        assert grid.theta[-1] == pytest.approx(0.0, abs=1e-15)
+        assert grid.theta[0] == pytest.approx(math.asin(-0.6), abs=1e-14)
 
     def test_origin_rejected(self):
-        with pytest.raises(OriginUndefined):
-            unproject(0.0, 0.0)
+        """The plane origin is the South Pole, which no band reaches."""
+        with pytest.raises(ValidationError):
+            BandConfig(theta1=-np.pi / 2, theta2=-0.9)
 
     def test_roundtrip_random_band_points(self, rng):
-        config = BandConfig()
-        phi, theta = random_band_points(config, rng, 10_000)
-        x, y = project(phi, theta)
-        phi2, theta2 = unproject(x, y)
-        assert np.max(np.abs(phi2 - phi)) <= 1e-12
-        assert np.max(np.abs(theta2 - theta)) <= 1e-12
-        x2, y2 = project(phi2, theta2)
-        assert np.max(np.abs(x2 - x)) <= 1e-12
-        assert np.max(np.abs(y2 - y)) <= 1e-12
+        for _ in range(200):
+            theta1, theta2 = np.sort(rng.uniform(-1.45, -0.05, 2))
+            config = BandConfig(theta1=float(theta1), theta2=float(theta2))
+            grid = AnnulusGrid.from_band(config, 8, 8)
+            assert abs(grid.theta[0] - config.theta1) <= 1e-14
+            assert abs(grid.theta[-1] - config.theta2) <= 1e-14
 
     def test_scalar_point_roundtrip(self):
-        """One scalar point through project and unproject, as floats."""
-        x, y = project(0.3, -1.0)
-        phi, theta = unproject(float(x), float(y))
-        assert float(phi) == pytest.approx(0.3, abs=1e-14)
-        assert float(theta) == pytest.approx(-1.0, abs=1e-14)
+        """One scalar latitude through BandConfig's float radius and back."""
+        config = BandConfig(theta1=-1.0, theta2=-0.5)
+        assert isinstance(config.r1, float)
+        theta = float(AnnulusGrid.from_band(config, 8, 8).theta[0])
+        assert theta == pytest.approx(-1.0, abs=1e-14)
 
 
 class TestConformalCoefficients:
+    """alpha_of_rho and beta_of_rho, as the Poisson source, every state
+    and the critical stream read them, on the default band's rings."""
+
+    def grid(self):
+        return AnnulusGrid.from_band(BandConfig(), 1024, 8)
+
     def test_alpha_values(self):
-        assert alpha(0.0, 0.0) == pytest.approx(0.25)
-        assert alpha(1.0, 0.0) == pytest.approx(1.0)
+        assert alpha_of_rho(-np.inf) == pytest.approx(0.25)  # the plane origin
+        assert alpha_of_rho(0.0) == pytest.approx(1.0)       # the equator
 
     def test_beta_values(self):
-        assert beta(1.0, 0.0, omega=4650.0) == pytest.approx(0.0, abs=1e-12)
-        assert beta(0.0, 0.0, omega=4650.0) == pytest.approx(2 * 4650.0)
+        assert beta_of_rho(0.0, omega=4650.0) == pytest.approx(0.0, abs=1e-12)
+        assert beta_of_rho(-np.inf, omega=4650.0) == pytest.approx(2 * 4650.0)
 
-    def test_beta_matches_planetary_vorticity(self, rng):
+    def test_beta_matches_planetary_vorticity(self):
         config = BandConfig()
-        phi, theta = random_band_points(config, rng, 10_000)
-        x, y = project(phi, theta)
-        residual = beta(x, y, config.omega) + 2.0 * config.omega * np.sin(theta)
+        grid = self.grid()
+        residual = beta_of_rho(grid.rho, config.omega) + 2.0 * config.omega * np.sin(grid.theta)
         assert np.max(np.abs(residual)) <= 1e-12 * config.omega
 
-    def test_alpha_lower_bound_on_band(self, rng):
+    def test_alpha_lower_bound_on_band(self):
         config = BandConfig()
-        phi, theta = random_band_points(config, rng, 1000)
-        x, y = project(phi, theta)
-        assert np.all(alpha(x, y) >= (1 + config.r1**2) ** 2 / 4 - 1e-14)
+        assert np.all(alpha_of_rho(self.grid().rho) >= (1 + config.r1**2) ** 2 / 4 - 1e-14)
 
-
-class TestVectorTransport:
-    def test_zero_maps_to_zero(self):
-        assert vector_to_plane(0.0, 0.0, 1.0, -1.0) == (0.0, 0.0)
-
-    def test_pure_zonal_at_phi0(self):
-        theta = -0.9
-        big_u, big_v = vector_to_plane(1.0, 0.0, 0.0, theta)
-        assert big_u == pytest.approx(0.0, abs=1e-15)
-        assert big_v == pytest.approx(1.0 - math.sin(theta))
-
-    def test_roundtrip_random(self, rng):
-        config = BandConfig()
-        phi, theta = random_band_points(config, rng, 10_000)
-        u = rng.standard_normal(10_000)
-        v = rng.standard_normal(10_000)
-        x, y = project(phi, theta)
-        big_u, big_v = vector_to_plane(u, v, phi, theta)
-        u2, v2 = vector_to_sphere(big_u, big_v, x, y)
-        assert np.max(np.abs(u2 - u)) <= 1e-12
-        assert np.max(np.abs(v2 - v)) <= 1e-12
+    def test_alpha_over_r_squared_is_cosh_squared(self):
+        """alpha e^{-2 rho} = cosh^2(rho), which the transport's
+        characteristic field is built from."""
+        rho = self.grid().rho
+        chi = np.cosh(rho) ** 2
+        assert np.max(np.abs(alpha_of_rho(rho) * np.exp(-2.0 * rho) - chi) / chi) <= 2e-15
 
 
 class TestBandIntegral:

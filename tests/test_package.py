@@ -139,3 +139,142 @@ def test_sibling_scan_finds_each_form(tmp_path):
     clean = package / "clean.py"
     clean.write_text("from .errors import ValidationError\nfrom . import zonal_extra\n")
     assert _module_uses(clean, "accband.zonal") == []
+
+
+# ------------------------------------------------------------------
+# Test-only surface: the library keeps what a run, a criterion or the
+# benchmark calls. Each public top-level function and class is either
+# called by perfbench/, by tools/ or by a statement of the library that
+# is not itself test-only (accband/__init__'s re-exports aside), or
+# listed here with the reason it stays.
+# ------------------------------------------------------------------
+
+KEPT_FOR_TESTS = {
+    "diagnostics.circulations":
+        "record's circ1/circ2 as one functional: the oracles of TestCirculations "
+        "check it, and record is pinned equal to it",
+    "diagnostics.energy":
+        "record's energy as one functional: the oracles of TestEnergy check it, "
+        "and record is pinned equal to it",
+    "diagnostics.lyapunov": "criterion 7 compares the identity's defect with 2(E(t) - E*)",
+    "diagnostics.lyapunov_of_stream": "criterion 8 varies E about the critical stream",
+    "diagnostics.stability_identity": "criterion 7 reads the identity's two sides",
+    "diagnostics.zonal_critical_stream":
+        "criterion 8's exact critical point, solved in long double",
+    "euler2d.state_from_checkpoint":
+        "the state a resumed run starts from; no run mode resumes yet",
+    "sturm_liouville.count_sign_changes": "criterion 3 counts eigenfunction nodes",
+    "sturm_liouville.prufer_eigenvalues":
+        "criterion 3's independent shooting route to the spectrum",
+    "sturm_liouville.rayleigh_quotient": "criterion 3 checks each eigenvalue by it",
+    "zonal.closed_form_residual": "criterion 1 reads it",
+}
+
+
+def _package_root_names(tree, stems):
+    """Names in tree bound to a module of the package (`from . import x`,
+    `import accband.x as y`, `from accband import x`), and the stems."""
+    names = set(stems)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "accband"):
+            names.update(a.asname or a.name for a in node.names if a.name in stems)
+        elif isinstance(node, ast.Import):
+            names.update(a.asname for a in node.names
+                         if a.asname and a.name.startswith("accband."))
+    return names
+
+
+def _references(tree, stems):
+    """(statement, names read, names reached in the package) for each
+    top-level statement of tree. A name is reached when the statement
+    imports it from the package or takes it as an attribute of a package
+    module (m.f, acc.m.f)."""
+    modules = _package_root_names(tree, stems)
+
+    def last_name(node):
+        return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+    def names(statement):
+        read, reached = set(), set()
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                reached.update(a.name for a in node.names)
+            elif isinstance(node, ast.Attribute) and last_name(node.value) in modules:
+                reached.add(node.attr)
+        return read, reached
+
+    return [(statement, *names(statement)) for statement in tree.body]
+
+
+def _test_only_surface(package, outside):
+    """module.name of each public top-level function and class of the
+    package's modules that no caller reaches. Callers are the `outside`
+    source files (perfbench/, tools/) and the top-level statements of the
+    package's modules but __init__, less the definitions found unreached
+    themselves: a name that only unreached ones call is unreached too.
+    Within its own module a name is called by reading it; from
+    elsewhere, by reaching it."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    trees.pop("__init__", None)
+    stems = set(trees)
+    called = set()
+    for path in outside:
+        for _, _, reached in _references(ast.parse(path.read_text()), stems):
+            called |= reached
+    statements = {module: _references(tree, stems) for module, tree in trees.items()}
+    labels, callers = {}, {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_") and node.name not in called):
+                labels[node] = f"{module}.{node.name}"
+                callers[node] = [
+                    statement
+                    for other, other_statements in statements.items()
+                    for statement, read, reached in other_statements
+                    if statement is not node
+                    and node.name in (reached | read if other == module else reached)]
+    unreached = set()
+    while True:
+        found = {node for node, by in callers.items()
+                 if all(statement in unreached for statement in by)}
+        if found == unreached:
+            return sorted(labels[node] for node in found)
+        unreached = found
+
+
+def test_library_has_no_unlisted_test_only_surface():
+    """A function or class only tests call is moved to the tests
+    (tests/oracles.py or the one module that uses it) or listed in
+    KEPT_FOR_TESTS with its reason."""
+    root = README.parent
+    outside = sorted([*(root / "perfbench").glob("*.py"), *(root / "tools").glob("*.py")])
+    assert len(outside) >= 8
+    package = pathlib.Path(accband.__file__).resolve().parent
+    assert _test_only_surface(package, outside) == sorted(KEPT_FOR_TESTS)
+
+
+def test_test_only_scan_finds_each_form(tmp_path):
+    package = tmp_path / "accband"
+    package.mkdir()
+    (package / "__init__.py").write_text("from .a import only_tested, imported\n")
+    (package / "a.py").write_text(
+        "def only_tested():\n    return only_tested()\n"
+        "def imported(): pass\n"
+        "def benched():\n    return helper()\n"
+        "def helper(): pass\n"
+        "def chained():\n    return chained_helper()\n"
+        "def chained_helper(): pass\n"
+        "class Attribute: pass\n"
+        "def _private(): pass\n")
+    (package / "b.py").write_text(
+        "from . import a\nfrom .a import imported\n"
+        "value = a.Attribute\nchained: int = 0\n"
+        "def _local(only_tested):\n    return only_tested\n")
+    bench = tmp_path / "bench.py"
+    bench.write_text("import accband.a as acc_a\nprint(acc_a.benched())\n"
+                     "print(other.chained)\n")
+    assert _test_only_surface(package, [bench]) == [
+        "a.chained", "a.chained_helper", "a.only_tested"]
