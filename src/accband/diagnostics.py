@@ -25,7 +25,8 @@ the phi sum). lyapunov_of_stream evaluates E on any stream field, so the
 criteria take its variations about that state.
 
 record evaluates the suite on one state (one CSV row), and summary
-reduces a run's records to its JSON summary.
+gives a run's JSON summary from its first and last records and the
+tallies the run kept as it went.
 """
 
 import math
@@ -255,9 +256,12 @@ class DiagnosticRecord:
         return ",".join(repr(float(v)) for v in cells)
 
 
-def summary(records) -> dict:
-    """JSON-ready run summary: initial/final values and relative drifts."""
-    first, last = records[0], records[-1]
+def summary(first, last, records, max_xi) -> dict:
+    """JSON-ready run summary: initial/final values and relative drifts.
+
+    first and last are the run's t = 0 and final records, records the
+    number it made and max_xi the largest max_xi among them.
+    """
 
     def drift(a, b):
         return abs(b - a) / max(1e-30, abs(a))
@@ -273,8 +277,8 @@ def summary(records) -> dict:
     return {
         "t_first": float(first.t),
         "t_last": float(last.t),
-        "records": len(records),
-        "max_xi_overall": float(max(r.max_xi for r in records)),
+        "records": records,
+        "max_xi_overall": float(max_xi),
         "quantities": {
             name: {"initial": float(a), "final": float(b),
                    "relative_drift": float(drift(a, b))}

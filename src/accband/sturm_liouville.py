@@ -662,12 +662,14 @@ def fourth_order_derivative(y, x):
     Centered five-point stencil inside, one-sided five-point stencils on
     the two nodes nearest each end. Fewer than 5 samples raise
     TooFewSamples, and a grid whose steps differ from x[1] - x[0] by more
-    than 1e-10 of it raises ValidationError.
+    than 1e-10 of it, plus 8 ulps of max|x| (linspace's own round-off on a
+    narrow grid far from 0), raises ValidationError.
     """
     if len(x) < 5:
         raise TooFewSamples("fourth-order differences need at least 5 samples")
     h = x[1] - x[0]
-    if np.max(np.abs(np.diff(x) - h)) > 1e-10 * abs(h):
+    slack = 1e-10 * abs(h) + 8.0 * np.spacing(np.max(np.abs(x)))
+    if np.max(np.abs(np.diff(x) - h)) > slack:
         raise ValidationError("fourth-order differences need a uniform grid")
     dy = np.empty(len(y))
     dy[2:-2] = (y[:-4] - 8 * y[1:-3] + 8 * y[3:-1] - y[4:]) / (12 * h)

@@ -1,8 +1,9 @@
-"""Independent oracles that more than one test module shares.
+"""Independent oracles that the test modules share.
 
 Each is a closed form or a direct formula that the library itself does
 not compute this way: the band's area, the planar velocity of a stream
-function and the normalized harmonic field of the annulus.
+function, the normalized harmonic field of the annulus, and a run's
+summary reduced from the list of all its records.
 """
 
 import math
@@ -36,3 +37,37 @@ def harmonic_component(grid):
         (grid.n_rho, grid.n_phi),
     ).copy()
     return u_phi, n
+
+
+def summary_of_records(records) -> dict:
+    """A run's JSON summary reduced from the list of all its records: the
+    reference that the CLI's running reduction must equal."""
+    first, last = records[0], records[-1]
+
+    def drift(a, b):
+        return abs(b - a) / max(1e-30, abs(a))
+
+    entries = {
+        "energy": (first.energy, last.energy),
+        "circ1": (first.circ1, last.circ1),
+        "circ2": (first.circ2, last.circ2),
+        "lyapunov": (first.lyapunov, last.lyapunov),
+        **{f"casimir{k}": (first.casimirs[k], last.casimirs[k])
+           for k in first.casimirs},
+    }
+    return {
+        "t_first": float(first.t),
+        "t_last": float(last.t),
+        "records": len(records),
+        "max_xi_overall": float(max(r.max_xi for r in records)),
+        "quantities": {
+            name: {"initial": float(a), "final": float(b),
+                   "relative_drift": float(drift(a, b))}
+            for name, (a, b) in entries.items()
+        },
+        "stability": {
+            "rhs": float(first.stability_lhs),
+            "lhs_final": float(last.stability_lhs),
+            "defect": float(last.stability_lhs - first.stability_lhs),
+        },
+    }

@@ -160,6 +160,33 @@ class TestModes:
         assert len(solves) == 1
         assert len((tmp_path / "run" / "zonal_crosscheck.csv").read_text().splitlines()) == 4
 
+    @pytest.mark.parametrize("method", ZONAL_METHODS)
+    def test_thin_band_zonal_run_exits_zero(self, method, tmp_path):
+        """A band 0.1 degrees wide near -60 degrees: linspace's round-off on
+        its theta grid (about an ulp of theta) exceeds 1e-10 of the step, and
+        the fourth-order velocity stencil once refused the grid as not
+        uniform (exit 1)."""
+        out = tmp_path / "thin"
+        assert main(["--mode", "zonal", "--out", str(out), "--theta1-deg", "-60",
+                     "--theta2-deg", "-59.9", "--method", method]) == 0
+        cross = (out / "zonal_crosscheck.csv").read_text().splitlines()[1:]
+        assert len(cross) == 3
+        assert max(float(line.split(",")[2]) for line in cross) <= 1e-8
+
+    def test_equal_boundary_values_warn_once_per_zonal_run(self, tmp_path):
+        """At lambda = 0 with psi1 == psi2 the run solves four profiles
+        (the requested method and the cross-check's three), and stderr
+        carries the warning once."""
+        src = str(pathlib.Path(accband.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "accband.cli", "--mode", "zonal", "--out",
+             str(tmp_path / "equal"), "--method", "sl_expansion", "--lambda", "0",
+             "--n-zonal", "201", "--psi1", "-0.2", "--psi2", "-0.2", "--omega", "2.0"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+            timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr.count("psi1 == psi2") == 1, done.stderr
+
     def test_zonal_non_finite_velocity_exits_two_without_a_plot(self, tmp_path, monkeypatch,
                                                                 capsys):
         solve_fd = cli.zonal.solve_fd
@@ -589,3 +616,89 @@ class TestBenchmarkOutputCheck:
                                                      stride=2, t_end=0.01)
         assert problems == []
         assert stats["rows"] == 4
+
+
+class TestRunReduction:
+    """An evolve or stability run reduces its records as it goes (the
+    t = 0 record, the last one and running tallies) instead of keeping a
+    list of them."""
+
+    STRIDED_EVOLVE = ["--mode", "evolve", "--n-rho", "32", "--n-phi", "32",
+                      "--dt", "0.002", "--t-end", "0.03", "--output-stride", "4",
+                      "--amplitude", "0.01", "--seed", "5", "--lambda", "-10", *MILD_BAND]
+    STABILITY = ["--mode", "stability", "--n-rho", "32", "--n-phi", "32", "--dt", "0.002",
+                 "--t-end", "0.016", "--amplitude", "0.01", "--seed", "3",
+                 "--lambda", "-10", *MILD_BAND]
+
+    @pytest.mark.parametrize("argv", [STRIDED_EVOLVE, STABILITY], ids=["evolve", "stability"])
+    def test_summary_equals_the_list_reduction(self, argv, tmp_path, monkeypatch):
+        import json
+
+        from oracles import summary_of_records
+
+        record, records = cli.diagnostics.record, []
+
+        def spy(state, reference):
+            records.append(record(state, reference=reference))
+            return records[-1]
+
+        monkeypatch.setattr(cli.diagnostics, "record", spy)
+        out = tmp_path / "run"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert len(records) == len((out / "diagnostics.csv").read_text().splitlines()) - 1
+        want = json.loads(json.dumps(summary_of_records(records)))
+        got = json.loads((out / "summary.json").read_text())
+        assert got == want
+
+    @pytest.mark.parametrize("field, breach", [
+        ("max_xi", "max|xi| exceeded the transport bound"),
+        ("circ1", "inner-wall circulation drifted beyond 1e-8"),
+    ])
+    def test_one_middle_breach_exits_two(self, field, breach, tmp_path, capsys,
+                                         monkeypatch):
+        """Only the third of five outputs breaks the invariant: the run
+        still writes every row and its summary, then exits 2."""
+        import dataclasses
+
+        record, calls = cli.diagnostics.record, []
+
+        def breaking(state, reference):
+            rec = record(state, reference=reference)
+            calls.append(rec.t)
+            if len(calls) == 3:
+                rec = dataclasses.replace(rec, **{field: getattr(rec, field) + 1e3})
+            return rec
+
+        monkeypatch.setattr(cli.diagnostics, "record", breaking)
+        out = tmp_path / "run"
+        assert main([*self.STRIDED_EVOLVE, "--out", str(out)]) == 2
+        assert len(calls) == 5
+        assert capsys.readouterr().err == f"invariant breach: {breach}\n"
+        assert (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("mode", ["evolve", "stability"])
+    def test_memory_does_not_grow_with_output_count(self, mode, tmp_path):
+        """The traced peak of a 16^2 run with 200 outputs is within 16 KB of
+        one with 40 (a list of records grew by about 620 B per output)."""
+        import gc
+        import tracemalloc
+
+        dt = 2.0 ** -9
+
+        def peak(outputs):
+            argv = ["--mode", mode, "--out", str(tmp_path / f"run{outputs}"),
+                    "--n-rho", "16", "--n-phi", "16", "--dt", repr(dt),
+                    "--t-end", repr((outputs - 1) * dt), "--amplitude", "0.01",
+                    "--lambda", "-10", *MILD_BAND]
+            gc.collect()
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(3)  # warm every cache first
+        small, large = peak(40), peak(200)
+        assert len((tmp_path / "run200" / "diagnostics.csv").read_text().splitlines()) == 201
+        assert large - small < 16 * 1024, (small, large)

@@ -43,6 +43,13 @@ SCENARIOS = {
     "sweep": ["--mode", "evolve", "--n-rho", "64", "--n-phi", "64", "--dt", "0.002",
               "--t-end", "0.01", "--amplitude", "0.01", "--seed", "3",
               "--sweep=-10,-100", *MILD],
+    # exits 2 on its first step, after the t = 0 row and checkpoint
+    "evolve_cfl": ["--mode", "evolve", "--n-rho", "48", "--n-phi", "48", "--dt", "5.0",
+                   "--t-end", "10.0", "--amplitude", "0.01", *MILD],
+    "stability_strided": ["--mode", "stability", "--n-rho", "32", "--n-phi", "32",
+                          "--dt", "0.002", "--t-end", "0.03", "--output-stride", "4",
+                          "--amplitude", "0.01", "--wavenumber", "3", "--seed", "5",
+                          "--lambda", "-10", *MILD],
     "zonal_fd_lambda0": ["--mode", "zonal", "--method", "fd", "--lambda", "0",
                          "--n-zonal", "501", *MILD],
     "figure1": ["--mode", "zonal", "--lambda", "-3000", "--upsilon", "30000",
