@@ -223,14 +223,6 @@ def run_mode_spectrum(spec, out):
     return 0
 
 
-def _initial_state(spec, grid):
-    if spec.amplitude > 0:
-        return euler2d.perturbed_zonal_state(
-            spec.config, grid, spec.amplitude, spec.wavenumber, spec.seed
-        )
-    return euler2d.zonal_initial_state(spec.config, grid)
-
-
 def run_mode_evolve(spec, out):
     """Evolve the (perturbed) zonal state: the evolve and stability modes.
 
@@ -256,7 +248,8 @@ def run_mode_evolve(spec, out):
         )
     grid = AnnulusGrid.from_band(spec.config, spec.n_rho, spec.n_phi)
     with np.errstate(all="ignore"):  # a huge setting overflows; checked below
-        state = _initial_state(spec, grid)
+        state = euler2d.perturbed_zonal_state(spec.config, grid, spec.amplitude,
+                                              spec.wavenumber, spec.seed)
         reference = euler2d.zonal_initial_state(spec.config, grid)
     for name, s in (("initial", state), ("zonal reference", reference)):
         if not (np.isfinite(s.zeta).all() and np.isfinite(s.stream).all()):

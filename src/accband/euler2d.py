@@ -294,7 +294,8 @@ def cfl_number(w_rho, w_phi, dt, grid) -> float:
 # one GIL handoff to the other worker thread, so a tile is as large as the
 # scratch budget allows: SCRATCH_PLANES float planes, one intp index plane
 # and two bool planes, 106 B per foot point and about 1.7 MB per tile. A
-# 128^2 field is one tile, a 256^2 field four.
+# 128^2 field is one tile, a 256^2 field four, and a field smaller than a
+# tile gets a scratch of its own size.
 TILE_POINTS = 16384
 SCRATCH_PLANES = 12
 
@@ -489,7 +490,7 @@ def advect_values(zeta_values, w_rho, w_phi, dt, grid):
         raise CflViolation(cfl, dt, CFL_LIMIT * abs(dt) / cfl)
 
     zeta_pad = _padded(zeta_values)
-    rows = max(1, TILE_POINTS // grid.n_phi)
+    rows = max(1, min(grid.n_rho, TILE_POINTS // grid.n_phi))
     planes, index, mask = _scratch((rows, grid.n_phi))
     phi_n = grid.phi[None, :]
     new = np.empty((grid.n_rho, grid.n_phi))

@@ -2,10 +2,12 @@
 
 Solves
 
-    (p(x) y')' + q(x) y = -mu w(x) y + h(x),   x in (a, b),
+    (p(x) y')' = -mu w(x) y,   x in (a, b),
 
-with Dirichlet boundary conditions, for continuous positive p (C^1) and w.
-Two independent routes to the spectrum are provided:
+with Dirichlet boundary conditions, for continuous positive p (C^1) and
+w: the band's kind of problem, whose operator -(p y')'/w is positive
+definite, so every eigenvalue mu is positive. Two independent routes to
+the spectrum are provided:
 
   * a matrix route: second-order conservative differences of the
     self-adjoint form give a symmetric tridiagonal generalized problem,
@@ -13,9 +15,9 @@ Two independent routes to the spectrum are provided:
     bisection, inverse iteration from a fixed hashed start block and
     Rayleigh quotients (LAPACK's stebz/stein route, vectorized over
     shifts; neither scipy nor numpy.random);
-  * a shooting route: the Pruefer angle ODE
+  * a shooting route: the scaled Pruefer angle (Pryce 1993) of mu > 0,
 
-        theta' = cos^2(theta)/p + (q + mu*w) sin^2(theta),  theta(a) = 0,
+        theta' = sqrt(mu w / p) + (1/4)(log p w)' sin(2 theta),  theta(a) = 0,
 
     whose boundary value theta(b; mu) is strictly increasing in mu and
     passes through k*pi exactly at the k-th eigenvalue. The angle also
@@ -29,20 +31,20 @@ Dirichlet ends on Python floats, for zonal's finite differences, with
 its pivots checked; _thomas_solve inverse iteration's numpy batch of
 shifted columns, through the pivots of _pivot_blocks. euler2d's Poisson
 solve, a family of diagonally dominant Toeplitz systems, goes by cyclic
-reduction instead (_cyclic_factor, _cyclic_solve). One RK4 loop
-(_doubled_angle) integrates both forms of the Pruefer angle.
+reduction instead (_cyclic_factor, _cyclic_solve).
 Every eigen_solve result is index-checked against the angle count so no
 eigenvalue can be silently skipped. eigen_solve itself keeps nothing
 between calls: each call solves and checks afresh, and the one cache of
 band spectra lives in zonal.band_spectrum.
 
-The zonal specialization (p = w = cos(theta), q = 0) is produced by
-homogenize_boundary, which shifts the band's Dirichlet data to zero.
+The zonal specialization (p = w = cos(theta)) is zonal_homogeneous_problem;
+homogenize_boundary shifts the band's Dirichlet data to zero and returns
+the forcing h whose expansion solve_inhomogeneous sums.
 """
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -57,32 +59,30 @@ from .errors import (
 
 RESONANCE_RTOL = 1e-8  # below this relative separation the expansion is meaningless
 MAX_REFINEMENTS = 2  # grid doublings eigen_solve tries before giving up
-# prufer_eigenvalues: RK4 steps per angle, first bracket half-width
-# (relative to |mu|), and bracket samples per eigenvalue
+# prufer_eigenvalues: RK4 steps per angle, first and largest bracket
+# half-width (relative to |mu|; below 1, so every sample stays > 0), and
+# bracket samples per eigenvalue
 SHOOT_STEPS = 8192
 SHOOT_BRACKET_REL = 2e-2
+SHOOT_BRACKET_MAX = 0.5
 SHOOT_GRID = 17
 
 
 @dataclass
 class SLProblem:
-    """One regular Sturm-Liouville problem.
+    """One regular Sturm-Liouville problem, (p y')' = -mu w y.
 
     Boundary conditions are Dirichlet, y(a) = y(b) = 0: the only kind the
-    band model poses.
-
-    ln_pw_prime, when given, is the analytic d/dx log(p(x) w(x)); it
-    enables the stiffness-free scaled Pruefer angle, which keeps the
-    shooting route cheap for eigenvalues of any size.
+    band model poses. ln_pw_prime is the analytic d/dx log(p(x) w(x)),
+    the twist of the scaled Pruefer angle, whose stiffness does not grow
+    with mu, so the shooting route stays cheap for eigenvalues of any size.
     """
 
     a: float
     b: float
     p: Callable
-    q: Callable
     w: Callable
-    h: Optional[Callable] = None
-    ln_pw_prime: Optional[Callable] = None
+    ln_pw_prime: Callable
 
     def __post_init__(self):
         if not self.a < self.b:
@@ -96,10 +96,7 @@ class SLProblem:
         return np.broadcast_to(np.asarray(fn(x), dtype=float), np.shape(x)).copy()
 
     def sample(self, x):
-        p = self._eval(self.p, x)
-        q = self._eval(self.q, x)
-        w = self._eval(self.w, x)
-        return p, q, w
+        return self._eval(self.p, x), self._eval(self.w, x)
 
 
 @dataclass
@@ -441,11 +438,8 @@ def _difference_matrix(prob, grid_size):
     x = np.linspace(prob.a, prob.b, grid_size)
     hgrid = x[1] - x[0]
     p_half = prob._eval(prob.p, 0.5 * (x[:-1] + x[1:]))
-    _, q, w = prob.sample(x)
-
-    qi = q[1:-1]
-    wi = w[1:-1]
-    diag = (p_half[:-1] + p_half[1:]) / hgrid**2 - qi
+    wi = prob._eval(prob.w, x)[1:-1]
+    diag = (p_half[:-1] + p_half[1:]) / hgrid**2
     off = -p_half[1:-1] / hgrid**2
     # similarity transform by W^{-1/2} keeps the matrix symmetric tridiagonal
     return x, wi, diag / wi, off / np.sqrt(wi[:-1] * wi[1:])
@@ -476,8 +470,6 @@ def eigen_solve(prob: SLProblem, n_max: int, grid_size: int) -> SLSpectrum:
     On an index mismatch the grid is doubled and the solve repeated, up to
     MAX_REFINEMENTS times; persistent disagreement raises ConvergenceFailure.
     """
-    if prob.h is not None:
-        raise ValidationError("eigen_solve expects the homogeneous problem (h absent)")
     if grid_size < 64:
         raise ValidationError("grid_size must be at least 64")
     if n_max < 1 or n_max > grid_size - 2:
@@ -502,83 +494,53 @@ def eigen_solve(prob: SLProblem, n_max: int, grid_size: int) -> SLSpectrum:
 # ==================================================================
 
 def prufer_angle(prob: SLProblem, mus, n_steps: int) -> np.ndarray:
-    """Pruefer angle theta(b; mu), vectorized over an array of mu.
+    """Scaled Pruefer angle theta(b; mu), vectorized over an array of mu > 0.
 
     theta(a) = 0 encodes y(a) = 0, and theta(b; mu) is strictly
     increasing in mu with theta(b) = k pi exactly at the k-th eigenvalue.
+    The angle of tan(theta) = S y / (p y'), S = sqrt(mu p w), obeys
 
-    Two exact formulations of the same angle:
+        theta' = sqrt(mu w / p) + (1/4)(log p w)' sin(2 theta),
 
-      plain   theta' = cos^2/p + (q + mu w) sin^2
-      scaled  theta' = sqrt(mu w / p) + (q / S) sin^2
-                       + (1/4)(log p w)' sin(2 theta),   S = sqrt(mu p w)
-
-    The scaled form (used when ln_pw_prime is available and all mu > 0)
-    has mu-independent stiffness, so fixed-step RK4 stays accurate for
-    large eigenvalues. The plain fallback inflates the step count with
-    max|q + mu w| to stay resolved. Both are integrated as the doubled
-    angle (see _doubled_angle).
+    whose stiffness does not grow with mu, so fixed-step RK4 stays
+    accurate for large eigenvalues. S is real only for mu > 0, which
+    every eigenvalue of the band's positive-definite operator is; any
+    mu <= 0 raises ValidationError. The angle is integrated doubled
+    (see _doubled_angle).
     """
     mus = np.atleast_1d(np.asarray(mus, dtype=float))
-    scaled = prob.ln_pw_prime is not None and np.all(mus > 0)
-
-    if not scaled:
-        xs_probe = np.linspace(prob.a, prob.b, 257)
-        _, qp, wp = prob.sample(xs_probe)
-        qmax = float(np.max(np.abs(qp[None, :] + mus[:, None] * wp[None, :])))
-        n_steps = max(n_steps, int(3.0 * (prob.b - prob.a) * qmax) + 1)
-
+    if not np.all(mus > 0):
+        raise ValidationError("the scaled Pruefer angle needs every mu > 0")
     hstep = (prob.b - prob.a) / n_steps
     # coefficient samples at step points and midpoints, reused for all mu
     xs = prob.a + 0.5 * hstep * np.arange(2 * n_steps + 1)
-    p, q, w = prob.sample(xs)
-    zero = np.zeros_like(xs)
-
-    if scaled:
-        root = np.sqrt(mus)
-        twist = 0.25 * prob._eval(prob.ln_pw_prime, xs)
-        return 0.5 * _doubled_angle(hstep, root, 1.0 / root, np.sqrt(w / p),
-                                    q / np.sqrt(p * w), zero, twist)
-    # 2 cos^2 = 1 + cos(2 theta) and 2 sin^2 = 1 - cos(2 theta)
-    inv_p = 1.0 / p
-    return 0.5 * _doubled_angle(hstep, np.ones_like(mus), mus, inv_p,
-                                w, q - inv_p, zero)
+    p, w = prob.sample(xs)
+    twist = 0.25 * prob._eval(prob.ln_pw_prime, xs)
+    return 0.5 * _doubled_angle(hstep, np.sqrt(mus), np.sqrt(w / p), twist)
 
 
-def _doubled_angle(hstep, x_mu, y_mu, rate, small, offset, twist):
-    """RK4 for phi = 2 theta of a Pruefer angle; returns phi(b).
+def _doubled_angle(hstep, root, rate, twist):
+    """RK4 for phi = 2 theta of the scaled Pruefer angle; returns phi(b).
 
-        phi' = 2 rate X + (small Y + offset)(1 - cos phi) + 2 twist sin phi,
+        phi' = 2 root rate + 2 twist sin phi,
 
-    where rate, small, offset and twist are sampled at the step points and
-    midpoints and X, Y are per-mu vectors: X = sqrt(mu), Y = 1/sqrt(mu)
-    with rate = sqrt(w/p), small = q/sqrt(p w), offset = 0 and
-    twist = (1/4)(log p w)' for the scaled angle, and X = 1, Y = mu with
-    rate = 1/p, small = w, offset = q - 1/p and twist = 0 for the plain
-    one. Each sample stays a float, scaled by X or Y, so no (points x mu)
-    table is built; the (1 - cos phi) term is skipped where small and
-    offset are exactly 0. Every stage slope is written into one of a few
-    reused buffers.
+    where rate = sqrt(w/p) and twist = (1/4)(log p w)' are sampled at the
+    step points and midpoints and root = sqrt(mu) is a per-mu vector. Each
+    sample stays a float, scaled by root, so no (points x mu) table is
+    built, and every stage slope is written into one of a few reused
+    buffers.
     """
     rate2 = (2.0 * rate).tolist()
     twist2 = (2.0 * twist).tolist()
-    small, offset = small.tolist(), offset.tolist()
-    phi = np.zeros_like(x_mu)
-    acc, k, arg, tmp, coef = (np.empty_like(x_mu) for _ in range(5))
+    phi = np.zeros_like(root)
+    acc, k, arg, tmp = (np.empty_like(root) for _ in range(4))
 
     def slope(angle, j, scale, out):
         """scale * phi' at sample j and the given angle, into out."""
         np.sin(angle, out=out)
         out *= scale * twist2[j]
-        np.multiply(x_mu, scale * rate2[j], out=tmp)
+        np.multiply(root, scale * rate2[j], out=tmp)
         out += tmp
-        if small[j] != 0.0 or offset[j] != 0.0:
-            np.cos(angle, out=tmp)
-            np.subtract(1.0, tmp, out=tmp)
-            np.multiply(y_mu, scale * small[j], out=coef)
-            np.add(coef, scale * offset[j], out=coef)
-            np.multiply(tmp, coef, out=tmp)
-            out += tmp
         return out
 
     half, quarter, sixth = 0.5 * hstep, 0.25 * hstep, hstep / 6.0
@@ -606,8 +568,11 @@ def prufer_eigenvalues(prob: SLProblem, n_max: int, guesses=None) -> np.ndarray:
     increasing angle is inverted by cubic interpolation: mu at k pi is read
     off the cubic of mu in theta through the four samples around k pi. A
     second pass with a bracket a thousand times tighter polishes the roots.
-    The roots are independent of the matrix route used by eigen_solve,
-    which only supplies the default guesses.
+    A bracket that misses its root is widened fourfold, up to a half-width
+    of SHOOT_BRACKET_MAX |mu|, so every sample stays positive; one that
+    still misses raises ConvergenceFailure, and a guess <= 0
+    ValidationError. The roots are independent of the matrix route used by
+    eigen_solve, which only supplies the default guesses.
     """
     if n_max < 1:
         raise ValidationError("need n_max >= 1")
@@ -620,18 +585,16 @@ def prufer_eigenvalues(prob: SLProblem, n_max: int, guesses=None) -> np.ndarray:
 
     rel = SHOOT_BRACKET_REL
     for sweep in range(2):
-        for attempt in range(8):
-            scale = np.maximum(np.abs(mus), 1.0)
-            grid = mus[:, None] + np.linspace(-1.0, 1.0, SHOOT_GRID)[None, :] * (
-                rel * scale[:, None]
-            )
+        scale = np.abs(mus)[:, None]
+        while True:
+            grid = mus[:, None] + np.linspace(-1.0, 1.0, SHOOT_GRID)[None, :] * (rel * scale)
             angles = prufer_angle(prob, grid.ravel(), SHOOT_STEPS).reshape(grid.shape)
             covered = (angles[:, 0] < targets) & (targets < angles[:, -1])
             if np.all(covered):
                 break
-            rel *= 4.0
-        else:
-            raise ConvergenceFailure("could not bracket the requested eigenvalues")
+            if rel == SHOOT_BRACKET_MAX:
+                raise ConvergenceFailure("could not bracket the requested eigenvalues")
+            rel = min(4.0 * rel, SHOOT_BRACKET_MAX)
         mus = _inverse_cubic(angles, grid, targets)
         rel = max(rel * 1e-3, 1e-9)
     return mus
@@ -683,23 +646,23 @@ def fourth_order_derivative(y, x):
 def rayleigh_quotient(prob: SLProblem, y, x) -> float:
     """Variational quotient recovering an eigenvalue from its function.
 
-    ( p y y' |_a  -  p y y' |_b  +  int_a^b [p (y')^2 - q y^2] )
+    ( p y y' |_a  -  p y y' |_b  +  int_a^b p (y')^2 )
     divided by <y, y>_w. Scaling y leaves the value unchanged; for
     Dirichlet data the boundary terms vanish.
     """
     y = np.asarray(y, dtype=float)
-    p, q, w = prob.sample(x)
+    p, w = prob.sample(x)
     norm = np.trapezoid(w * y * y, x)
     if norm < 1e-14:
         raise ZeroFunction("<y, y>_w is numerically zero")
     dy = fourth_order_derivative(y, x)
     boundary = p[0] * y[0] * dy[0] - p[-1] * y[-1] * dy[-1]
-    return float((boundary + np.trapezoid(p * dy * dy - q * y * y, x)) / norm)
+    return float((boundary + np.trapezoid(p * dy * dy, x)) / norm)
 
 
-def solve_inhomogeneous(prob: SLProblem, mu: float, spectrum: SLSpectrum,
-                        n_terms: int) -> np.ndarray:
-    """Eigenfunction-expansion solution of the inhomogeneous problem.
+def solve_inhomogeneous(h, mu: float, spectrum: SLSpectrum, n_terms: int) -> np.ndarray:
+    """Eigenfunction-expansion solution of (p y')' + mu w y = h(x) with
+    Dirichlet zeros, on the spectrum's problem and grid.
 
     y = sum_n b_n y_n with b_n = <h/w, y_n> / (mu - mu_n); unique iff mu
     avoids the spectrum. Near-resonant mu (relative separation below
@@ -709,8 +672,6 @@ def solve_inhomogeneous(prob: SLProblem, mu: float, spectrum: SLSpectrum,
     if n_terms < 0 or n_terms > len(spectrum):
         raise ValidationError("need 0 <= n_terms <= len(spectrum)")
     x = spectrum.grid
-    if prob.h is None:
-        return np.zeros_like(x)
     mus = spectrum.eigenvalues[:n_terms]
     sep = np.abs(mu - mus) / np.maximum(np.maximum(np.abs(mus), np.abs(mu)), 1.0)
     if n_terms and np.min(sep) < RESONANCE_RTOL:
@@ -720,7 +681,7 @@ def solve_inhomogeneous(prob: SLProblem, mu: float, spectrum: SLSpectrum,
         )
     funcs = spectrum.eigenfunctions[:n_terms]
     # <h/w, y_n>_w: the weights cancel
-    cn = np.trapezoid(prob._eval(prob.h, x) * funcs, x, axis=1)
+    cn = np.trapezoid(SLProblem._eval(h, x) * funcs, x, axis=1)
     return (cn / (mu - mus)) @ funcs
 
 
@@ -732,15 +693,16 @@ def homogenize_boundary(config):
     """Shift the zonal band problem to homogeneous Dirichlet data.
 
     Subtracting the affine interpolant a*theta + b of (psi1, psi2) from
-    the stream function leaves
+    the stream function leaves y = psi - (a theta + b), zero at both
+    walls, with
 
-      (y' cos)' + lam y cos = -(lam) y cos ...  i.e. the SL problem with
-      p = w = cos(theta), q = 0, mu = lam, and forcing
-
+      (y' cos)' + lam y cos = h(theta),
       h(theta) = a sin(theta) + [upsilon - lam (a theta + b)] cos(theta)
-                 - omega sin(2 theta).
+                 - omega sin(2 theta):
 
-    Returns the SLProblem and the shift coefficients (a, b).
+    zonal_homogeneous_problem at mu = lam, forced by h.
+
+    Returns the forcing h and the shift coefficients (a, b).
     """
     th1, th2 = config.theta1, config.theta2
     a_shift = (config.psi2 - config.psi1) / (th2 - th1)
@@ -754,14 +716,13 @@ def homogenize_boundary(config):
             - omg * np.sin(2.0 * theta)
         )
 
-    return replace(zonal_homogeneous_problem(config), h=forcing), (a_shift, b_shift)
+    return forcing, (a_shift, b_shift)
 
 
 def zonal_homogeneous_problem(config) -> SLProblem:
     """The band's homogeneous eigenproblem: (y' cos)' = -lam y cos."""
     return SLProblem(
-        a=config.theta1, b=config.theta2,
-        p=np.cos, q=lambda t: 0.0 * np.asarray(t), w=np.cos,
+        a=config.theta1, b=config.theta2, p=np.cos, w=np.cos,
         ln_pw_prime=lambda t: -2.0 * np.tan(t),
     )
 

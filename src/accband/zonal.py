@@ -348,9 +348,9 @@ def solve_sl_expansion(config, n_terms: int = SL_TERMS,
                        grid_size: int = SL_GRID) -> ZonalProfile:
     """Homogenize the boundary data and expand in the band eigenbasis."""
     _warn_equal_boundary_values(config)
-    prob, (a_s, b_s) = homogenize_boundary(config)
+    forcing, (a_s, b_s) = homogenize_boundary(config)
     spectrum = band_spectrum(config.theta1, config.theta2, n_terms, grid_size)
-    shifted = solve_inhomogeneous(prob, mu=config.lam, spectrum=spectrum,
+    shifted = solve_inhomogeneous(forcing, mu=config.lam, spectrum=spectrum,
                                   n_terms=n_terms)
     th = spectrum.grid.copy()  # the profile must not alias the cached grid
     psi = shifted + a_s * th + b_s

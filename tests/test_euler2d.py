@@ -731,6 +731,13 @@ class TestStepAndRun:
         all, where the step with its predictor kept peaked at 22.3."""
         assert self.step_peak_fields(mild_neg_lam_config, 128) < 19
 
+    def test_small_grid_scratch_is_sized_by_the_grid(self, mild_neg_lam_config):
+        """A 16^2 field is far smaller than a tile, so its scratch is too:
+        a step peaks at about 45 KB, where a full-tile scratch made it
+        1.75 MB."""
+        fields = self.step_peak_fields(mild_neg_lam_config, 16)
+        assert fields * 16 * 16 * 8 < 200_000
+
     def test_run_zero_horizon_returns_initial_only(self, mild_config, tmp_path):
         grid = make_grid(mild_config, 48, 48)
         state = e2.zonal_initial_state(mild_config, grid)
@@ -1079,8 +1086,9 @@ class TestCheckpoints:
         spec = cli.parse_config(None, {key: cli._convert(key, text, None)
                                        for key, text in flags.items()})
         grid = AnnulusGrid.from_band(spec.config, spec.n_rho, spec.n_phi)
-        states = list(e2.run(cli._initial_state(spec, grid), spec.t_end, spec.dt,
-                             spec.output_stride))
+        state = e2.perturbed_zonal_state(spec.config, grid, spec.amplitude,
+                                         spec.wavenumber, spec.seed)
+        states = list(e2.run(state, spec.t_end, spec.dt, spec.output_stride))
         ckpts = sorted((out / "checkpoints").glob("checkpoint_*.txt"))
         assert [p.name for p in ckpts] == [f"checkpoint_{i:06d}.txt"
                                            for i in range(len(states))]
@@ -1107,7 +1115,8 @@ class TestCheckpoints:
         spec = cli.parse_config(None, {key: cli._convert(key, text, None)
                                        for key, text in flags.items()})
         grid = AnnulusGrid.from_band(spec.config, spec.n_rho, spec.n_phi)
-        state = cli._initial_state(spec, grid)
+        state = e2.perturbed_zonal_state(spec.config, grid, spec.amplitude,
+                                         spec.wavenumber, spec.seed)
         monkeypatch.chdir(tmp_path)
         scope = {"json": json, "np": np}
         exec(recipe, scope)

@@ -35,44 +35,32 @@ from accband.sturm_liouville import (
 )
 
 
-def textbook_problem(h=None):
-    """p = w = 1, q = 0 on [0, pi]: mu_n = n^2, y_n = sqrt(2/pi) sin(n x)."""
+def uniform_problem(length):
+    """p = w = 1 on [0, length]: mu_n = (n pi / length)^2."""
     one = lambda x: np.ones_like(np.asarray(x, dtype=float))
     zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    return SLProblem(a=0.0, b=math.pi, p=one, q=zero, w=one, h=h)
+    return SLProblem(a=0.0, b=length, p=one, w=one, ln_pw_prime=zero)
+
+
+def textbook_problem():
+    """uniform_problem on [0, pi]: mu_n = n^2, y_n = sqrt(2/pi) sin(n x)."""
+    return uniform_problem(math.pi)
 
 
 def shifted_problem():
-    """p = 1 + x, w = 1 + x/2, q = 200 + 50 cos 3x on [0, 1]: three
-    negative eigenvalues, then positive ones."""
-    return SLProblem(a=0.0, b=1.0, p=lambda x: 1.0 + x,
-                     q=lambda x: 200.0 + 50.0 * np.cos(3.0 * x),
-                     w=lambda x: 1.0 + 0.5 * x)
+    """p = 1 + x, w = 1 + x/2 on [0, 1], and the potential q = 200 + 50 cos 3x
+    that shifted_matrix subtracts: three negative eigenvalues, then
+    positive ones."""
+    return SLProblem(a=0.0, b=1.0, p=lambda x: 1.0 + x, w=lambda x: 1.0 + 0.5 * x,
+                     ln_pw_prime=lambda x: 1.0 / (1.0 + x) + 0.5 / (1.0 + 0.5 * x))
 
 
-def q60_problem():
-    """p = w = 1, q = 60 on [0, 1]: mu_k = k^2 pi^2 - 60, two of them negative."""
-    one = lambda x: np.ones_like(np.asarray(x, dtype=float))
-    return SLProblem(a=0.0, b=1.0, p=one, q=lambda x: 60.0 * one(x), w=one)
-
-
-def theta_rk4(prob, mus, n_steps):
-    """RK4 on the plain angle theta' = cos^2/p + (q + mu w) sin^2 itself,
-    with the coefficients sampled at the step points and midpoints."""
-    hstep = (prob.b - prob.a) / n_steps
-    p, q, w = prob.sample(prob.a + 0.5 * hstep * np.arange(2 * n_steps + 1))
-
-    def f(th, j):
-        return np.cos(th) ** 2 / p[j] + (q[j] + mus * w[j]) * np.sin(th) ** 2
-
-    theta = np.zeros_like(mus)
-    for i in range(n_steps):
-        k1 = f(theta, 2 * i)
-        k2 = f(theta + 0.5 * hstep * k1, 2 * i + 1)
-        k3 = f(theta + 0.5 * hstep * k2, 2 * i + 1)
-        k4 = f(theta + hstep * k3, 2 * i + 2)
-        theta = theta + (hstep / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return theta
+def shifted_matrix(grid_size):
+    """shifted_problem's difference matrix less q/w on its diagonal: the
+    matrix of (p y')' + q y = -mu w y, an indefinite operator."""
+    x, wi, d, e = _difference_matrix(shifted_problem(), grid_size)
+    q = 200.0 + 50.0 * np.cos(3.0 * x[1:-1])
+    return d - q / wi, e
 
 
 class TestEigenSolve:
@@ -117,9 +105,7 @@ class TestEigenSolve:
         spec = eigen_solve(zonal_homogeneous_problem(config), n_max=5, grid_size=2049)
         assert spec.eigenvalues[0] > 0
 
-    def test_rejects_inhomogeneous_and_coarse_grids(self):
-        with pytest.raises(ValidationError):
-            eigen_solve(textbook_problem(h=np.sin), n_max=2, grid_size=1025)
+    def test_rejects_coarse_grids(self):
         with pytest.raises(ValidationError):
             eigen_solve(textbook_problem(), n_max=2, grid_size=32)
 
@@ -178,31 +164,26 @@ class TestPruferOracle:
         rel = np.abs(spec.eigenvalues - oracle) / np.abs(oracle)
         assert np.max(rel) <= 1e-6, f"first-10 rel error {np.max(rel):.2e}"
 
-    def test_plain_angle_closed_form(self):
-        """p = w = 1, q = 60 on [0, 1]: mu_k = k^2 pi^2 - 60. The first two
-        are negative, which the scaled angle cannot take, so the plain angle
-        is inverted at negative mu too."""
-        mus = prufer_eigenvalues(q60_problem(), n_max=4)
-        exact = (np.arange(1, 5) * np.pi) ** 2 - 60.0
-        assert np.sum(exact < 0) == 2
-        assert np.max(np.abs(mus - exact) / np.abs(exact)) <= 1e-8
+    def test_long_interval_small_eigenvalues(self):
+        """p = w = 1 on [0, 10 pi]: mu_k = k^2 / 100, all below 1, so the
+        shooting brackets must scale with |mu| to stay positive."""
+        prob = uniform_problem(10.0 * math.pi)
+        exact = np.arange(1, 5) ** 2 / 100.0
+        spec = eigen_solve(prob, n_max=4, grid_size=8193)
+        assert np.max(np.abs(spec.eigenvalues - exact) / exact) <= 1e-6
+        for guesses in (None, spec.eigenvalues):
+            mus = prufer_eigenvalues(prob, n_max=4, guesses=guesses)
+            assert np.max(np.abs(mus - exact) / exact) <= 1e-8
 
-    @pytest.mark.parametrize("problem, mus", [
-        ("textbook", [-3.0, 0.5, 4.0, 30.0]),
-        ("q60", [-50.0, -10.0, 5.0, 40.0, 300.0]),
-    ])
-    def test_plain_angle_matches_theta_form(self, problem, mus):
-        """The plain angle, integrated as the doubled angle, against RK4 on
-        theta itself: the same RK4 in exact arithmetic."""
-        prob = {"textbook": textbook_problem(), "q60": q60_problem()}[problem]
-        mus = np.array(mus)
-        n_steps = 2048
-        _, q, w = prob.sample(np.linspace(prob.a, prob.b, 257))
-        # the step count the plain angle would inflate to stays below n_steps
-        assert 3.0 * (prob.b - prob.a) * np.max(np.abs(q + mus[:, None] * w)) < n_steps
-        want = theta_rk4(prob, mus, n_steps)
-        got = sturm_liouville.prufer_angle(prob, mus, n_steps)
-        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+    @pytest.mark.parametrize("mus", [[0.0], [-1.0], [4.0, -1e-12], [np.nan]])
+    def test_angle_rejects_nonpositive_mu(self, mus):
+        with pytest.raises(ValidationError, match="mu > 0"):
+            sturm_liouville.prufer_angle(textbook_problem(), np.array(mus), 64)
+
+    def test_guess_beyond_the_widest_bracket_raises(self):
+        """mu_2 = 4 lies below half the guess 10, outside every bracket."""
+        with pytest.raises(ConvergenceFailure, match="bracket"):
+            prufer_eigenvalues(textbook_problem(), n_max=2, guesses=[1.0, 10.0])
 
     def test_inversion_reproduces_a_cubic(self):
         """mu read off at a target is exact when mu is a cubic of theta,
@@ -231,7 +212,10 @@ class TestTridiagonalOracle:
     def test_matches_lapack(self, problem, grid_size, k):
         prob = {"zonal": zonal_homogeneous_problem(BandConfig()),
                 "textbook": textbook_problem(), "shifted": shifted_problem()}[problem]
-        _, _, d, e = _difference_matrix(prob, grid_size)
+        if problem == "shifted":
+            d, e = shifted_matrix(grid_size)
+        else:
+            _, _, d, e = _difference_matrix(prob, grid_size)
         vals, vecs = _lowest_eigenpairs(d, e, k)
         ref_vals, ref_vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
         norm_1 = np.max(np.abs(d) + np.r_[np.abs(e), 0.0] + np.r_[0.0, np.abs(e)])
@@ -320,29 +304,29 @@ class TestRayleighQuotient:
 class TestInhomogeneous:
     def test_zero_forcing_gives_zero(self):
         spec = eigen_solve(textbook_problem(), n_max=4, grid_size=1025)
-        y = solve_inhomogeneous(textbook_problem(), mu=0.0, spectrum=spec, n_terms=4)
+        y = solve_inhomogeneous(lambda x: 0.0 * x, mu=0.0, spectrum=spec, n_terms=4)
         assert np.max(np.abs(y)) == 0.0
 
     def test_sine_forcing_closed_form(self):
         # y'' = -sin x with Dirichlet zeros has solution y = sin x
-        prob = textbook_problem(h=lambda x: -np.sin(x))
         spec = eigen_solve(textbook_problem(), n_max=4, grid_size=8193)
-        y = solve_inhomogeneous(prob, mu=0.0, spectrum=spec, n_terms=1)
+        y = solve_inhomogeneous(lambda x: -np.sin(x), mu=0.0, spectrum=spec, n_terms=1)
         assert np.max(np.abs(y - np.sin(spec.grid))) <= 1e-6
 
     def test_residual_decreases_with_terms(self):
         config = BandConfig(psi1=-5.0, psi2=-25.0, omega=4650.0, lam=-10.0,
                             upsilon=30000.0)
-        prob, _ = homogenize_boundary(config)
+        forcing, _ = homogenize_boundary(config)
         spec = eigen_solve(zonal_homogeneous_problem(config), n_max=32, grid_size=4097)
         x = spec.grid
         hgrid = x[1] - x[0]
         p = np.cos(x)
         w = np.cos(x)
-        hx = prob.h(x)
+        hx = forcing(x)
         residuals = []
         for n_terms in (4, 8, 16, 32):
-            y = solve_inhomogeneous(prob, mu=config.lam, spectrum=spec, n_terms=n_terms)
+            y = solve_inhomogeneous(forcing, mu=config.lam, spectrum=spec,
+                                    n_terms=n_terms)
             dy = np.gradient(y, x, edge_order=2)
             flux = np.gradient(p * dy, x, edge_order=2)
             res = flux + config.lam * w * y - hx
@@ -353,21 +337,20 @@ class TestInhomogeneous:
         )
 
     def test_resonant_mu_rejected(self):
-        prob = textbook_problem(h=lambda x: -np.sin(x))
         spec = eigen_solve(textbook_problem(), n_max=4, grid_size=1025)
         with pytest.raises(ResonantEigenvalue):
-            solve_inhomogeneous(prob, mu=float(spec.eigenvalues[0]), spectrum=spec,
-                                n_terms=4)
+            solve_inhomogeneous(lambda x: -np.sin(x), mu=float(spec.eigenvalues[0]),
+                                spectrum=spec, n_terms=4)
 
 
 class TestHomogenizeBoundary:
     def test_zero_boundary_values(self):
         config = BandConfig(psi1=0.0, psi2=0.0, omega=4650.0, upsilon=30000.0)
-        prob, (a_s, b_s) = homogenize_boundary(config)
+        forcing, (a_s, b_s) = homogenize_boundary(config)
         assert a_s == 0.0 and b_s == 0.0
         th = np.linspace(config.theta1, config.theta2, 101)
         expect = config.upsilon * np.cos(th) - config.omega * np.sin(2 * th)
-        assert np.max(np.abs(prob.h(th) - expect)) <= 1e-9 * config.upsilon
+        assert np.max(np.abs(forcing(th) - expect)) <= 1e-9 * config.upsilon
 
     def test_figure1_shift(self, fig1_config):
         _, (a_s, b_s) = homogenize_boundary(fig1_config)
@@ -378,10 +361,10 @@ class TestHomogenizeBoundary:
         assert a_s * fig1_config.theta2 + b_s == pytest.approx(fig1_config.psi2, abs=1e-12)
 
     def test_shifted_solution_restores_boundary_values(self, fig1_config):
-        prob, (a_s, b_s) = homogenize_boundary(fig1_config)
+        forcing, (a_s, b_s) = homogenize_boundary(fig1_config)
         spec = eigen_solve(zonal_homogeneous_problem(fig1_config), n_max=16,
                            grid_size=2049)
-        y = solve_inhomogeneous(prob, mu=fig1_config.lam, spectrum=spec, n_terms=16)
+        y = solve_inhomogeneous(forcing, mu=fig1_config.lam, spectrum=spec, n_terms=16)
         psi = y + a_s * spec.grid + b_s
         assert psi[0] == pytest.approx(fig1_config.psi1, abs=1e-10)
         assert psi[-1] == pytest.approx(fig1_config.psi2, abs=1e-10)

@@ -52,6 +52,9 @@ SCENARIOS = {
                           "--lambda", "-10", *MILD],
     "zonal_fd_lambda0": ["--mode", "zonal", "--method", "fd", "--lambda", "0",
                          "--n-zonal", "501", *MILD],
+    # the boundary homogenization, the expansion and the Pruefer index check
+    "zonal_sl_expansion": ["--mode", "zonal", "--method", "sl_expansion", "--lambda", "-10",
+                           *MILD],
     "figure1": ["--mode", "zonal", "--lambda", "-3000", "--upsilon", "30000",
                 "--psi1", "-5", "--psi2", "-25"],
     "spectrum": ["--mode", "spectrum"],
