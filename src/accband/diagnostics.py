@@ -159,7 +159,7 @@ def _solve_dense_longdouble(a, b):
     return x
 
 
-def zonal_critical_stream(config, grid, dtype=float) -> np.ndarray:
+def zonal_critical_stream(config, grid) -> np.ndarray:
     """Exact critical point of the discrete E over zonal stream functions.
 
     Restricted to the zonal Fourier mode, E(psi) = 1/2 psi^T A psi
@@ -173,7 +173,8 @@ def zonal_critical_stream(config, grid, dtype=float) -> np.ndarray:
     Zeroing the gradient on the interior nodes with psi(walls) pinned
     gives a second-order zonal steady state whose discrete first
     variation vanishes to round-off in every admissible direction:
-    nonzonal modes decouple exactly in the phi sum.
+    nonzonal modes decouple exactly in the phi sum. Returned in long
+    double, the precision it is solved in.
     """
     n = grid.n_rho
     two_pi = 2.0 * math.pi
@@ -205,7 +206,7 @@ def zonal_critical_stream(config, grid, dtype=float) -> np.ndarray:
             + hess[interior, 0] * psi[0]
             + hess[interior, -1] * psi[-1])
     psi[interior] = _solve_dense_longdouble(hess[interior, interior], rhs)
-    return psi.astype(dtype)
+    return psi
 
 
 # ==================================================================

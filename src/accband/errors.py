@@ -30,6 +30,14 @@ class ValidationError(ConfigError):
     """A parameter violates a stated invariant."""
 
 
+class LambdaNotZero(ValidationError):
+    """Closed-form zonal solver called with a nonzero vorticity slope."""
+
+
+class ContractionViolated(ValidationError):
+    """Band too wide for the Picard map to contract at this |lambda|."""
+
+
 # -- numerical failures ----------------------------------------------------
 
 class NumericalError(AccBandError):
@@ -52,16 +60,8 @@ class ResonantEigenvalue(NumericalError):
     """Inhomogeneous problem posed at (or too near) an eigenvalue."""
 
 
-class LambdaNotZero(NumericalError):
-    """Closed-form zonal solver called with a nonzero vorticity slope."""
-
-
 class NearEigenvalue(NumericalError):
     """Zonal BVP matrix is numerically singular (lambda near spectrum)."""
-
-
-class ContractionViolated(NumericalError):
-    """Band too wide for the Picard map to contract at this |lambda|."""
 
 
 class MaxIterExceeded(NumericalError):

@@ -45,7 +45,9 @@ Discretization, in (rho, phi) = (log r, azimuth):
     the cache, sets the tile size. Each point's arithmetic is the same in
     every tile, so the result does not depend on the tiling. A step holds
     the velocity block (2 fields), the padded and the new zeta, and the
-    scratch (1.7 MB, 3.3 fields at 256^2): 7.6 fields at 256^2;
+    scratch (1.7 MB, 3.3 fields at 256^2): 7.6 fields at 256^2. The
+    zonal reference of a run costs two ring columns, not two fields: a
+    zonal state's zeta and stream are stride-0 views of one column each;
   * characteristics in these coordinates: d(rho)/ds = cosh^2(rho) psi_phi,
     d(phi)/ds = -cosh^2(rho) psi_rho, since alpha e^{-2 rho} = cosh^2(rho).
 
@@ -180,9 +182,13 @@ class SimState:
     builder passes bar_stream, its G xi, bar_stream_values(zeta, config,
     grid), solved once; the state keeps only the full stream function
     formed from it, stream = G xi + psi2 + (lambda_circ/N) psi_star, and
-    dataclasses.replace must be handed G xi again. Both arrays are
-    read-only, so no holder can break stream = psi(zeta) by writing into
-    one of them; build a new state from an edited copy instead.
+    dataclasses.replace must be handed G xi again. The stream is
+    broadcast to zeta's shape: a no-op view for a full state, while a
+    zonal state passes one column of G xi, and its zeta and stream are
+    then stride-0 views along phi of one ring column each. Both arrays
+    are read-only, and so are the columns a zonal state views, so no
+    holder can break stream = psi(zeta) by writing into one of them;
+    build a new state from an edited copy instead.
     """
 
     t: float
@@ -198,9 +204,9 @@ class SimState:
         n = harmonic_normalization(self.grid)
         stream = (bar_stream + self.config.psi2
                   + (self.lambda_circ / n) * harmonic_profile(self.grid)[:, None])
-        object.__setattr__(self, "stream", stream)
-        self.zeta.setflags(write=False)
         stream.setflags(write=False)
+        self.zeta.setflags(write=False)
+        object.__setattr__(self, "stream", np.broadcast_to(stream, self.zeta.shape))
 
     def xi_values(self):
         a = alpha_of_rho(self.grid.rho)[:, None]
@@ -596,16 +602,17 @@ def zonal_initial_state(config, grid):
     Delta psi + 2 omega sin = -lam psi + upsilon under zeta's sign
     convention) supplies the transported field; with
     lambda_circ = (psi1 - psi2) N the reconstructed stream function
-    reproduces the profile exactly at the nodes.
+    reproduces the profile exactly at the nodes. The state's zeta and
+    stream are read-only stride-0 views of one ring column each: zeta
+    broadcasts the profile, and the stream is formed from column 0 of
+    G xi, whose 2-D solve is freed on return.
     """
-    psi_profile = solve_fd_rho(config, grid.rho)
-    zeta_vals = np.broadcast_to(
-        (config.lam * psi_profile - config.upsilon)[:, None],
-        (grid.n_rho, grid.n_phi),
-    ).copy()
+    ring = config.lam * solve_fd_rho(config, grid.rho) - config.upsilon
+    ring.setflags(write=False)
+    zeta_vals = np.broadcast_to(ring[:, None], (grid.n_rho, grid.n_phi))
     lam_circ = (config.psi1 - config.psi2) * harmonic_normalization(grid)
     return SimState(0.0, zeta_vals, lam_circ, config, grid,
-                    bar_stream_values(zeta_vals, config, grid))
+                    bar_stream_values(zeta_vals, config, grid)[:, :1].copy())
 
 
 _M32 = 0xFFFFFFFF

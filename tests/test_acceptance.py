@@ -224,7 +224,7 @@ class TestAcceptance:
         start = time.perf_counter()
         config = MILD_NEG
         grid = AnnulusGrid.from_band(config, 129, 64)
-        psi_star = dg.zonal_critical_stream(config, grid, dtype=np.longdouble)
+        psi_star = dg.zonal_critical_stream(config, grid)
         psi2d = np.broadcast_to(psi_star[:, None],
                                 (grid.n_rho, grid.n_phi)).astype(np.longdouble)
         e_star = dg.lyapunov_of_stream(psi2d, config, grid)

@@ -268,6 +268,19 @@ class TestModes:
         assert message in capsys.readouterr().err
         assert not out.exists()  # a sweep is rejected before any worker starts
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--method", "closed_form", "--lambda", "1"], "closed form requires lam = 0"),
+        # the default band's contraction factor is 562.8 at this lambda
+        (["--method", "picard", "--lambda", "-3000"], "band too wide for |lam| = 3000"),
+    ], ids=["closed_form", "picard"])
+    def test_method_ruled_out_by_the_flags_exits_one(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["--mode", "zonal", "--out", str(out), *argv]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("configuration error: ")
+        assert message in err[0]
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("argv", [
         ["--mode", "evolve", "--n-rho", "4"],
         ["--mode", "stability", "--n-phi", "7"],
@@ -702,3 +715,27 @@ class TestRunReduction:
         small, large = peak(40), peak(200)
         assert len((tmp_path / "run200" / "diagnostics.csv").read_text().splitlines()) == 201
         assert large - small < 16 * 1024, (small, large)
+
+    @pytest.mark.parametrize("mode", ["evolve", "stability"])
+    def test_zonal_reference_is_held_as_a_profile(self, mode, tmp_path):
+        """The traced peak of a 64^2 run of 3 steps, in 64^2 float64 fields:
+        23.1 (23.2 for stability) with the zonal reference held as two ring
+        columns, 25.1 (25.2) when it was held as two full fields."""
+        import gc
+        import tracemalloc
+
+        def peak(name):
+            argv = ["--mode", mode, "--out", str(tmp_path / name), "--n-rho", "64",
+                    "--n-phi", "64", "--dt", "0.002", "--t-end", "0.006",
+                    "--amplitude", "0.01", "--lambda", "-10", *MILD_BAND]
+            gc.collect()
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak("warm")  # warm every cache first
+        fields = peak("run") / (64 * 64 * 8)
+        assert fields < 24, fields

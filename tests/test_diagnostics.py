@@ -168,7 +168,7 @@ class TestLyapunov:
         errs = []
         for n in (65, 129):
             grid = AnnulusGrid.from_band(mild_neg_lam_config, n, 8)
-            crit = dg.zonal_critical_stream(mild_neg_lam_config, grid)
+            crit = dg.zonal_critical_stream(mild_neg_lam_config, grid).astype(float)
             errs.append(np.max(np.abs(crit - solve_fd_rho(mild_neg_lam_config,
                                                           grid.rho))))
         assert errs[1] <= errs[0] / 3.0, f"critical-point errors {errs}"
@@ -176,7 +176,7 @@ class TestLyapunov:
     def test_first_variation_vanishes(self, mild_neg_lam_config, rng):
         config = mild_neg_lam_config
         grid = AnnulusGrid.from_band(config, 129, 64)
-        psi_star = dg.zonal_critical_stream(config, grid, dtype=np.longdouble)
+        psi_star = dg.zonal_critical_stream(config, grid)
         psi2d = np.broadcast_to(psi_star[:, None], (129, 64)).astype(np.longdouble)
         sb = (grid.rho - grid.rho1) / (grid.rho2 - grid.rho1)
         bump = np.sin(math.pi * sb) ** 2
@@ -201,7 +201,7 @@ class TestLyapunov:
     def test_second_difference_matches_quadrature(self, mild_neg_lam_config, rng):
         config = mild_neg_lam_config
         grid = AnnulusGrid.from_band(config, 129, 64)
-        psi_star = dg.zonal_critical_stream(config, grid)
+        psi_star = dg.zonal_critical_stream(config, grid).astype(float)
         psi2d = np.broadcast_to(psi_star[:, None], (129, 64)).copy()
         sb = (grid.rho - grid.rho1) / (grid.rho2 - grid.rho1)
         xi = (np.sin(math.pi * sb) ** 2)[:, None] * np.cos(3 * grid.phi)[None, :]
@@ -223,7 +223,7 @@ class TestLyapunov:
         boundary-circulation terms: dE = lam * c * (circ1 - circ2)."""
         config = mild_neg_lam_config
         grid = AnnulusGrid.from_band(config, 129, 64)
-        psi_star = dg.zonal_critical_stream(config, grid)
+        psi_star = dg.zonal_critical_stream(config, grid).astype(float)
         sb = (grid.rho - grid.rho1) / (grid.rho2 - grid.rho1)
         psi2d = np.broadcast_to(psi_star[:, None], (129, 64)).copy()
         psi2d += 0.1 * (np.sin(math.pi * sb) ** 2)[:, None] * np.cos(2 * grid.phi)

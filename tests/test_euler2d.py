@@ -20,7 +20,7 @@ from accband.grids import AnnulusGrid
 from accband import cli, diagnostics, grids
 from accband.sturm_liouville import _solve_pinned
 import accband.sturm_liouville as sl
-from accband.zonal import solve_closed_form_lambda0
+from accband.zonal import solve_closed_form_lambda0, solve_fd_rho
 import accband.euler2d as e2
 
 from oracles import harmonic_component, velocity_from_stream
@@ -857,6 +857,29 @@ class TestFrozenState:
             diagnostics.record(state, reference=state)
             arrays = {k for k, v in vars(state).items() if isinstance(v, np.ndarray)}
             assert arrays == {"zeta", "stream"}, name
+
+    def test_zonal_state_holds_two_read_only_columns(self, mild_neg_lam_config):
+        """A zonal state's zeta and stream are stride-0 views of one ring
+        column each, read-only down to the array they view, and equal bit
+        for bit to the full fields: the profile broadcast and copied, and
+        the stream formed from the 2-D solve of that copy."""
+        config = mild_neg_lam_config
+        grid = make_grid(config, 64, 64)
+        state = e2.zonal_initial_state(config, grid)
+        ring = config.lam * solve_fd_rho(config, grid.rho) - config.upsilon
+        zeta = np.broadcast_to(ring[:, None], (64, 64)).copy()
+        stream = (e2.bar_stream_values(zeta, config, grid) + config.psi2
+                  + (state.lambda_circ / e2.harmonic_normalization(grid))
+                  * e2.harmonic_profile(grid)[:, None])
+        for got, want in ((state.zeta, zeta), (state.stream, stream)):
+            assert got.shape == (64, 64) and got.strides[1] == 0
+            assert got.tobytes() == want.tobytes()
+            viewed = got
+            while viewed is not None:
+                assert not viewed.flags.writeable
+                viewed = viewed.base
+            with pytest.raises(ValueError):
+                got.setflags(write=True)
 
 
 class TestCheckpoints:

@@ -57,6 +57,11 @@ SCENARIOS = {
                            *MILD],
     "figure1": ["--mode", "zonal", "--lambda", "-3000", "--upsilon", "30000",
                 "--psi1", "-5", "--psi2", "-25"],
+    # a grid whose 2-D Poisson solve leaves the zonal stream's rows an ulp apart
+    "stability_figure1_n_phi_40": ["--mode", "stability", "--n-rho", "16", "--n-phi", "40",
+                                   "--dt", "1e-4", "--t-end", "2e-3", "--amplitude", "0.01",
+                                   "--seed", "7", "--lambda", "-3000", "--upsilon", "30000",
+                                   "--psi1", "-5", "--psi2", "-25"],
     "spectrum": ["--mode", "spectrum"],
 }
 RUN_CLI = "import sys; from accband.cli import main; sys.exit(main(sys.argv[1:]))"
