@@ -10,13 +10,15 @@ The package splits into:
                    (n_rho, n_phi) ndarrays on it
   sturm_liouville  regular Sturm-Liouville spectra (matrix + Pruefer
                    shooting), Rayleigh quotients, eigenfunction expansions
-  zonal            steady zonal profiles by four independent routes
+  zonal            steady zonal profiles by four independent routes, each
+                   built with its velocity
   euler2d          the time-dependent transport solver on the projected
                    annulus (Poisson, harmonic component, semi-Lagrangian
                    stepping, checkpoints)
-  diagnostics      conserved quantities, the Lyapunov functional on a
-                   state or on any stream field and its zonal critical
-                   point, the zonal-stability identity, per-state records
+  diagnostics      record, the one reduction of a state to its conserved
+                   quantities, Lyapunov functional and zonal-stability
+                   left side; the Lyapunov functional on any stream field
+                   and its zonal critical point
   cli              scenario files, run modes, CSV/SVG artifacts
 """
 
@@ -38,7 +40,6 @@ from .zonal import (
     solve_fd,
     solve_picard,
     solve_sl_expansion,
-    velocity_profile,
 )
 from .euler2d import (
     SimState,
@@ -51,11 +52,7 @@ from .euler2d import (
 from .diagnostics import (
     DiagnosticRecord,
     casimir,
-    circulations,
-    energy,
-    lyapunov,
     record,
-    stability_identity,
 )
 
 __all__ = [
@@ -64,11 +61,10 @@ __all__ = [
     "SLProblem", "SLSpectrum", "eigen_solve", "homogenize_boundary",
     "prufer_eigenvalues", "rayleigh_quotient", "solve_inhomogeneous",
     "ZonalProfile", "solve_closed_form_lambda0", "solve_fd", "solve_picard",
-    "solve_sl_expansion", "velocity_profile",
+    "solve_sl_expansion",
     "SimState", "fix_circulation", "perturbed_zonal_state",
     "run", "step", "zonal_initial_state",
-    "DiagnosticRecord", "casimir", "circulations", "energy",
-    "lyapunov", "record", "stability_identity",
+    "DiagnosticRecord", "casimir", "record",
 ]
 
 __version__ = "0.1.0"

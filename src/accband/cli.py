@@ -312,6 +312,8 @@ def read_csv(path):
     with open(path) as fh:
         lines = [ln.strip() for ln in fh
                  if ln.strip() and not ln.lstrip().startswith("#")]
+    if not lines:
+        raise ParseError("no header line")
     header = lines[0].split(",")
     columns = {name: [] for name in header}
     for line in lines[1:]:

@@ -1,20 +1,23 @@
 """Conserved quantities and stability diagnostics.
 
-All functionals are spherical-band integrals evaluated on the projected
+record is the library's one reduction of a state: it evaluates the whole
+suite on one state (one CSV row), and summary gives a run's JSON summary
+from its first and last records and the tallies the run kept as it went.
+All quantities are spherical-band integrals evaluated on the projected
 grid with geometry's quadratures: integral_dsigma against the spherical
 area element and integral_flat against drho dphi (both trapezoid in rho,
-exact periodic sum in phi). The useful reductions, with
-s = -zeta the absolute vorticity and psi the full stream function:
+exact periodic sum in phi). The fields of a record, with s = -zeta the
+absolute vorticity and psi the full stream function:
 
   energy            1/2 int (u^2 + v^2) dsigma  =  1/2 int |grad psi|^2 drho dphi
-  circulations      int psi_theta dphi along each wall
+  circ1, circ2      int psi_theta dphi along each wall
                     = -(planar wall circulation)/cos(theta_wall)
-  casimir(k)        int s^k dsigma
+  casimirs[k]       int s^k dsigma, casimir(state, k)
   lyapunov          E = 1/2 int [ -lam |grad psi|^2_sph + (s - upsilon)^2 ] dsigma
                         + lam [ a_w int psi_theta|w2 + b_w int psi_theta|w1 ],
                     a_w = psi2 cos(theta2), b_w = -psi1 cos(theta1)
   stability_lhs     -lam ||u - u*||^2 + ||Omega - Omega*||^2, with
-                    Omega - Omega* = -(zeta - zeta*)
+                    Omega - Omega* = -(zeta - zeta*), stability_lhs(state, ref)
 
 E is exactly quadratic in psi. zonal_critical_stream builds the zonal
 restriction of the discrete quadratic form explicitly (by polarization)
@@ -23,10 +26,6 @@ state makes the discrete first variation vanish to round-off in every
 admissible direction, zonal or not (nonzonal modes decouple exactly in
 the phi sum). lyapunov_of_stream evaluates E on any stream field, so the
 criteria take its variations about that state.
-
-record evaluates the suite on one state (one CSV row), and summary
-gives a run's JSON summary from its first and last records and the
-tallies the run kept as it went.
 """
 
 import math
@@ -49,21 +48,8 @@ CSV_HEADER = "t,energy,circ1,circ2,casimir2,casimir3,stability_identity,max_xi,l
 
 
 # ==================================================================
-# Individual functionals
+# Circulations and Casimirs
 # ==================================================================
-
-def energy(state: SimState) -> float:
-    """Kinetic energy 1/2 int (u^2 + v^2) dsigma."""
-    grid = state.grid
-    return 0.5 * integral_flat(grad_square_flat(state.stream, grid), grid)
-
-
-def circulations(state: SimState):
-    """Spherical circulations int psi_theta dphi at (theta1, theta2)."""
-    return _spherical_circulations(
-        boundary_circulations(state.stream, state.grid), state.grid
-    )
-
 
 def _spherical_circulations(planar, grid):
     """Planar wall circulations -> int psi_theta dphi on each wall."""
@@ -110,18 +96,6 @@ def _lyapunov_terms(grad_sq, planar_circ, s_values, config, grid):
     return quad + boundary
 
 
-def _lyapunov_of(psi_values, s_values, config, grid):
-    return _lyapunov_terms(integral_flat(grad_square_flat(psi_values, grid), grid),
-                           boundary_circulations(psi_values, grid),
-                           s_values, config, grid)
-
-
-def lyapunov(state: SimState) -> float:
-    """E evaluated on a simulation state (zeta is the prognostic field)."""
-    return _lyapunov_of(state.stream, absolute_vorticity(state),
-                        state.config, state.grid)
-
-
 def lyapunov_of_stream(psi_values, config, grid) -> float:
     """E evaluated on an arbitrary stream field (variation tests).
 
@@ -131,7 +105,9 @@ def lyapunov_of_stream(psi_values, config, grid) -> float:
     a = alpha_of_rho(grid.rho)[:, None]
     b = beta_of_rho(grid.rho, config.omega)[:, None]
     s_values = a * laplacian_values(psi_values, grid) - b
-    return _lyapunov_of(psi_values, s_values, config, grid)
+    return _lyapunov_terms(integral_flat(grad_square_flat(psi_values, grid), grid),
+                           boundary_circulations(psi_values, grid),
+                           s_values, config, grid)
 
 
 def _solve_dense_longdouble(a, b):
@@ -226,12 +202,6 @@ def stability_lhs(state: SimState, reference: SimState) -> float:
     velocity = integral_flat(grad_square_flat(state.stream - reference.stream, grid), grid)
     vorticity = integral_dsigma((state.zeta - reference.zeta) ** 2, grid)
     return -state.config.lam * velocity + vorticity
-
-
-def stability_identity(state: SimState, reference: SimState,
-                       initial: SimState):
-    """(lhs at time t, rhs frozen at t = 0); equal for exact solutions."""
-    return stability_lhs(state, reference), stability_lhs(initial, reference)
 
 
 # ==================================================================

@@ -208,13 +208,8 @@ class SimState:
         self.zeta.setflags(write=False)
         object.__setattr__(self, "stream", np.broadcast_to(stream, self.zeta.shape))
 
-    def xi_values(self):
-        a = alpha_of_rho(self.grid.rho)[:, None]
-        b = beta_of_rho(self.grid.rho, self.config.omega)[:, None]
-        return (self.zeta - b) / a
-
     def max_xi(self) -> float:
-        return float(np.max(np.abs(self.xi_values())))
+        return float(np.max(np.abs(_xi_values(self.zeta, self.config, self.grid))))
 
 
 def xi_bound(config, zeta0_values) -> float:
@@ -225,11 +220,16 @@ def xi_bound(config, zeta0_values) -> float:
     return a * float(np.max(np.abs(zeta0_values))) + b
 
 
-def bar_stream_values(zeta_values, config, grid):
-    """G xi: the zero-boundary part of the stream function."""
+def _xi_values(zeta_values, config, grid):
+    """xi = (zeta - beta)/alpha, the field G inverts."""
     a = alpha_of_rho(grid.rho)[:, None]
     b = beta_of_rho(grid.rho, config.omega)[:, None]
-    return _poisson_values((zeta_values - b) / a, grid)
+    return (zeta_values - b) / a
+
+
+def bar_stream_values(zeta_values, config, grid):
+    """G xi: the zero-boundary part of the stream function."""
+    return _poisson_values(_xi_values(zeta_values, config, grid), grid)
 
 
 def stream_of(state: SimState):
@@ -571,10 +571,11 @@ def run(state: SimState, t_end: float, dt: float, output_stride: int):
     """Step state to t_end, yielding the output states.
 
     Yields state itself, every output_stride-th step and the final one.
-    The last step is shortened to land on t_end exactly. The circulation
-    targets are those of state, held fixed over the run. Only the current
-    state is kept, so a consumer that drops what it was given holds the
-    memory of one state.
+    The last step k is shortened to t_end - (k - 1) dt, so the run ends
+    on t_end to round-off only: t sums the steps, and that sum can differ
+    from t_end in its last bits. The circulation targets are those of
+    state, held fixed over the run. Only the current state is kept, so a
+    consumer that drops what it was given holds the memory of one state.
     """
     if t_end < 0:
         raise ValidationError("t_end must be nonnegative")

@@ -106,7 +106,6 @@ class SLSpectrum:
     eigenvalues: np.ndarray      # ascending, shape (n_max,)
     eigenfunctions: np.ndarray   # shape (n_max, grid_size), zero endpoints
     grid: np.ndarray             # shape (grid_size,)
-    problem: SLProblem
 
     def __len__(self):
         return len(self.eigenvalues)
@@ -482,7 +481,7 @@ def eigen_solve(prob: SLProblem, n_max: int, grid_size: int) -> SLSpectrum:
         k = np.arange(1, n_max + 1)
         ok = np.all(np.abs(angles - k * np.pi) < 0.5 * np.pi)
         if ok:
-            return SLSpectrum(vals, funcs, x, prob)
+            return SLSpectrum(vals, funcs, x)
         size = 2 * (size - 1) + 1
     raise ConvergenceFailure(
         "matrix eigenvalues fail the Pruefer index check after refinement"
@@ -662,7 +661,7 @@ def rayleigh_quotient(prob: SLProblem, y, x) -> float:
 
 def solve_inhomogeneous(h, mu: float, spectrum: SLSpectrum, n_terms: int) -> np.ndarray:
     """Eigenfunction-expansion solution of (p y')' + mu w y = h(x) with
-    Dirichlet zeros, on the spectrum's problem and grid.
+    Dirichlet zeros, for the problem of the spectrum, on its grid.
 
     y = sum_n b_n y_n with b_n = <h/w, y_n> / (mu - mu_n); unique iff mu
     avoids the spectrum. Near-resonant mu (relative separation below

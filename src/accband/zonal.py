@@ -21,6 +21,10 @@ constructions are provided and cross-checked in the tests:
                 r2/r1 <= exp((2|lam|)^{-1/2}).
   sl_expansion  eigenfunction expansion of the homogenized problem.
 
+Each returns a ZonalProfile built with its velocity: the solver's own u
+where it has one (closed form, picard), else fourth-order differences
+of Psi on its uniform grid.
+
 The band's eigenproblem (y' cos)' = -mu y cos depends on theta1 and theta2
 only, not on lam, upsilon, omega or the boundary values. band_spectrum
 solves it once per band and grid, (theta1, theta2, grid_size), in a
@@ -37,8 +41,7 @@ import math
 import threading
 import types
 import warnings
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -62,32 +65,28 @@ from .sturm_liouville import (
 
 @dataclass
 class ZonalProfile:
-    """Latitude samples of one zonal state."""
+    """Latitude samples of one zonal state and its velocity."""
 
     thetas: np.ndarray
     psi: np.ndarray
-    u: Optional[np.ndarray]
-    u_dimensional: Optional[np.ndarray]
-    method: str
-    config: object = None
-    diagnostics: dict = field(default_factory=dict)
+    u: np.ndarray
+    u_dimensional: np.ndarray
+    diagnostics: dict
 
 
-def _finish(thetas, psi, config, method, u=None, diagnostics=None):
+def _finish(thetas, psi, config, diagnostics, u=None):
+    """The profile of a solver's samples. A solver that gives no velocity
+    gets u = -dPsi/dtheta by fourth-order differences on its uniform grid."""
+    thetas = np.asarray(thetas, dtype=float)
     psi = np.asarray(psi, dtype=float)
     tol = 1e-12 * max(1.0, abs(config.psi1), abs(config.psi2))
     if abs(psi[0] - config.psi1) > tol or abs(psi[-1] - config.psi2) > tol:
         raise ValidationError("solver lost the boundary values")
-    prof = ZonalProfile(
-        thetas=np.asarray(thetas, dtype=float), psi=psi,
-        u=None, u_dimensional=None, method=method, config=config,
-        diagnostics=diagnostics or {},
-    )
-    if u is not None:
-        prof.u = np.asarray(u, dtype=float)
-        prof.u_dimensional = prof.u * config.u_scale
-        return prof
-    return velocity_profile(prof)
+    if u is None:
+        u = -fourth_order_derivative(psi, thetas)
+    else:
+        u = np.asarray(u, dtype=float)
+    return ZonalProfile(thetas, psi, u, u * config.u_scale, diagnostics)
 
 
 def _warn_equal_boundary_values(config):
@@ -141,8 +140,7 @@ def solve_closed_form_lambda0(config, n: int) -> ZonalProfile:
     cos = np.cos(th)
     dpsi = config.upsilon * np.tan(th) + config.omega * cos \
         - 0.5 * config.omega / cos + c1 / cos
-    return _finish(th, psi, config, "closed_form", u=-dpsi,
-                   diagnostics={"c1": c1, "c2": c2})
+    return _finish(th, psi, config, {"c1": c1, "c2": c2}, u=-dpsi)
 
 
 def closed_form_residual(config, thetas) -> np.ndarray:
@@ -191,8 +189,7 @@ def solve_fd(config, n: int) -> ZonalProfile:
     res_rel = float(np.max(np.abs(residual))) / max(
         1.0, float(np.max(np.abs(rhs))), float(np.max(np.abs(psi))) / h**2
     )
-    return _finish(th, psi, config, "finite_difference",
-                   diagnostics={"linear_residual": res_rel})
+    return _finish(th, psi, config, {"linear_residual": res_rel})
 
 
 def solve_fd_rho(config, rho) -> np.ndarray:
@@ -299,8 +296,7 @@ def solve_picard(config, n: int, tol: float = 1e-10,
         diags["contraction_observed"] = sup_diffs[-1] / sup_diffs[-2]
     psi = u[order]
     psi[0], psi[-1] = config.psi1, config.psi2
-    return _finish(thetas[order], psi, config, "picard",
-                   u=u_zonal[order], diagnostics=diags)
+    return _finish(thetas[order], psi, config, diags, u=u_zonal[order])
 
 
 # ==================================================================
@@ -355,19 +351,12 @@ def solve_sl_expansion(config, n_terms: int = SL_TERMS,
     th = spectrum.grid.copy()  # the profile must not alias the cached grid
     psi = shifted + a_s * th + b_s
     psi[0], psi[-1] = config.psi1, config.psi2
-    return _finish(th, psi, config, "sl_expansion",
-                   diagnostics={"n_terms": n_terms})
+    return _finish(th, psi, config, {"n_terms": n_terms})
 
 
 # ==================================================================
-# Velocity extraction and export
+# Export
 # ==================================================================
-
-def velocity_profile(profile: ZonalProfile) -> ZonalProfile:
-    """u = -dPsi/dtheta by fourth-order differences on the uniform grid."""
-    u = -fourth_order_derivative(profile.psi, profile.thetas)
-    return replace(profile, u=u, u_dimensional=u * profile.config.u_scale)
-
 
 def write_profile_csv(profile: ZonalProfile, path):
     """CSV export: theta_deg,psi,u_nondim,u_m_per_s, written in one pass."""

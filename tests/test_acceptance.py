@@ -199,17 +199,20 @@ class TestAcceptance:
             grid = AnnulusGrid.from_band(MILD_NEG, n, n)
             reference = e2.zonal_initial_state(MILD_NEG, grid)
             state = e2.perturbed_zonal_state(MILD_NEG, grid, 0.01, 3, seed=SEED)
-            lhs0, rhs = dg.stability_identity(state, reference, state)
-            assert lhs0 == rhs, "defect must vanish identically at t = 0"
+            rhs = dg.record(state, reference).stability_lhs
+            assert dg.stability_lhs(state, reference) == rhs, (
+                "defect must vanish identically at t = 0")
             dt = dt_for_cfl(state, 0.5) / (n // 128)
             final, _ = evolve(state, t_end=1.0, dt=dt, record_stride=10 ** 9)
-            lhs = dg.stability_lhs(final, reference)
+            final_record = dg.record(final, reference)
+            lhs = final_record.stability_lhs
             defects.append(abs(lhs - rhs))
             if n == 128:
                 rhs_base = rhs
             # alternative route: lhs(t) = 2(E(psi(t)) - E(psi*)), up to the
             # discrete integration-by-parts terms (measured constant ~15)
-            two_de = 2.0 * (dg.lyapunov(final) - dg.lyapunov(reference))
+            two_de = 2.0 * (final_record.lyapunov
+                            - dg.record(reference, reference).lyapunov)
             agreement_ok = agreement_ok and (
                 abs(lhs - two_de) <= 30.0 * grid.d_rho**2 * max(1.0, abs(rhs))
             )

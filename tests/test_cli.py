@@ -589,6 +589,15 @@ class TestCsvRoundtrip:
             n_rows = {len(col) for col in columns.values()}
             assert len(n_rows) == 1 and n_rows.pop() >= 1, f"{path.name}: ragged"
 
+    @pytest.mark.parametrize("text", ["", "\n \n", "# a comment only\n"])
+    def test_file_without_header_is_a_parse_error(self, tmp_path, text):
+        from accband.cli import read_csv
+
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match="no header line"):
+            read_csv(path)
+
 
 class TestDeterminism:
     def test_serial_reruns_bit_identical(self, tmp_path):

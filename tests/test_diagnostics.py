@@ -10,7 +10,7 @@ from accband.errors import GridMismatch, NumericalError, ValidationError
 from accband.geometry import alpha_of_rho, beta_of_rho, integral_dsigma
 from accband.grids import AnnulusGrid
 from accband import cli
-from accband.zonal import solve_fd, solve_fd_rho, velocity_profile
+from accband.zonal import solve_fd, solve_fd_rho
 import accband.diagnostics as dg
 import accband.euler2d as e2
 
@@ -31,6 +31,11 @@ def state_from_stream(psi_1d, grid, config):
     zeta = b - a * e2.laplacian_values(psi2d, grid)
     lam_c = (psi_1d[0] - psi_1d[-1]) * e2.harmonic_normalization(grid)
     return make_state(zeta, lam_c, config, grid)
+
+
+def record_of(state):
+    """record's reduction of a state, the state its own reference."""
+    return dg.record(state, reference=state)
 
 
 def energy_zonal_profile(profile) -> float:
@@ -54,35 +59,36 @@ class TestEnergy:
             beta_of_rho(grid.rho, mild_config.omega)[:, None], (64, 16)
         ).copy()
         state = make_state(beta_field, 0.0, mild_config, grid)
-        assert dg.energy(state) <= 1e-20
+        assert record_of(state).energy <= 1e-20
 
     def test_unit_zonal_velocity(self, mild_config):
         grid = AnnulusGrid.from_band(mild_config, 96, 16)
         state = state_from_stream(-grid.theta, grid, mild_config)
         exact = math.pi * (math.sin(mild_config.theta2) - math.sin(mild_config.theta1))
-        assert dg.energy(state) == pytest.approx(exact, rel=1e-5)
+        assert record_of(state).energy == pytest.approx(exact, rel=1e-5)
 
     def test_two_dimensional_matches_one_dimensional_quadrature(self, mild_config):
         grid = AnnulusGrid.from_band(mild_config, 1025, 8)
         state = e2.zonal_initial_state(mild_config, grid)
-        profile = velocity_profile(solve_fd(mild_config, 16385))
-        oracle = energy_zonal_profile(profile)
-        assert dg.energy(state) == pytest.approx(oracle, rel=1e-6)
+        oracle = energy_zonal_profile(solve_fd(mild_config, 16385))
+        assert record_of(state).energy == pytest.approx(oracle, rel=1e-6)
 
 
 class TestCirculations:
     def test_unit_velocity_on_both_walls(self, mild_config):
         grid = AnnulusGrid.from_band(mild_config, 96, 16)
         state = state_from_stream(-grid.theta, grid, mild_config)
-        c1, c2 = dg.circulations(state)
+        rec = record_of(state)
+        c1, c2 = rec.circ1, rec.circ2
         assert c1 == pytest.approx(-2 * math.pi, abs=2e-5)
         assert c2 == pytest.approx(-2 * math.pi, abs=2e-5)
 
     def test_zonal_state_wall_velocities(self, mild_config):
         grid = AnnulusGrid.from_band(mild_config, 128, 16)
         state = e2.zonal_initial_state(mild_config, grid)
-        prof = velocity_profile(solve_fd(mild_config, 8193))
-        c1, c2 = dg.circulations(state)
+        prof = solve_fd(mild_config, 8193)
+        rec = record_of(state)
+        c1, c2 = rec.circ1, rec.circ2
         assert c1 == pytest.approx(-2 * math.pi * prof.u[0], rel=1e-4)
         assert c2 == pytest.approx(-2 * math.pi * prof.u[-1], rel=1e-4)
 
@@ -90,11 +96,12 @@ class TestCirculations:
         grid = AnnulusGrid.from_band(mild_neg_lam_config, 64, 64)
         state = e2.perturbed_zonal_state(mild_neg_lam_config, grid, 0.01, 3, seed=6)
         targets = e2.circulation_targets(state)
-        c1_0, c2_0 = dg.circulations(state)
+        rec_0 = record_of(state)
         s = state
         for _ in range(50):
             s = e2.step(s, 2.5e-3, targets)
-        c1_t, c2_t = dg.circulations(s)
+        rec_t = record_of(s)
+        c1_0, c2_0, c1_t, c2_t = rec_0.circ1, rec_0.circ2, rec_t.circ1, rec_t.circ2
         assert abs(c1_t - c1_0) <= 1e-8 * abs(c1_0)
         assert abs(c2_t - c2_0) <= 1e-4 * abs(c2_0)
 
@@ -160,7 +167,7 @@ class TestLyapunov:
         psi_1d = solve_fd_rho(mild_neg_lam_config, grid.rho)
         state = state_from_stream(psi_1d, grid, mild_neg_lam_config)
         psi2d = np.broadcast_to(psi_1d[:, None], (96, 32)).copy()
-        from_state = dg.lyapunov(state)
+        from_state = record_of(state).lyapunov
         from_stream = dg.lyapunov_of_stream(psi2d, mild_neg_lam_config, grid)
         assert from_state == pytest.approx(from_stream, rel=1e-10)
 
@@ -242,20 +249,24 @@ class TestLyapunov:
         grid = AnnulusGrid.from_band(mild_neg_lam_config, 64, 64)
         state = e2.perturbed_zonal_state(mild_neg_lam_config, grid, 0.01, 3, seed=3)
         targets = e2.circulation_targets(state)
-        before = dg.lyapunov(state)
+        before = record_of(state).lyapunov
         s = state
         for _ in range(40):
             s = e2.step(s, 2.5e-3, targets)
-        assert abs(dg.lyapunov(s) - before) <= 2e-2 * abs(before)
+        assert abs(record_of(s).lyapunov - before) <= 2e-2 * abs(before)
 
 
 class TestStabilityIdentity:
     def test_defect_zero_at_t0(self, mild_neg_lam_config):
+        """A run's summary takes the identity's rhs from its t = 0 record,
+        so a run that ends where it starts has no defect at all."""
         grid = AnnulusGrid.from_band(mild_neg_lam_config, 64, 64)
         ref = e2.zonal_initial_state(mild_neg_lam_config, grid)
         state = e2.perturbed_zonal_state(mild_neg_lam_config, grid, 0.01, 3, seed=5)
-        lhs, rhs = dg.stability_identity(state, ref, state)
-        assert lhs == rhs
+        rec = dg.record(state, reference=ref)
+        identity = dg.summary(rec, rec, 1, rec.max_xi)["stability"]
+        assert identity["lhs_final"] == identity["rhs"] == dg.stability_lhs(state, ref)
+        assert identity["defect"] == 0.0
 
     def test_unperturbed_reference_gives_zero(self, mild_neg_lam_config):
         grid = AnnulusGrid.from_band(mild_neg_lam_config, 64, 64)
@@ -273,7 +284,7 @@ class TestStabilityIdentity:
         for _ in range(40):
             s = e2.step(s, 2e-3, targets)
         defect_direct = dg.stability_lhs(s, ref) - dg.stability_lhs(state0, ref)
-        defect_energy = 2.0 * (dg.lyapunov(s) - dg.lyapunov(state0))
+        defect_energy = 2.0 * (record_of(s).lyapunov - record_of(state0).lyapunov)
         scale = abs(dg.stability_lhs(state0, ref))
         # the two routes differ by discrete integration-by-parts terms of
         # quadrature size O(h^2); measured constant is ~4, bound with 20
@@ -391,36 +402,22 @@ class TestRecord:
         parsed = [float(cell) for cell in row.split(",")]
         assert all(math.isfinite(v) for v in parsed)
 
-    def test_fields_equal_individual_functionals(self, mild_neg_lam_config):
-        grid = AnnulusGrid.from_band(mild_neg_lam_config, 48, 48)
-        ref = e2.zonal_initial_state(mild_neg_lam_config, grid)
-        state = e2.perturbed_zonal_state(mild_neg_lam_config, grid, 0.01, 2, seed=1)
-        rec = dg.record(state, reference=ref)
-        assert rec.energy == dg.energy(state)
-        assert (rec.circ1, rec.circ2) == dg.circulations(state)
-        assert rec.lyapunov == dg.lyapunov(state)
-        assert rec.stability_lhs == dg.stability_lhs(state, ref)
-
     def test_reference_stream_formed_once(self, mild_neg_lam_config, monkeypatch):
         """Each stream is formed once, when its state is built, so records
-        form none, and their stability column is unchanged by it."""
+        solve no Poisson problem, and their values are unchanged by it."""
         grid = AnnulusGrid.from_band(mild_neg_lam_config, 48, 48)
         ref = e2.zonal_initial_state(mild_neg_lam_config, grid)
         states = [e2.perturbed_zonal_state(mild_neg_lam_config, grid, 0.01, 2, seed=s)
                   for s in (1, 2, 3)]
         fresh = replace(ref, bar_stream=e2.bar_stream_values(ref.zeta, ref.config, grid))
-        want = [dg.stability_lhs(s, fresh) for s in states]
-        calls = []
-        stream_of = e2.stream_of
+        want = [dg.record(s, reference=fresh).csv_row() for s in states]
 
-        def counting(state):
-            calls.append(state)
-            return stream_of(state)
+        def no_solve(*args):
+            raise AssertionError("record solved a Poisson problem")
 
-        monkeypatch.setattr(e2, "stream_of", counting)
-        got = [dg.record(s, reference=ref).stability_lhs for s in states]
+        monkeypatch.setattr(e2, "_poisson_values", no_solve)
+        got = [dg.record(s, reference=ref).csv_row() for s in states]
         assert got == want
-        assert calls == []
         assert not ref.stream.flags.writeable
 
     def test_non_finite_stability_lhs_raises(self, mild_neg_lam_config, monkeypatch):

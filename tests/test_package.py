@@ -150,15 +150,7 @@ def test_sibling_scan_finds_each_form(tmp_path):
 # ------------------------------------------------------------------
 
 KEPT_FOR_TESTS = {
-    "diagnostics.circulations":
-        "record's circ1/circ2 as one functional: the oracles of TestCirculations "
-        "check it, and record is pinned equal to it",
-    "diagnostics.energy":
-        "record's energy as one functional: the oracles of TestEnergy check it, "
-        "and record is pinned equal to it",
-    "diagnostics.lyapunov": "criterion 7 compares the identity's defect with 2(E(t) - E*)",
     "diagnostics.lyapunov_of_stream": "criterion 8 varies E about the critical stream",
-    "diagnostics.stability_identity": "criterion 7 reads the identity's two sides",
     "diagnostics.zonal_critical_stream":
         "criterion 8's exact critical point, solved in long double",
     "euler2d.state_from_checkpoint":

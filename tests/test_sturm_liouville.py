@@ -271,10 +271,10 @@ class TestRayleighQuotient:
         assert abs(val - 1.0) <= 1e-8
 
     def test_recovers_first_zonal_eigenvalue(self):
-        config = BandConfig()
-        spec = eigen_solve(zonal_homogeneous_problem(config), n_max=3, grid_size=8193)
+        problem = zonal_homogeneous_problem(BandConfig())
+        spec = eigen_solve(problem, n_max=3, grid_size=8193)
         for k in range(3):
-            val = rayleigh_quotient(spec.problem, spec.eigenfunctions[k], spec.grid)
+            val = rayleigh_quotient(problem, spec.eigenfunctions[k], spec.grid)
             rel = abs(val - spec.eigenvalues[k]) / spec.eigenvalues[k]
             assert rel <= 1e-6, f"mode {k + 1} quotient off by rel {rel:.2e}"
 

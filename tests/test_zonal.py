@@ -4,6 +4,7 @@ import math
 import os
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,7 +33,6 @@ from accband.zonal import (
     solve_fd_rho,
     solve_picard,
     solve_sl_expansion,
-    velocity_profile,
     write_profile_csv,
     zeta_particular,
     _closed_form_constants,
@@ -381,13 +381,17 @@ class TestBandSpectrum:
         assert len(solved_keys) == 1
 
 
+def finish(config, th, psi):
+    """The profile of samples whose solver gives no velocity, on a band
+    whose boundary values are the samples' own."""
+    return zonal._finish(th, psi, replace(config, psi1=psi[0], psi2=psi[-1]), {})
+
+
 class TestVelocityProfile:
     def test_linear_psi_constant_velocity(self, mild_config):
         th = np.linspace(mild_config.theta1, mild_config.theta2, 65)
         slope = 3.7
-        prof = ZonalProfile(th, slope * th, None, None, "finite_difference",
-                            config=mild_config)
-        out = velocity_profile(prof)
+        out = finish(mild_config, th, slope * th)
         assert np.max(np.abs(out.u + slope)) <= 1e-10
         assert np.max(np.abs(out.u_dimensional + slope * mild_config.u_scale)) <= 1e-10
 
@@ -395,23 +399,19 @@ class TestVelocityProfile:
         errs = []
         for n in (33, 65):
             th = np.linspace(mild_config.theta1, mild_config.theta2, n)
-            prof = ZonalProfile(th, np.sin(th), None, None, "finite_difference",
-                                config=mild_config)
-            errs.append(np.max(np.abs(velocity_profile(prof).u + np.cos(th))))
+            errs.append(np.max(np.abs(finish(mild_config, th, np.sin(th)).u + np.cos(th))))
         assert errs[1] <= errs[0] / 12.0, f"not 4th order: {errs}"
 
     def test_too_few_samples(self, mild_config):
         th = np.linspace(mild_config.theta1, mild_config.theta2, 4)
-        prof = ZonalProfile(th, th, None, None, "finite_difference", config=mild_config)
         with pytest.raises(TooFewSamples):
-            velocity_profile(prof)
+            finish(mild_config, th, th)
 
     def test_non_uniform_grid_rejected(self, mild_config):
         th = np.linspace(mild_config.theta1, mild_config.theta2, 33)
         th[16] += 1e-3 * (th[1] - th[0])
-        prof = ZonalProfile(th, th, None, None, "finite_difference", config=mild_config)
         with pytest.raises(ValidationError, match="uniform grid"):
-            velocity_profile(prof)
+            finish(mild_config, th, th)
 
 
 class TestGridVariantsAndExport:
@@ -443,7 +443,7 @@ class TestGridVariantsAndExport:
         cols = np.hstack([[np.roll(special, j) for j in range(4)], values])
         profiles = [
             ZonalProfile(thetas=cols[0], psi=cols[1], u=cols[2], u_dimensional=cols[3],
-                         method="finite_difference"),
+                         diagnostics={}),
             solve_fd(mild_neg_lam_config, 257),
         ]
         for prof in profiles:

@@ -55,6 +55,10 @@ SCENARIOS = {
     # the boundary homogenization, the expansion and the Pruefer index check
     "zonal_sl_expansion": ["--mode", "zonal", "--method", "sl_expansion", "--lambda", "-10",
                            *MILD],
+    # the velocity a solver supplies itself, not differenced from psi
+    "zonal_picard": ["--mode", "zonal", "--method", "picard", "--lambda", "-1", *MILD],
+    "zonal_closed_form": ["--mode", "zonal", "--method", "closed_form", "--lambda", "0",
+                          *MILD],
     "figure1": ["--mode", "zonal", "--lambda", "-3000", "--upsilon", "30000",
                 "--psi1", "-5", "--psi2", "-25"],
     # a grid whose 2-D Poisson solve leaves the zonal stream's rows an ulp apart
