@@ -44,6 +44,7 @@ from .zonal import (
 from .euler2d import (
     SimState,
     fix_circulation,
+    perturb,
     perturbed_zonal_state,
     run,
     step,
@@ -62,7 +63,7 @@ __all__ = [
     "prufer_eigenvalues", "rayleigh_quotient", "solve_inhomogeneous",
     "ZonalProfile", "solve_closed_form_lambda0", "solve_fd", "solve_picard",
     "solve_sl_expansion",
-    "SimState", "fix_circulation", "perturbed_zonal_state",
+    "SimState", "fix_circulation", "perturb", "perturbed_zonal_state",
     "run", "step", "zonal_initial_state",
     "DiagnosticRecord", "casimir", "record",
 ]

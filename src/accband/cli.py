@@ -178,12 +178,12 @@ def _spectrum_report(spec, out, n_eigen=5):
     spectrum = zonal.band_spectrum(spec.config.theta1, spec.config.theta2,
                                    n_eigen, zonal.SL_GRID)
     lam = spec.config.lam
-    lines = ["index,eigenvalue,rel_distance_to_lambda"]
+    lines, near = ["index,eigenvalue,rel_distance_to_lambda"], []
     for k, mu in enumerate(spectrum.eigenvalues, start=1):
         rel = abs(lam - mu) / max(abs(mu), 1.0)
         lines.append(f"{k},{float(mu)!r},{float(rel)!r}")
-    near = [float(mu) for mu in spectrum.eigenvalues
-            if abs(lam - mu) / max(abs(mu), 1.0) < 1e-6]
+        if rel < 1e-6:
+            near.append(float(mu))
     if near:
         lines.append(f"# WARNING lambda={lam} is within rel 1e-6 of {near}")
     (out / "spectrum.csv").write_text("\n".join(lines) + "\n")
@@ -224,7 +224,8 @@ def run_mode_spectrum(spec, out):
 
 
 def run_mode_evolve(spec, out):
-    """Evolve the (perturbed) zonal state: the evolve and stability modes.
+    """Evolve the zonal state, solved once as the run's reference, perturbed
+    (at amplitude 0, the reference itself): the evolve and stability modes.
 
     Every output state of euler2d.run gets a diagnostics.csv row, then a
     checkpoint (evolve) or a stability.csv row (stability), whose rhs is
@@ -248,10 +249,9 @@ def run_mode_evolve(spec, out):
         )
     grid = AnnulusGrid.from_band(spec.config, spec.n_rho, spec.n_phi)
     with np.errstate(all="ignore"):  # a huge setting overflows; checked below
-        state = euler2d.perturbed_zonal_state(spec.config, grid, spec.amplitude,
-                                              spec.wavenumber, spec.seed)
         reference = euler2d.zonal_initial_state(spec.config, grid)
-    for name, s in (("initial", state), ("zonal reference", reference)):
+        state = euler2d.perturb(reference, spec.amplitude, spec.wavenumber, spec.seed)
+    for name, s in (("zonal reference", reference), ("initial", state)):
         if not (np.isfinite(s.zeta).all() and np.isfinite(s.stream).all()):
             raise NumericalError(f"the {name} state is not finite")
     bound = euler2d.xi_bound(spec.config, state.zeta)

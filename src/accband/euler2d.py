@@ -682,11 +682,11 @@ def _seed_phase(seed) -> float:
     return 0.0 + 2.0 * math.pi * ((out >> 11) * 2.0**-53)
 
 
-def stream_perturbation(grid, amplitude, wavenumber, seed):
-    """Divergence-free perturbation: perp-grad of a boundary-flat bump.
+def stream_perturbation(grid, wavenumber, seed):
+    """Divergence-free unit perturbation: perp-grad of a boundary-flat bump.
 
-    delta psi = amplitude * sin^2(pi (rho-rho1)/L) * cos(k phi + phase),
-    with the phase uniform in [0, 2 pi) from the seed: the same phase as
+    delta psi = sin^2(pi (rho-rho1)/L) * cos(k phi + phase), with the
+    phase uniform in [0, 2 pi) from the seed: the same phase as
     np.random.default_rng(seed).uniform(0, 2 pi), drawn without importing
     numpy.random (_seed_phase), so a seed keeps its earlier results. A
     negative seed is a ValidationError. Vanishes with its gradient's
@@ -695,31 +695,36 @@ def stream_perturbation(grid, amplitude, wavenumber, seed):
     phase = _seed_phase(seed)
     s = (grid.rho - grid.rho1) / (grid.rho2 - grid.rho1)
     bump = np.sin(math.pi * s) ** 2
-    return amplitude * bump[:, None] * np.cos(wavenumber * grid.phi + phase)[None, :]
+    return bump[:, None] * np.cos(wavenumber * grid.phi + phase)[None, :]
 
 
-def perturbed_zonal_state(config, grid, amplitude, wavenumber, seed):
-    """Zonal state plus a relative-amplitude stream perturbation.
+def perturb(zonal, amplitude, wavenumber, seed):
+    """The zonal state zonal plus a relative-amplitude stream perturbation.
 
     amplitude is ||delta U|| / ||U_zonal|| in the planar L2 norm; the
     perturbation enters zeta through the grid's own Laplacian so the
-    initial velocity is exactly perp-grad(psi_zonal + delta psi).
+    initial velocity is exactly perp-grad(psi_zonal + delta psi), on the
+    state's own config and grid. At amplitude 0 it returns zonal itself.
     """
-    base = zonal_initial_state(config, grid)
     if amplitude == 0.0:
-        return base
-    psi_zonal = base.stream
-    dpsi_unit = stream_perturbation(grid, 1.0, wavenumber, seed)
+        return zonal
+    grid = zonal.grid
+    dpsi_unit = stream_perturbation(grid, wavenumber, seed)
 
     def flat_norm(psi_like):
         return math.sqrt(integral_flat(grad_square_flat(psi_like, grid), grid))
 
-    scale = amplitude * flat_norm(psi_zonal) / flat_norm(dpsi_unit)
+    scale = amplitude * flat_norm(zonal.stream) / flat_norm(dpsi_unit)
     dpsi = scale * dpsi_unit
     a = alpha_of_rho(grid.rho)[:, None]
-    zeta_vals = base.zeta - a * laplacian_values(dpsi, grid)
-    return SimState(0.0, zeta_vals, base.lambda_circ, config, grid,
-                    bar_stream_values(zeta_vals, config, grid))
+    zeta_vals = zonal.zeta - a * laplacian_values(dpsi, grid)
+    return SimState(0.0, zeta_vals, zonal.lambda_circ, zonal.config, grid,
+                    bar_stream_values(zeta_vals, zonal.config, grid))
+
+
+def perturbed_zonal_state(config, grid, amplitude, wavenumber, seed):
+    """perturb of a fresh zonal_initial_state(config, grid), which is not kept."""
+    return perturb(zonal_initial_state(config, grid), amplitude, wavenumber, seed)
 
 
 # ==================================================================

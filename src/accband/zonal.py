@@ -21,9 +21,9 @@ constructions are provided and cross-checked in the tests:
                 r2/r1 <= exp((2|lam|)^{-1/2}).
   sl_expansion  eigenfunction expansion of the homogenized problem.
 
-Each returns a ZonalProfile built with its velocity: the solver's own u
-where it has one (closed form, picard), else fourth-order differences
-of Psi on its uniform grid.
+Each returns a ZonalProfile made by _finish: its ends are exactly psi1
+and psi2 whatever the method, its velocity the solver's own u where it
+has one (closed form, picard), else fourth-order differences of Psi.
 
 The band's eigenproblem (y' cos)' = -mu y cos depends on theta1 and theta2
 only, not on lam, upsilon, omega or the boundary values. band_spectrum
@@ -75,27 +75,23 @@ class ZonalProfile:
 
 
 def _finish(thetas, psi, config, diagnostics, u=None):
-    """The profile of a solver's samples. A solver that gives no velocity
-    gets u = -dPsi/dtheta by fourth-order differences on its uniform grid."""
-    thetas = np.asarray(thetas, dtype=float)
-    psi = np.asarray(psi, dtype=float)
-    tol = 1e-12 * max(1.0, abs(config.psi1), abs(config.psi2))
-    if abs(psi[0] - config.psi1) > tol or abs(psi[-1] - config.psi2) > tol:
-        raise ValidationError("solver lost the boundary values")
-    if u is None:
-        u = -fourth_order_derivative(psi, thetas)
-    else:
-        u = np.asarray(u, dtype=float)
-    return ZonalProfile(thetas, psi, u, u * config.u_scale, diagnostics)
-
-
-def _warn_equal_boundary_values(config):
+    """Every solver's profile: warn if psi1 == psi2, reject ends more than
+    1e-12 off, set them exactly (in the solver's psi) and difference psi
+    for u if the solver has none. closed_form, picard and sl_expansion set
+    their ends first: they carry the round-off of terms that can dwarf psi."""
     if config.psi1 == config.psi2:
         warnings.warn(
             "psi1 == psi2: the boundary-value problem stays well posed, but the "
             "stability theorems assume distinct boundary values",
-            stacklevel=3,
+            stacklevel=3,  # the line that called the solver
         )
+    tol = 1e-12 * max(1.0, abs(config.psi1), abs(config.psi2))
+    if abs(psi[0] - config.psi1) > tol or abs(psi[-1] - config.psi2) > tol:
+        raise ValidationError("solver lost the boundary values")
+    psi[0], psi[-1] = config.psi1, config.psi2
+    if u is None:
+        u = -fourth_order_derivative(psi, thetas)
+    return ZonalProfile(thetas, psi, u, u * config.u_scale, diagnostics)
 
 
 # ==================================================================
@@ -131,12 +127,10 @@ def solve_closed_form_lambda0(config, n: int) -> ZonalProfile:
     """Explicit lam = 0 profile with analytically exact velocity."""
     if config.lam != 0.0:
         raise LambdaNotZero(f"closed form requires lam = 0, got {config.lam}")
-    _warn_equal_boundary_values(config)
     c1, c2 = _closed_form_constants(config)
     th = np.linspace(config.theta1, config.theta2, n)
     psi = zeta_particular(th, config) + c1 * eta(th) + c2
-    # exact endpoints (the 2x2 solve reproduces them to round-off anyway)
-    psi[0], psi[-1] = config.psi1, config.psi2
+    psi[0], psi[-1] = config.psi1, config.psi2  # before _finish's check
     cos = np.cos(th)
     dpsi = config.upsilon * np.tan(th) + config.omega * cos \
         - 0.5 * config.omega / cos + c1 / cos
@@ -171,7 +165,6 @@ def solve_fd(config, n: int) -> ZonalProfile:
     """Second-order conservative finite differences on a uniform theta grid."""
     if n < 3:
         raise TooFewSamples("finite-difference solve needs n >= 3")
-    _warn_equal_boundary_values(config)
     th = np.linspace(config.theta1, config.theta2, n)
     h = th[1] - th[0]
     # cos at the half nodes, zero-padded so row i uses p_half[i], p_half[i + 1]
@@ -241,7 +234,6 @@ def solve_picard(config, n: int, tol: float = 1e-10,
             f"2|lam|(t2-t1)^2 = {q:.3f} >= 1: band too wide for |lam| = "
             f"{abs(config.lam)} (need r2/r1 <= exp((2|lam|)^(-1/2)))"
         )
-    _warn_equal_boundary_values(config)
 
     t1 = math.log(1.0 / config.r2)
     t2 = math.log(1.0 / config.r1)
@@ -295,7 +287,7 @@ def solve_picard(config, n: int, tol: float = 1e-10,
     if len(sup_diffs) >= 3:
         diags["contraction_observed"] = sup_diffs[-1] / sup_diffs[-2]
     psi = u[order]
-    psi[0], psi[-1] = config.psi1, config.psi2
+    psi[0], psi[-1] = config.psi1, config.psi2  # before _finish's check
     return _finish(thetas[order], psi, config, diags, u=u_zonal[order])
 
 
@@ -343,14 +335,13 @@ def _band_spectrum(theta1, theta2, n_max, grid_size):
 def solve_sl_expansion(config, n_terms: int = SL_TERMS,
                        grid_size: int = SL_GRID) -> ZonalProfile:
     """Homogenize the boundary data and expand in the band eigenbasis."""
-    _warn_equal_boundary_values(config)
     forcing, (a_s, b_s) = homogenize_boundary(config)
     spectrum = band_spectrum(config.theta1, config.theta2, n_terms, grid_size)
     shifted = solve_inhomogeneous(forcing, mu=config.lam, spectrum=spectrum,
                                   n_terms=n_terms)
     th = spectrum.grid.copy()  # the profile must not alias the cached grid
     psi = shifted + a_s * th + b_s
-    psi[0], psi[-1] = config.psi1, config.psi2
+    psi[0], psi[-1] = config.psi1, config.psi2  # before _finish's check
     return _finish(th, psi, config, {"n_terms": n_terms})
 
 

@@ -672,6 +672,35 @@ class TestRunReduction:
         got = json.loads((out / "summary.json").read_text())
         assert got == want
 
+    @pytest.mark.parametrize("mode", ["evolve", "stability"])
+    @pytest.mark.parametrize("amplitude", ["0.01", "0"])
+    def test_zonal_state_solved_once(self, mode, amplitude, tmp_path, monkeypatch):
+        """The run solves its zonal state once, and every record compares
+        with the very state the run perturbed."""
+        solve_fd_rho, perturb = euler2d.solve_fd_rho, euler2d.perturb
+        record, solves, zonals, references = cli.diagnostics.record, [], [], []
+
+        def counting(config, rho):
+            solves.append(rho)
+            return solve_fd_rho(config, rho)
+
+        def spy_perturb(zonal, *args):
+            zonals.append(zonal)
+            return perturb(zonal, *args)
+
+        def spy_record(state, reference):
+            references.append(reference)
+            return record(state, reference=reference)
+
+        monkeypatch.setattr(euler2d, "solve_fd_rho", counting)
+        monkeypatch.setattr(euler2d, "perturb", spy_perturb)
+        monkeypatch.setattr(cli.diagnostics, "record", spy_record)
+        assert main(["--mode", mode, "--out", str(tmp_path / "run"), "--n-rho", "16",
+                     "--n-phi", "16", "--dt", "0.002", "--t-end", "0.006",
+                     "--amplitude", amplitude, "--lambda", "-10", *MILD_BAND]) == 0
+        assert len(solves) == 1 and len(zonals) == 1 and len(references) == 4
+        assert all(reference is zonals[0] for reference in references)
+
     @pytest.mark.parametrize("field, breach", [
         ("max_xi", "max|xi| exceeded the transport bound"),
         ("circ1", "inner-wall circulation drifted beyond 1e-8"),

@@ -793,7 +793,7 @@ class TestSeedPhase:
 
     def test_perturbation_uses_the_phase(self, mild_config):
         grid = make_grid(mild_config, 16, 24)
-        dpsi = e2.stream_perturbation(grid, 1.0, 3, 20261017)
+        dpsi = e2.stream_perturbation(grid, 3, 20261017)
         phase = e2._seed_phase(20261017)
         s = (grid.rho - grid.rho1) / (grid.rho2 - grid.rho1)
         bump = np.sin(math.pi * s) ** 2
@@ -803,10 +803,28 @@ class TestSeedPhase:
     def test_negative_seed_rejected(self, mild_config):
         grid = make_grid(mild_config, 16, 16)
         for draw in (lambda: e2._seed_phase(-1),
-                     lambda: e2.stream_perturbation(grid, 1.0, 3, -1),
+                     lambda: e2.stream_perturbation(grid, 3, -1),
                      lambda: e2.perturbed_zonal_state(mild_config, grid, 0.01, 3, -5)):
             with pytest.raises(ValidationError, match="seed"):
                 draw()
+
+
+class TestPerturb:
+    """perturb is the one maker of a perturbed state: perturbed_zonal_state
+    is perturb of a fresh zonal state."""
+
+    @pytest.mark.parametrize("amplitude", [0.02, 0.0])
+    def test_equals_perturbed_zonal_state_bit_for_bit(self, amplitude, mild_neg_lam_config):
+        grid = make_grid(mild_neg_lam_config, 24, 20)
+        got = e2.perturb(e2.zonal_initial_state(mild_neg_lam_config, grid), amplitude, 3, 9)
+        want = e2.perturbed_zonal_state(mild_neg_lam_config, grid, amplitude, 3, 9)
+        assert got.zeta.tobytes() == want.zeta.tobytes()
+        assert got.stream.tobytes() == want.stream.tobytes()
+        assert got.lambda_circ == want.lambda_circ
+
+    def test_zero_amplitude_returns_the_state(self, mild_neg_lam_config):
+        zonal = e2.zonal_initial_state(mild_neg_lam_config, make_grid(mild_neg_lam_config, 16, 16))
+        assert e2.perturb(zonal, 0.0, 3, 9) is zonal
 
 
 class TestFrozenState:

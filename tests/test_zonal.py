@@ -414,6 +414,53 @@ class TestVelocityProfile:
             finish(mild_config, th, th)
 
 
+MILD_BAND = dict(psi1=-0.2, psi2=0.2, omega=2.0, upsilon=1.0)
+SOLVERS = {
+    "closed_form": lambda config: solve_closed_form_lambda0(config, 201),
+    "fd": lambda config: solve_fd(config, 201),
+    "picard": lambda config: solve_picard(config, 201),
+    "sl_expansion": solve_sl_expansion,
+}
+# (method, band) pairs; closed_form runs at lam = 0 only, picard on a band
+# narrow enough for its map to contract. The last three are bands whose
+# unpinned ends miss psi1 or psi2 by more than _finish's 1e-12 check
+# through round-off alone: their solvers must still return a profile.
+EXACT_END_CASES = [
+    ("fd", dict(MILD_BAND, lam=-1.0)),
+    ("picard", dict(MILD_BAND, lam=-1.0)),
+    ("sl_expansion", dict(MILD_BAND, lam=-1.0)),
+    ("closed_form", dict(MILD_BAND, lam=0.0)),
+    ("fd", dict(MILD_BAND, lam=0.0)),
+    ("fd", dict(lam=-3000.0, upsilon=30000.0)),
+    ("sl_expansion", dict(lam=-3000.0, upsilon=30000.0)),
+    ("fd", dict(psi1=0.3, psi2=-0.7, omega=5.0, upsilon=-2.0, lam=-4.0)),
+    ("closed_form", dict(psi1=-0.2, psi2=0.2, omega=1.0, upsilon=1e4, lam=0.0,
+                         theta1=math.radians(-70.0), theta2=math.radians(-40.0))),
+    ("picard", dict(psi1=-0.2, psi2=0.2, omega=1.0, upsilon=1e5, lam=-0.1,
+                    theta1=math.radians(-70.0), theta2=math.radians(-40.0))),
+    ("sl_expansion", dict(MILD_BAND, lam=-1.0, theta1=math.radians(-45.0),
+                          theta2=math.radians(-44.999))),
+]
+
+
+class TestExactBoundaryValues:
+    """Every method's profile has psi[0] == psi1 and psi[-1] == psi2 exactly."""
+
+    @pytest.mark.parametrize("method, band", EXACT_END_CASES,
+                             ids=[f"{m}-{i}" for i, (m, _) in enumerate(EXACT_END_CASES)])
+    def test_library_profile_ends_are_exact(self, method, band):
+        config = BandConfig(**band)
+        profile = SOLVERS[method](config)
+        assert (profile.psi[0], profile.psi[-1]) == (config.psi1, config.psi2)
+
+    def test_fd_cli_profile_ends_are_exact(self, tmp_path):
+        out = tmp_path / "fd"
+        assert cli.main(["--mode", "zonal", "--method", "fd", "--lambda", "-1", "--out", str(out),
+                         "--psi1", "-0.2", "--psi2", "0.2", "--omega", "2.0"]) == 0
+        rows = (out / "profile.csv").read_text().splitlines()
+        assert (rows[1].split(",")[1], rows[-1].split(",")[1]) == ("-0.2", "0.2")
+
+
 class TestGridVariantsAndExport:
     def test_rho_grid_solution_matches_theta_solver(self, mild_neg_lam_config):
         config = mild_neg_lam_config

@@ -59,6 +59,10 @@ SCENARIOS = {
     "zonal_picard": ["--mode", "zonal", "--method", "picard", "--lambda", "-1", *MILD],
     "zonal_closed_form": ["--mode", "zonal", "--method", "closed_form", "--lambda", "0",
                           *MILD],
+    # fd's profile ends, exactly psi1 and psi2 since _finish sets them
+    "zonal_fd_exact_ends": ["--mode", "zonal", "--method", "fd", "--lambda", "-1", *MILD],
+    # worker threads sharing one cached band spectrum
+    "zonal_sweep": ["--mode", "zonal", "--method", "sl_expansion", "--sweep=-10,-100", *MILD],
     "figure1": ["--mode", "zonal", "--lambda", "-3000", "--upsilon", "30000",
                 "--psi1", "-5", "--psi2", "-25"],
     # a grid whose 2-D Poisson solve leaves the zonal stream's rows an ulp apart
