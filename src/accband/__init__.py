@@ -8,8 +8,9 @@ The package splits into:
                    integral_flat)
   grids            the log-radial x periodic grid; fields are plain
                    (n_rho, n_phi) ndarrays on it
-  sturm_liouville  regular Sturm-Liouville spectra (matrix + Pruefer
-                   shooting), Rayleigh quotients, eigenfunction expansions
+  sturm_liouville  regular Sturm-Liouville spectra (Legendre-Lobatto
+                   spectral + Pruefer shooting), Rayleigh quotients,
+                   eigenfunction expansions
   zonal            steady zonal profiles by four independent routes, each
                    built with its velocity
   euler2d          the time-dependent transport solver on the projected

@@ -9,21 +9,24 @@ w: the band's kind of problem, whose operator -(p y')'/w is positive
 definite, so every eigenvalue mu is positive. Two independent routes to
 the spectrum are provided:
 
-  * a matrix route: second-order conservative differences of the
-    self-adjoint form give a symmetric tridiagonal generalized problem,
-    whose lowest eigenpairs a numpy eigensolver finds by Sturm-count
-    bisection, inverse iteration from a fixed hashed start block and
-    Rayleigh quotients (LAPACK's stebz/stein route, vectorized over
-    shifts; neither scipy nor numpy.random);
+  * a spectral route: the weak form on N + 1 Legendre-Gauss-Lobatto
+    nodes gives a symmetric matrix, which Householder reflections reduce
+    to tridiagonal form; its lowest eigenpairs a numpy eigensolver finds
+    by Sturm-count bisection, inverse iteration from a fixed hashed start
+    block and Rayleigh quotients (LAPACK's stebz/stein route, vectorized
+    over shifts), and barycentric interpolation carries the eigenfunctions
+    to a uniform grid. The eigenvalues are right to round-off. No step
+    calls LAPACK, numpy.polynomial, scipy or numpy.random: with BLAS not
+    pinned to one thread, as the CLI runs, OpenBLAS's threaded LAPACK
+    took over 100 ms for a 95 x 95 eigh on 2 vCPUs, against 1 ms pinned;
   * a shooting route: the scaled Pruefer angle (Pryce 1993) of mu > 0,
 
         theta' = sqrt(mu w / p) + (1/4)(log p w)' sin(2 theta),  theta(a) = 0,
 
     whose boundary value theta(b; mu) is strictly increasing in mu and
-    passes through k*pi exactly at the k-th eigenvalue. The angle also
-    counts eigenvalues below mu, which makes index verification cheap,
-    and prufer_eigenvalues inverts it at k*pi by cubic interpolation in
-    numpy, so neither route imports scipy.
+    passes through k*pi exactly at the k-th eigenvalue. prufer_eigenvalues
+    inverts it at k*pi by cubic interpolation in numpy, the independent
+    check of the spectral route.
 
 Thomas elimination solves the variable-coefficient, possibly indefinite
 or near-singular tridiagonal matrices: _solve_pinned one column with
@@ -32,8 +35,8 @@ its pivots checked; _thomas_solve inverse iteration's numpy batch of
 shifted columns, through the pivots of _pivot_blocks. euler2d's Poisson
 solve, a family of diagonally dominant Toeplitz systems, goes by cyclic
 reduction instead (_cyclic_factor, _cyclic_solve).
-Every eigen_solve result is index-checked against the angle count so no
-eigenvalue can be silently skipped. eigen_solve itself keeps nothing
+Every eigen_solve result is index-checked by the Sturm oscillation
+count of its nodal eigenvectors. eigen_solve itself keeps nothing
 between calls: each call solves and checks afresh, and the one cache of
 band spectra lives in zonal.band_spectrum.
 
@@ -58,7 +61,7 @@ from .errors import (
 )
 
 RESONANCE_RTOL = 1e-8  # below this relative separation the expansion is meaningless
-MAX_REFINEMENTS = 2  # grid doublings eigen_solve tries before giving up
+MAX_REFINEMENTS = 2  # order doublings eigen_solve tries before giving up
 # prufer_eigenvalues: RK4 steps per angle, first and largest bracket
 # half-width (relative to |mu|; below 1, so every sample stays > 0), and
 # bracket samples per eigenvalue
@@ -285,7 +288,7 @@ def _cyclic_solve(factor, x):
 
 
 # ==================================================================
-# Matrix route
+# Symmetric tridiagonal eigenpairs
 # ==================================================================
 
 BLOCK_ROWS = 64  # LDL^T pivot rows a Sturm count holds at once
@@ -422,8 +425,8 @@ def _lowest_eigenpairs(d, e, k):
         lo, hi = edges[cols, j], edges[cols, j + 1]
 
     vecs = _inverse_iteration(d, e, pivmin, 0.5 * (lo + hi))
-    # v^T T v with the off-diagonal folded into row sums: a difference
-    # operator's row sums are O(1) where d is O(1/h^2), so nothing cancels
+    # v^T T v with the off-diagonal folded into row sums: where they are
+    # small next to d, as a difference operator's are, nothing cancels
     row_sums = d.copy()
     row_sums[:-1] += e
     row_sums[1:] += e
@@ -431,60 +434,155 @@ def _lowest_eigenpairs(d, e, k):
     return vals, vecs
 
 
-def _difference_matrix(prob, grid_size):
-    """Grid, interior weights and the symmetric tridiagonal (d, e) of the
-    problem's conservative second differences."""
-    x = np.linspace(prob.a, prob.b, grid_size)
-    hgrid = x[1] - x[0]
-    p_half = prob._eval(prob.p, 0.5 * (x[:-1] + x[1:]))
-    wi = prob._eval(prob.w, x)[1:-1]
-    diag = (p_half[:-1] + p_half[1:]) / hgrid**2
-    off = -p_half[1:-1] / hgrid**2
-    # similarity transform by W^{-1/2} keeps the matrix symmetric tridiagonal
-    return x, wi, diag / wi, off / np.sqrt(wi[:-1] * wi[1:])
+# ==================================================================
+# Spectral route (Legendre-Gauss-Lobatto)
+# ==================================================================
+
+MIN_ORDER = 64  # smallest polynomial degree N of the spectral solve
+ORDER_PER_PAIR = 3  # N >= 3 n_max: at N = 2 n_max the top pairs lose digits
+NEWTON_ITERATIONS = 20  # cap on the Newton sweeps that place the nodes
 
 
-def _tridiagonal_eigen(prob, n_max, grid_size):
-    """Symmetric tridiagonal generalized eigenproblem on a uniform grid."""
-    x, wi, d_s, e_s = _difference_matrix(prob, grid_size)
-    hgrid = x[1] - x[0]
-    vals, vecs = _lowest_eigenpairs(d_s, e_s, n_max)
+def _lobatto_nodes(order):
+    """Legendre-Gauss-Lobatto nodes -1 = s_0 < ... < s_N = 1 and P_N(s_j).
 
-    funcs = np.zeros((n_max, grid_size))
-    for k in range(n_max):
-        y = vecs[:, k] / np.sqrt(wi)
-        norm = math.sqrt(hgrid * float(np.sum(wi * y * y)))
-        y = y / norm
-        if y[0] < 0:  # sign convention: y'(a) > 0
-            y = -y
-        funcs[k, 1:-1] = y
-    return vals, funcs, x
+    The nodes are the roots of (1 - s^2) P_N'(s) = N (P_{N-1}(s) - s P_N(s)).
+    Newton's method from the Chebyshev-Lobatto points, with P_N and
+    P_{N-1} from the three-term recurrence, leaves the ends exactly at -1
+    and 1 and places the interior nodes, all in one vectorized sweep per
+    step (numpy.polynomial's roots would go through LAPACK).
+    """
+    s = -np.cos(np.pi * np.arange(order + 1) / order)
+    for _ in range(NEWTON_ITERATIONS):
+        below, p = np.ones_like(s), s.copy()
+        for n in range(2, order + 1):
+            below, p = p, ((2 * n - 1) * s * p - (n - 1) * below) / n
+        step = (s * p - below) / ((order + 1) * p)
+        s -= step
+        if np.max(np.abs(step)) <= 4.0 * np.finfo(float).eps:
+            return s, p
+    raise ConvergenceFailure("Lobatto nodes did not settle")
+
+
+def _householder_tridiagonal(a):
+    """(d, e, reflectors) with Q^T a Q tridiagonal, Q the product of the
+    reflectors I - 2 v v^T in order; a is overwritten.
+
+    Column k's reflector maps a[k+1:, k] onto a multiple of its first
+    unit vector, and the trailing block takes the symmetric rank-two
+    update a - 2 v q^T - 2 q v^T, q = a v - (v^T a v) v, in whole-row
+    ufuncs (einsum without optimize, so no BLAS call runs).
+    """
+    n = len(a)
+    e = np.empty(n - 1)
+    reflectors = []
+    for k in range(n - 2):
+        v = a[k + 1:, k].copy()
+        e[k] = alpha = -math.copysign(math.sqrt(np.einsum("i,i", v, v)), v[0])
+        v[0] -= alpha
+        v /= math.sqrt(np.einsum("i,i", v, v))
+        block = a[k + 1:, k + 1:]
+        q = np.einsum("ij,j->i", block, v)
+        q -= np.einsum("i,i", v, q) * v
+        q *= 2.0
+        block -= np.multiply.outer(v, q)
+        block -= np.multiply.outer(q, v)
+        reflectors.append(v)
+    e[-1] = a[-1, -2]
+    return np.diagonal(a).copy(), e, reflectors
+
+
+def _lobatto_eigen(prob, n_max, order):
+    """Lowest n_max eigenpairs of the order-N Legendre-Gauss-Lobatto
+    discretization of the weak form.
+
+    With quadrature weights rho_j = 2 / (N (N+1) P_N(s_j)^2) and the
+    nodal differentiation matrix D, the Dirichlet problem on the N - 1
+    interior nodes is K y = mu M y, K = D^T diag(rho p) D and the lumped
+    M = diag(rho w), both scaled to [a, b]. S = M^(-1/2) K M^(-1/2) is
+    reduced to tridiagonal form, its rows taken in order of decreasing
+    diagonal: Householder reduction of a graded matrix keeps the small
+    eigenvalues to round-off when the large entries come first (the
+    end nodes' rows are largest, as rho is smallest there). Returns the
+    nodes on [-1, 1], P_N at them, the eigenvalues and the nodal
+    eigenvectors y = M^(-1/2) z, one column each with zero ends and
+    y'(a) > 0.
+    """
+    s, p_n = _lobatto_nodes(order)
+    half = 0.5 * (prob.b - prob.a)
+    p, w = prob.sample(prob.a + half * (s + 1.0))
+    rho = 2.0 / (order * (order + 1) * p_n * p_n)
+    diff = np.subtract.outer(s, s)
+    np.fill_diagonal(diff, 1.0)
+    d_mat = np.divide.outer(p_n, p_n)
+    d_mat /= diff
+    np.fill_diagonal(d_mat, 0.0)  # the ends' diagonal multiplies only zero end values
+    scale = 1.0 / np.sqrt(rho[1:-1] * w[1:-1])
+    cols = d_mat[:, 1:-1] * scale
+    weighted = cols * (rho * p / half**2)[:, None]
+    perm = np.argsort(-np.einsum("mi,mi->i", weighted, cols), kind="stable")
+    stiff = np.einsum("mi,mj->ij", weighted[:, perm], cols[:, perm])
+    d, e, reflectors = _householder_tridiagonal(stiff)
+    vals, z = _lowest_eigenpairs(d, e, n_max)
+    for k in range(len(reflectors) - 1, -1, -1):  # z <- Q z
+        v = reflectors[k]
+        z[k + 1:] -= np.multiply.outer(2.0 * v, np.einsum("i,ik->k", v, z[k + 1:]))
+    vecs = np.zeros((order + 1, n_max))
+    vecs[1 + perm] = scale[perm, None] * z
+    vecs *= np.sign(np.einsum("j,jk->k", d_mat[0], vecs))
+    return s, p_n, vals, vecs
+
+
+def _on_grid(prob, s, p_n, vecs, x):
+    """The nodal eigenvectors on the uniform grid x, one row each,
+    weight-normalized there.
+
+    Barycentric interpolation (Berrut & Trefethen 2004) with the Lobatto
+    weights 1 / P_N(s_j), on the reference interval [-1, 1], where they
+    stay O(1) however narrow [a, b] is. A grid point on a node takes the
+    node's value exactly.
+    """
+    kernel = np.subtract.outer(np.linspace(-1.0, 1.0, len(x)), s)
+    with np.errstate(divide="ignore"):
+        np.divide(1.0 / p_n, kernel, out=kernel)
+    hit = np.isinf(kernel)
+    rows = np.any(hit, axis=1)
+    kernel[rows] = hit[rows]
+    kernel /= np.sum(kernel, axis=1, keepdims=True)
+    funcs = np.einsum("gj,jk->kg", kernel, vecs)
+    _, w = prob.sample(x)
+    funcs /= np.sqrt((x[1] - x[0]) * np.einsum("kg,g,kg->k", funcs, w, funcs))[:, None]
+    return funcs
 
 
 def eigen_solve(prob: SLProblem, n_max: int, grid_size: int) -> SLSpectrum:
-    """First n_max eigenpairs of the homogeneous problem.
+    """First n_max eigenpairs of the homogeneous problem, the functions
+    sampled on the uniform grid of grid_size points.
 
-    The matrix spectrum is validated against the Pruefer angle: at the
-    k-th eigenvalue the angle at b must sit in ((k-1/2)pi, (k+1/2)pi).
-    On an index mismatch the grid is doubled and the solve repeated, up to
-    MAX_REFINEMENTS times; persistent disagreement raises ConvergenceFailure.
+    The spectral solve (_lobatto_eigen) runs at order N = max(MIN_ORDER,
+    ORDER_PER_PAIR n_max). A symmetric eigensolve returns every
+    eigenvalue of the discrete problem in order, so none can be skipped;
+    what remains to check is that the nodes resolve each mode. By Sturm
+    oscillation the k-th eigenfunction changes sign exactly k - 1 times
+    inside (a, b), and the check counts this on the interior nodes, which
+    a coarse output grid cannot alias. On a mismatch N is doubled, up to
+    MAX_REFINEMENTS times; persistent disagreement raises
+    ConvergenceFailure.
     """
     if grid_size < 64:
         raise ValidationError("grid_size must be at least 64")
     if n_max < 1 or n_max > grid_size - 2:
         raise ValidationError("need 1 <= n_max <= grid_size - 2")
 
-    size = grid_size
-    for attempt in range(MAX_REFINEMENTS + 1):
-        vals, funcs, x = _tridiagonal_eigen(prob, n_max, size)
-        angles = prufer_angle(prob, vals, n_steps=max(2048, 64 * n_max))
-        k = np.arange(1, n_max + 1)
-        ok = np.all(np.abs(angles - k * np.pi) < 0.5 * np.pi)
-        if ok:
-            return SLSpectrum(vals, funcs, x)
-        size = 2 * (size - 1) + 1
+    order = max(MIN_ORDER, ORDER_PER_PAIR * n_max)
+    for _ in range(MAX_REFINEMENTS + 1):
+        s, p_n, vals, vecs = _lobatto_eigen(prob, n_max, order)
+        if all(count_sign_changes(vecs[1:-1, k]) == k for k in range(n_max)):
+            x = np.linspace(prob.a, prob.b, grid_size)
+            return SLSpectrum(vals, _on_grid(prob, s, p_n, vecs, x), x)
+        order *= 2
     raise ConvergenceFailure(
-        "matrix eigenvalues fail the Pruefer index check after refinement"
+        "spectral eigenvectors fail the node count after refinement"
     )
 
 
@@ -570,13 +668,13 @@ def prufer_eigenvalues(prob: SLProblem, n_max: int, guesses=None) -> np.ndarray:
     A bracket that misses its root is widened fourfold, up to a half-width
     of SHOOT_BRACKET_MAX |mu|, so every sample stays positive; one that
     still misses raises ConvergenceFailure, and a guess <= 0
-    ValidationError. The roots are independent of the matrix route used by
+    ValidationError. The roots are independent of the spectral route of
     eigen_solve, which only supplies the default guesses.
     """
     if n_max < 1:
         raise ValidationError("need n_max >= 1")
     if guesses is None:
-        guesses = _tridiagonal_eigen(prob, n_max, 513)[0]
+        guesses = eigen_solve(prob, n_max, max(64, n_max + 2)).eigenvalues
     mus = np.asarray(guesses, dtype=float).copy()
     if mus.shape != (n_max,):
         raise ValidationError(f"need {n_max} guesses, got {mus.size}")

@@ -30,7 +30,7 @@ only, not on lam, upsilon, omega or the boundary values. band_spectrum
 solves it once per band and grid, (theta1, theta2, grid_size), in a
 process, for SL_TERMS pairs (more if asked), and hands every later
 caller read-only arrays of that one solve, so a lam scan or a --sweep
-on one band pays for one checked eigen_solve.
+on one band pays for one spectral eigen_solve, its node count checked.
 
 The same ODE on the simulation grid's log-radius nodes (solve_fd_rho)
 seeds the time-dependent solver with a discretely steady state.
@@ -305,7 +305,7 @@ def band_spectrum(theta1, theta2, n_max, grid_size) -> SLSpectrum:
     """First n_max eigenpairs of the band (theta1, theta2), solved once.
 
     Each band and grid is solved once, for max(n_max, SL_TERMS) pairs, by
-    the full eigen_solve, Pruefer index check included; every caller gets
+    the full eigen_solve, node-count check included; every caller gets
     read-only arrays, a request for fewer pairs their leading slices. So
     the 5-pair zonal report, the 10-pair spectrum mode and sl_expansion
     share one solve. One lock serializes the lookups, so threads asking

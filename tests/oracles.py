@@ -2,8 +2,10 @@
 
 Each is a closed form or a direct formula that the library itself does
 not compute this way: the band's area, the planar velocity of a stream
-function, the normalized harmonic field of the annulus, and a run's
-summary reduced from the list of all its records.
+function, the normalized harmonic field of the annulus, a run's
+summary reduced from the list of all its records, and the conservative
+second differences of a Sturm-Liouville problem (zonal.solve_fd's
+stencil, which the library's spectrum no longer uses).
 """
 
 import math
@@ -37,6 +39,19 @@ def harmonic_component(grid):
         (grid.n_rho, grid.n_phi),
     ).copy()
     return u_phi, n
+
+
+def difference_matrix(prob, grid_size):
+    """Grid, interior weights and the symmetric tridiagonal (d, e) of the
+    problem's conservative second differences on a uniform grid."""
+    x = np.linspace(prob.a, prob.b, grid_size)
+    hgrid = x[1] - x[0]
+    p_half = prob._eval(prob.p, 0.5 * (x[:-1] + x[1:]))
+    wi = prob._eval(prob.w, x)[1:-1]
+    diag = (p_half[:-1] + p_half[1:]) / hgrid**2
+    off = -p_half[1:-1] / hgrid**2
+    # similarity transform by W^{-1/2} keeps the matrix symmetric tridiagonal
+    return x, wi, diag / wi, off / np.sqrt(wi[:-1] * wi[1:])
 
 
 def summary_of_records(records) -> dict:

@@ -18,6 +18,7 @@ from accband import cli, euler2d
 from accband.cli import MODES, OPTIONS, ZONAL_METHODS, main, parse_config
 from accband.errors import NearEigenvalue, ParseError, ValidationError
 from accband.geometry import BandConfig
+from accband.sturm_liouville import prufer_eigenvalues, zonal_homogeneous_problem
 
 MILD_BAND = [
     "--psi1", "-0.2", "--psi2", "0.2", "--omega", "2.0", "--upsilon", "1.0",
@@ -309,6 +310,19 @@ class TestModes:
         assert rows[0] == "index,eigenvalue,rel_distance_to_lambda"
         eigs = [float(r.split(",")[1]) for r in rows[1:] if not r.startswith("#")]
         assert len(eigs) == 10 and all(np.diff(eigs) > 0)
+
+    def test_lambda_on_an_eigenvalue_warns(self, tmp_path):
+        """lambda on the default band's fifth eigenvalue, as shooting finds
+        it: the reported spectrum is that close to it, so the warning of
+        the non-unique case is printed."""
+        prob = zonal_homogeneous_problem(BandConfig())
+        lam = float(prufer_eigenvalues(prob, n_max=5)[4])
+        out = tmp_path / "resonant"
+        assert main(["--mode", "zonal", "--lambda", repr(lam), "--out", str(out)]) == 0
+        rows = (out / "spectrum.csv").read_text().splitlines()
+        assert any(row.startswith("# WARNING") for row in rows)
+        fifth = next(row for row in rows if row.startswith("5,"))
+        assert float(fifth.split(",")[2]) < 1e-10
 
     def test_evolve_mode_runs_clean(self, tmp_path):
         out = tmp_path / "evolve"

@@ -155,7 +155,8 @@ KEPT_FOR_TESTS = {
         "criterion 8's exact critical point, solved in long double",
     "euler2d.state_from_checkpoint":
         "the state a resumed run starts from; no run mode resumes yet",
-    "sturm_liouville.count_sign_changes": "criterion 3 counts eigenfunction nodes",
+    "sturm_liouville.prufer_angle":
+        "the shooting route's angle, which prufer_eigenvalues inverts",
     "sturm_liouville.prufer_eigenvalues":
         "criterion 3's independent shooting route to the spectrum",
     "sturm_liouville.rayleigh_quotient": "criterion 3 checks each eigenvalue by it",

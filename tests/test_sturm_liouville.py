@@ -1,12 +1,14 @@
 """Sturm-Liouville machinery: spectra, Rayleigh quotients, expansions."""
 
 import math
+import sys
+import types
 
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from accband import sturm_liouville
+from accband import sturm_liouville, zonal
 from accband.errors import (
     ConvergenceFailure,
     ResonantEigenvalue,
@@ -18,13 +20,11 @@ from accband.geometry import BandConfig
 from accband.sturm_liouville import (
     MAX_REFINEMENTS,
     SLProblem,
-    _difference_matrix,
     _inverse_cubic,
     _lowest_eigenpairs,
     _pivot_blocks,
     _sturm_counts,
     _thomas_solve,
-    _tridiagonal_eigen,
     count_sign_changes,
     eigen_solve,
     homogenize_boundary,
@@ -33,6 +33,8 @@ from accband.sturm_liouville import (
     solve_inhomogeneous,
     zonal_homogeneous_problem,
 )
+
+from oracles import difference_matrix
 
 
 def uniform_problem(length):
@@ -58,7 +60,7 @@ def shifted_problem():
 def shifted_matrix(grid_size):
     """shifted_problem's difference matrix less q/w on its diagonal: the
     matrix of (p y')' + q y = -mu w y, an indefinite operator."""
-    x, wi, d, e = _difference_matrix(shifted_problem(), grid_size)
+    x, wi, d, e = difference_matrix(shifted_problem(), grid_size)
     q = 200.0 + 50.0 * np.cos(3.0 * x[1:-1])
     return d - q / wi, e
 
@@ -111,36 +113,36 @@ class TestEigenSolve:
 
     @staticmethod
     def _record_attempts(monkeypatch, failing):
-        """Grid size of each eigen_solve attempt; the Pruefer angles of the
+        """Order N of each eigen_solve attempt; the node counts of the
         attempts that failing(attempt) picks are shifted off their index."""
-        sizes = []
-        tridiagonal_eigen, angle = _tridiagonal_eigen, sturm_liouville.prufer_angle
+        orders = []
+        lobatto_eigen, count = sturm_liouville._lobatto_eigen, count_sign_changes
 
-        def recording_eigen(prob, n_max, grid_size):
-            sizes.append(grid_size)
-            return tridiagonal_eigen(prob, n_max, grid_size)
+        def recording_eigen(prob, n_max, order):
+            orders.append(order)
+            return lobatto_eigen(prob, n_max, order)
 
-        def shifted_angle(prob, mus, n_steps):
-            return angle(prob, mus, n_steps) + (np.pi if failing(len(sizes)) else 0.0)
+        def shifted_count(y):
+            return count(y) + (1 if failing(len(orders)) else 0)
 
-        monkeypatch.setattr(sturm_liouville, "_tridiagonal_eigen", recording_eigen)
-        monkeypatch.setattr(sturm_liouville, "prufer_angle", shifted_angle)
-        return sizes
+        monkeypatch.setattr(sturm_liouville, "_lobatto_eigen", recording_eigen)
+        monkeypatch.setattr(sturm_liouville, "count_sign_changes", shifted_count)
+        return orders
 
-    def test_index_mismatch_doubles_the_grid_once(self, monkeypatch):
-        sizes = self._record_attempts(monkeypatch, lambda attempt: attempt == 1)
+    def test_index_mismatch_doubles_the_order_once(self, monkeypatch):
+        orders = self._record_attempts(monkeypatch, lambda attempt: attempt == 1)
         spec = eigen_solve(textbook_problem(), n_max=3, grid_size=257)
-        assert sizes == [257, 2 * (257 - 1) + 1]
-        assert len(spec.grid) == 513
+        assert orders == [64, 128]
+        assert len(spec.grid) == 257
         n = np.arange(1, 4)
         assert np.max(np.abs(spec.eigenvalues - n**2) / n**2) <= 1e-4
 
     def test_persistent_index_mismatch_raises(self, monkeypatch):
-        sizes = self._record_attempts(monkeypatch, lambda attempt: True)
-        with pytest.raises(ConvergenceFailure, match="Pruefer index"):
+        orders = self._record_attempts(monkeypatch, lambda attempt: True)
+        with pytest.raises(ConvergenceFailure, match="node count"):
             eigen_solve(textbook_problem(), n_max=3, grid_size=257)
-        assert len(sizes) == MAX_REFINEMENTS + 1
-        assert sizes == [256 * 2**k + 1 for k in range(MAX_REFINEMENTS + 1)]
+        assert len(orders) == MAX_REFINEMENTS + 1
+        assert orders == [64 * 2**k for k in range(MAX_REFINEMENTS + 1)]
 
 
 class TestPruferOracle:
@@ -202,6 +204,81 @@ class TestPruferOracle:
             prufer_eigenvalues(textbook_problem(), n_max=n_max, guesses=guesses)
 
 
+# the default band, a wide one and a 0.1 degree one, in degrees
+BANDS = {"default": (-60.0, -50.0), "wide": (-70.0, -40.0), "narrow": (-60.0, -59.9)}
+
+
+def band_problem(band):
+    theta1, theta2 = BANDS[band]
+    return zonal_homogeneous_problem(BandConfig(theta1=math.radians(theta1),
+                                                theta2=math.radians(theta2)))
+
+
+class TestSpectralRoute:
+    """eigen_solve's Legendre-Gauss-Lobatto solve on the band's problem."""
+
+    @pytest.mark.parametrize("band", sorted(BANDS))
+    def test_matches_shooting_to_round_off(self, band):
+        prob = band_problem(band)
+        spec = eigen_solve(prob, n_max=32, grid_size=2049)
+        oracle = prufer_eigenvalues(prob, n_max=32, guesses=spec.eigenvalues)
+        rel = np.abs(spec.eigenvalues - oracle) / oracle
+        assert np.max(rel) <= 1e-10, f"spectral vs shooting rel error {np.max(rel):.2e}"
+
+    @pytest.mark.parametrize("band", sorted(BANDS))
+    def test_doubled_order_agrees(self, band, monkeypatch):
+        """Order N = 96 against N = 192: the solve has converged."""
+        prob = band_problem(band)
+        spec = eigen_solve(prob, n_max=32, grid_size=2049)
+        monkeypatch.setattr(sturm_liouville, "MIN_ORDER", 2 * sturm_liouville.MIN_ORDER)
+        monkeypatch.setattr(sturm_liouville, "ORDER_PER_PAIR",
+                            2 * sturm_liouville.ORDER_PER_PAIR)
+        fine = eigen_solve(prob, n_max=32, grid_size=2049)
+        rel = np.abs(fine.eigenvalues - spec.eigenvalues) / spec.eigenvalues
+        assert np.max(rel) <= 1e-11, f"N vs 2N eigenvalues differ by rel {np.max(rel):.2e}"
+        size = np.max(np.abs(spec.eigenfunctions), axis=1)
+        diff = np.max(np.abs(fine.eigenfunctions - spec.eigenfunctions), axis=1) / size
+        assert np.max(diff) <= 1e-9, f"N vs 2N eigenfunctions differ by {np.max(diff):.2e}"
+
+    @pytest.mark.parametrize("band", sorted(BANDS))
+    def test_all_pairs_orthonormal_on_the_grid(self, band):
+        spec = eigen_solve(band_problem(band), n_max=32, grid_size=2049)
+        x, funcs = spec.grid, spec.eigenfunctions
+        gram = np.trapezoid(funcs[:, None, :] * funcs[None, :, :] * np.cos(x), x, axis=2)
+        assert np.max(np.abs(gram - np.eye(32))) <= 1e-8
+
+    def test_band_spectrum_calls_no_lapack_eigensolver(self, monkeypatch):
+        """With BLAS not pinned to one thread, as the CLI runs, OpenBLAS's
+        threaded LAPACK stalled on a 2-vCPU machine: numpy.linalg.eigh of
+        a 95 x 95 matrix took 121-132 ms a call against 0.8 ms pinned, and
+        numpy.polynomial's Legendre roots go through LAPACK's eig. The band
+        spectrum is solved without either."""
+
+        def forbidden(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"{name} called")
+            return call
+
+        class Forbidden(types.ModuleType):
+            def __getattr__(self, name):
+                raise AssertionError(f"{self.__name__}.{name} used")
+
+        for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, forbidden(f"numpy.linalg.{name}"))
+        monkeypatch.setattr(np, "polynomial", Forbidden("numpy.polynomial"), raising=False)
+        for name in ("numpy.polynomial", "numpy.polynomial.legendre",
+                     "numpy.polynomial.polynomial", "numpy.polynomial.chebyshev"):
+            monkeypatch.setitem(sys.modules, name, Forbidden(name))
+        zonal._band_spectrum.cache_clear()
+        try:
+            theta1, theta2 = BANDS["default"]
+            spec = zonal.band_spectrum(math.radians(theta1), math.radians(theta2),
+                                       zonal.SL_TERMS, zonal.SL_GRID)
+        finally:
+            zonal._band_spectrum.cache_clear()
+        assert len(spec) == zonal.SL_TERMS and np.all(np.diff(spec.eigenvalues) > 0)
+
+
 class TestTridiagonalOracle:
     """The numpy eigensolver against LAPACK's eigh_tridiagonal."""
 
@@ -215,7 +292,7 @@ class TestTridiagonalOracle:
         if problem == "shifted":
             d, e = shifted_matrix(grid_size)
         else:
-            _, _, d, e = _difference_matrix(prob, grid_size)
+            _, _, d, e = difference_matrix(prob, grid_size)
         vals, vecs = _lowest_eigenpairs(d, e, k)
         ref_vals, ref_vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
         norm_1 = np.max(np.abs(d) + np.r_[np.abs(e), 0.0] + np.r_[0.0, np.abs(e)])
@@ -223,8 +300,9 @@ class TestTridiagonalOracle:
         assert np.min(np.abs(np.sum(vecs * ref_vecs, axis=0))) >= 1.0 - 1e-12
         if problem == "shifted":
             assert np.count_nonzero(vals < 0) == 3
-        _, funcs, _ = _tridiagonal_eigen(prob, k, grid_size)
-        assert np.all(funcs[:, 1] > 0)  # y'(a) > 0
+        # y'(a) > 0, on a grid whose first step lies before every first zero
+        funcs = eigen_solve(prob, k, 8193).eigenfunctions
+        assert np.all(funcs[:, 1] > 0)
 
     def test_unsettled_inverse_iteration_raises(self, monkeypatch):
         # one solve from the random start cannot show two iterates agreeing

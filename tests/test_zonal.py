@@ -20,7 +20,12 @@ from accband.errors import (
     ValidationError,
 )
 from accband.geometry import BandConfig
-from accband.sturm_liouville import _solve_pinned, eigen_solve, zonal_homogeneous_problem
+from accband.sturm_liouville import (
+    _lowest_eigenpairs,
+    _solve_pinned,
+    eigen_solve,
+    zonal_homogeneous_problem,
+)
 from accband.zonal import (
     SL_TERMS,
     ZonalProfile,
@@ -37,6 +42,8 @@ from accband.zonal import (
     zeta_particular,
     _closed_form_constants,
 )
+
+from oracles import difference_matrix
 
 OMEGA_OFF = 1e-30  # stand-in for a switched-off rotation (config needs omega > 0)
 
@@ -138,9 +145,10 @@ class TestFiniteDifference:
 
     def test_near_eigenvalue_detected(self):
         config = BandConfig(psi1=0.0, psi2=1.0, omega=1.0, upsilon=0.0)
-        spec = eigen_solve(zonal_homogeneous_problem(config), n_max=1, grid_size=513)
-        mu1 = float(spec.eigenvalues[0])
         n = 513
+        # the lowest eigenvalue of solve_fd's own stencil, not the band's
+        _, _, d, e = difference_matrix(zonal_homogeneous_problem(config), n)
+        mu1 = float(_lowest_eigenpairs(d, e, 1)[0][0])
         # lam exactly on the discrete eigenvalue of the same stencil
         bad = BandConfig(psi1=0.0, psi2=1.0, omega=1.0, upsilon=0.0, lam=mu1)
         with pytest.raises(NearEigenvalue):

@@ -52,7 +52,7 @@ SCENARIOS = {
                           "--lambda", "-10", *MILD],
     "zonal_fd_lambda0": ["--mode", "zonal", "--method", "fd", "--lambda", "0",
                          "--n-zonal", "501", *MILD],
-    # the boundary homogenization, the expansion and the Pruefer index check
+    # the boundary homogenization, the expansion and the spectral band solve
     "zonal_sl_expansion": ["--mode", "zonal", "--method", "sl_expansion", "--lambda", "-10",
                            *MILD],
     # the velocity a solver supplies itself, not differenced from psi
@@ -71,6 +71,10 @@ SCENARIOS = {
                                    "--seed", "7", "--lambda", "-3000", "--upsilon", "30000",
                                    "--psi1", "-5", "--psi2", "-25"],
     "spectrum": ["--mode", "spectrum"],
+    "spectrum_wide": ["--mode", "spectrum", "--theta1-deg", "-70", "--theta2-deg", "-40"],
+    "spectrum_narrow": ["--mode", "spectrum", "--theta1-deg", "-60", "--theta2-deg", "-59.9"],
+    # lambda on the default band's fifth eigenvalue, as shooting finds it
+    "zonal_resonant": ["--mode", "zonal", "--lambda", "8098.976438533006"],
 }
 RUN_CLI = "import sys; from accband.cli import main; sys.exit(main(sys.argv[1:]))"
 
