@@ -10,9 +10,10 @@ The package splits into:
                    (n_rho, n_phi) ndarrays on it
   sturm_liouville  regular Sturm-Liouville spectra (Legendre-Lobatto
                    spectral + Pruefer shooting), Rayleigh quotients,
-                   eigenfunction expansions
+                   eigenfunction expansions, the tridiagonal kernels
   zonal            steady zonal profiles by four independent routes, each
-                   built with its velocity
+                   built with its velocity; the band's eigenproblem, its
+                   one cached spectrum and the boundary homogenization
   euler2d          the time-dependent transport solver on the projected
                    annulus (Poisson, harmonic component, semi-Lagrangian
                    stepping, checkpoints)
@@ -30,13 +31,13 @@ from .sturm_liouville import (
     SLProblem,
     SLSpectrum,
     eigen_solve,
-    homogenize_boundary,
     prufer_eigenvalues,
     rayleigh_quotient,
     solve_inhomogeneous,
 )
 from .zonal import (
     ZonalProfile,
+    homogenize_boundary,
     solve_closed_form_lambda0,
     solve_fd,
     solve_picard,

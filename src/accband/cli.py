@@ -175,11 +175,10 @@ def _solve_profile(spec, method):
 
 
 def _spectrum_report(spec, out, n_eigen=5):
-    spectrum = zonal.band_spectrum(spec.config.theta1, spec.config.theta2,
-                                   n_eigen, zonal.SL_GRID)
+    spectrum = zonal.band_spectrum(spec.config.theta1, spec.config.theta2)
     lam = spec.config.lam
     lines, near = ["index,eigenvalue,rel_distance_to_lambda"], []
-    for k, mu in enumerate(spectrum.eigenvalues, start=1):
+    for k, mu in enumerate(spectrum.eigenvalues[:n_eigen], start=1):
         rel = abs(lam - mu) / max(abs(mu), 1.0)
         lines.append(f"{k},{float(mu)!r},{float(rel)!r}")
         if rel < 1e-6:

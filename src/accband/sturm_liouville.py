@@ -14,8 +14,9 @@ the spectrum are provided:
     to tridiagonal form; its lowest eigenpairs a numpy eigensolver finds
     by Sturm-count bisection, inverse iteration from a fixed hashed start
     block and Rayleigh quotients (LAPACK's stebz/stein route, vectorized
-    over shifts), and barycentric interpolation carries the eigenfunctions
-    to a uniform grid. The eigenvalues are right to round-off. No step
+    over shifts), and barycentric interpolation carries the eigenfunctions,
+    unit in the weighted norm of the solve's own quadrature, to a uniform
+    grid. The eigenvalues are right to round-off. No step
     calls LAPACK, numpy.polynomial, scipy or numpy.random: with BLAS not
     pinned to one thread, as the CLI runs, OpenBLAS's threaded LAPACK
     took over 100 ms for a 95 x 95 eigh on 2 vCPUs, against 1 ms pinned;
@@ -39,10 +40,6 @@ Every eigen_solve result is index-checked by the Sturm oscillation
 count of its nodal eigenvectors. eigen_solve itself keeps nothing
 between calls: each call solves and checks afresh, and the one cache of
 band spectra lives in zonal.band_spectrum.
-
-The zonal specialization (p = w = cos(theta)) is zonal_homogeneous_problem;
-homogenize_boundary shifts the band's Dirichlet data to zero and returns
-the forcing h whose expansion solve_inhomogeneous sums.
 """
 
 import math
@@ -104,7 +101,8 @@ class SLProblem:
 
 @dataclass
 class SLSpectrum:
-    """Leading eigenpairs, weight-orthonormal, on a uniform grid."""
+    """Leading eigenpairs, weight-orthonormal in the quadrature that
+    solved them, sampled on a uniform grid."""
 
     eigenvalues: np.ndarray      # ascending, shape (n_max,)
     eigenfunctions: np.ndarray   # shape (n_max, grid_size), zero endpoints
@@ -505,8 +503,9 @@ def _lobatto_eigen(prob, n_max, order):
     eigenvalues to round-off when the large entries come first (the
     end nodes' rows are largest, as rho is smallest there). Returns the
     nodes on [-1, 1], P_N at them, the eigenvalues and the nodal
-    eigenvectors y = M^(-1/2) z, one column each with zero ends and
-    y'(a) > 0.
+    eigenvectors y = M^(-1/2) z / sqrt(half), one column each with zero
+    ends and y'(a) > 0: unit in int_a^b w y^2 dx by the same quadrature,
+    whose weights on [a, b] are half rho.
     """
     s, p_n = _lobatto_nodes(order)
     half = 0.5 * (prob.b - prob.a)
@@ -529,13 +528,13 @@ def _lobatto_eigen(prob, n_max, order):
         z[k + 1:] -= np.multiply.outer(2.0 * v, np.einsum("i,ik->k", v, z[k + 1:]))
     vecs = np.zeros((order + 1, n_max))
     vecs[1 + perm] = scale[perm, None] * z
+    vecs /= math.sqrt(half)
     vecs *= np.sign(np.einsum("j,jk->k", d_mat[0], vecs))
     return s, p_n, vals, vecs
 
 
-def _on_grid(prob, s, p_n, vecs, x):
-    """The nodal eigenvectors on the uniform grid x, one row each,
-    weight-normalized there.
+def _on_grid(s, p_n, vecs, x):
+    """The nodal eigenvectors on the uniform grid x, one row each.
 
     Barycentric interpolation (Berrut & Trefethen 2004) with the Lobatto
     weights 1 / P_N(s_j), on the reference interval [-1, 1], where they
@@ -549,10 +548,7 @@ def _on_grid(prob, s, p_n, vecs, x):
     rows = np.any(hit, axis=1)
     kernel[rows] = hit[rows]
     kernel /= np.sum(kernel, axis=1, keepdims=True)
-    funcs = np.einsum("gj,jk->kg", kernel, vecs)
-    _, w = prob.sample(x)
-    funcs /= np.sqrt((x[1] - x[0]) * np.einsum("kg,g,kg->k", funcs, w, funcs))[:, None]
-    return funcs
+    return np.einsum("gj,jk->kg", kernel, vecs)
 
 
 def eigen_solve(prob: SLProblem, n_max: int, grid_size: int) -> SLSpectrum:
@@ -579,7 +575,7 @@ def eigen_solve(prob: SLProblem, n_max: int, grid_size: int) -> SLSpectrum:
         s, p_n, vals, vecs = _lobatto_eigen(prob, n_max, order)
         if all(count_sign_changes(vecs[1:-1, k]) == k for k in range(n_max)):
             x = np.linspace(prob.a, prob.b, grid_size)
-            return SLSpectrum(vals, _on_grid(prob, s, p_n, vecs, x), x)
+            return SLSpectrum(vals, _on_grid(s, p_n, vecs, x), x)
         order *= 2
     raise ConvergenceFailure(
         "spectral eigenvectors fail the node count after refinement"
@@ -780,48 +776,6 @@ def solve_inhomogeneous(h, mu: float, spectrum: SLSpectrum, n_terms: int) -> np.
     # <h/w, y_n>_w: the weights cancel
     cn = np.trapezoid(SLProblem._eval(h, x) * funcs, x, axis=1)
     return (cn / (mu - mus)) @ funcs
-
-
-# ==================================================================
-# Zonal specialization
-# ==================================================================
-
-def homogenize_boundary(config):
-    """Shift the zonal band problem to homogeneous Dirichlet data.
-
-    Subtracting the affine interpolant a*theta + b of (psi1, psi2) from
-    the stream function leaves y = psi - (a theta + b), zero at both
-    walls, with
-
-      (y' cos)' + lam y cos = h(theta),
-      h(theta) = a sin(theta) + [upsilon - lam (a theta + b)] cos(theta)
-                 - omega sin(2 theta):
-
-    zonal_homogeneous_problem at mu = lam, forced by h.
-
-    Returns the forcing h and the shift coefficients (a, b).
-    """
-    th1, th2 = config.theta1, config.theta2
-    a_shift = (config.psi2 - config.psi1) / (th2 - th1)
-    b_shift = (th2 * config.psi1 - th1 * config.psi2) / (th2 - th1)
-    lam, ups, omg = config.lam, config.upsilon, config.omega
-
-    def forcing(theta):
-        return (
-            a_shift * np.sin(theta)
-            + (ups - lam * (a_shift * theta + b_shift)) * np.cos(theta)
-            - omg * np.sin(2.0 * theta)
-        )
-
-    return forcing, (a_shift, b_shift)
-
-
-def zonal_homogeneous_problem(config) -> SLProblem:
-    """The band's homogeneous eigenproblem: (y' cos)' = -lam y cos."""
-    return SLProblem(
-        a=config.theta1, b=config.theta2, p=np.cos, w=np.cos,
-        ln_pw_prime=lambda t: -2.0 * np.tan(t),
-    )
 
 
 def count_sign_changes(y) -> int:

@@ -19,18 +19,21 @@ constructions are provided and cross-checked in the tests:
                 log-radius ODE  u'' = (-lam u + upsilon)/cosh^2(t)
                 + 2 omega sinh(t)/cosh^3(t); contracts when
                 r2/r1 <= exp((2|lam|)^{-1/2}).
-  sl_expansion  eigenfunction expansion of the homogenized problem.
+  sl_expansion  eigenfunction expansion of the homogenized problem
+                (homogenize_boundary) in the band's eigenbasis.
 
-Each returns a ZonalProfile made by _finish: its ends are exactly psi1
-and psi2 whatever the method, its velocity the solver's own u where it
-has one (closed form, picard), else fourth-order differences of Psi.
+Each returns a ZonalProfile made by _finish: its ends are checked
+against the size of the terms the solver summed them from, then set to
+exactly psi1 and psi2 whatever the method; its velocity is the solver's
+own u where it has one (closed form, picard), else fourth-order
+differences of Psi.
 
-The band's eigenproblem (y' cos)' = -mu y cos depends on theta1 and theta2
-only, not on lam, upsilon, omega or the boundary values. band_spectrum
-solves it once per band and grid, (theta1, theta2, grid_size), in a
-process, for SL_TERMS pairs (more if asked), and hands every later
-caller read-only arrays of that one solve, so a lam scan or a --sweep
-on one band pays for one spectral eigen_solve, its node count checked.
+The band's eigenproblem (band_problem: (y' cos)' = -mu y cos) depends on
+theta1 and theta2 only, not on lam, upsilon, omega or the boundary
+values. band_spectrum solves it once per band in a process, SL_TERMS
+pairs on SL_GRID points, and hands every later caller read-only arrays
+of that one solve, so a lam scan or a --sweep on one band pays for one
+spectral eigen_solve, its node count checked.
 
 The same ODE on the simulation grid's log-radius nodes (solve_fd_rho)
 seeds the time-dependent solver with a discretely steady state.
@@ -39,9 +42,8 @@ seeds the time-dependent solver with a discretely steady state.
 import functools
 import math
 import threading
-import types
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,13 +55,12 @@ from .errors import (
     ValidationError,
 )
 from .sturm_liouville import (
+    SLProblem,
     SLSpectrum,
     _solve_pinned,
     eigen_solve,
     fourth_order_derivative,
-    homogenize_boundary,
     solve_inhomogeneous,
-    zonal_homogeneous_problem,
 )
 
 
@@ -74,20 +75,21 @@ class ZonalProfile:
     diagnostics: dict
 
 
-def _finish(thetas, psi, config, diagnostics, u=None):
-    """Every solver's profile: warn if psi1 == psi2, reject ends more than
-    1e-12 off, set them exactly (in the solver's psi) and difference psi
-    for u if the solver has none. closed_form, picard and sl_expansion set
-    their ends first: they carry the round-off of terms that can dwarf psi."""
+def _finish(thetas, psi, config, diagnostics, u=None, sizes=(0.0, 0.0)):
+    """Every solver's profile: warn if psi1 == psi2, reject an end more
+    than 1e-12 max(1, |its psi|, its size) off, set the ends exactly (in
+    the solver's psi) and difference psi for u if the solver has none.
+    sizes are those of the terms the solver summed its two ends from, of
+    which they carry the round-off; they can dwarf psi."""
     if config.psi1 == config.psi2:
         warnings.warn(
             "psi1 == psi2: the boundary-value problem stays well posed, but the "
             "stability theorems assume distinct boundary values",
             stacklevel=3,  # the line that called the solver
         )
-    tol = 1e-12 * max(1.0, abs(config.psi1), abs(config.psi2))
-    if abs(psi[0] - config.psi1) > tol or abs(psi[-1] - config.psi2) > tol:
-        raise ValidationError("solver lost the boundary values")
+    for end, want, size in zip((0, -1), (config.psi1, config.psi2), sizes):
+        if abs(psi[end] - want) > 1e-12 * max(1.0, abs(want), size):
+            raise ValidationError("solver lost the boundary values")
     psi[0], psi[-1] = config.psi1, config.psi2
     if u is None:
         u = -fourth_order_derivative(psi, thetas)
@@ -129,12 +131,13 @@ def solve_closed_form_lambda0(config, n: int) -> ZonalProfile:
         raise LambdaNotZero(f"closed form requires lam = 0, got {config.lam}")
     c1, c2 = _closed_form_constants(config)
     th = np.linspace(config.theta1, config.theta2, n)
-    psi = zeta_particular(th, config) + c1 * eta(th) + c2
-    psi[0], psi[-1] = config.psi1, config.psi2  # before _finish's check
+    zeta, homogeneous = zeta_particular(th, config), c1 * eta(th)
+    psi = zeta + homogeneous + c2
+    sizes = [abs(zeta[i]) + abs(homogeneous[i]) + abs(c2) for i in (0, -1)]
     cos = np.cos(th)
     dpsi = config.upsilon * np.tan(th) + config.omega * cos \
         - 0.5 * config.omega / cos + c1 / cos
-    return _finish(th, psi, config, {"c1": c1, "c2": c2}, u=-dpsi)
+    return _finish(th, psi, config, {"c1": c1, "c2": c2}, u=-dpsi, sizes=sizes)
 
 
 def closed_form_residual(config, thetas) -> np.ndarray:
@@ -286,63 +289,94 @@ def solve_picard(config, n: int, tol: float = 1e-10,
     }
     if len(sup_diffs) >= 3:
         diags["contraction_observed"] = sup_diffs[-1] / sup_diffs[-2]
-    psi = u[order]
-    psi[0], psi[-1] = config.psi1, config.psi2  # before _finish's check
-    return _finish(thetas[order], psi, config, diags, u=u_zonal[order])
+    # psi[0] is u at t2, a sum; psi[-1] is u at t1, psi2 itself
+    far = abs(config.psi2) + abs(mu * span) + abs(config.lam * i_u[-1]) \
+        + abs(i_drive[-1])
+    return _finish(thetas[order], u[order], config, diags, u=u_zonal[order],
+                   sizes=(far, 0.0))
 
 
 # ==================================================================
 # Eigenfunction expansion
 # ==================================================================
 
-SPECTRUM_CACHE_SIZE = 8  # band spectra kept per process (each <= a few MB)
-SL_TERMS = 32  # eigenpairs one band solve keeps, and sl_expansion's default
-SL_GRID = 2049  # grid of the one band solve that the CLI and sl_expansion share
+SPECTRUM_CACHE_SIZE = 8  # band spectra kept per process, about 0.5 MB each
+SL_TERMS = 32  # eigenpairs of the one band solve, all of which sl_expansion sums
+SL_GRID = 2049  # points of the one band solve, and of every sl_expansion profile
 _SPECTRUM_LOCK = threading.Lock()
 
 
-def band_spectrum(theta1, theta2, n_max, grid_size) -> SLSpectrum:
-    """First n_max eigenpairs of the band (theta1, theta2), solved once.
+def band_problem(theta1, theta2) -> SLProblem:
+    """The band's homogeneous eigenproblem: (y' cos)' = -mu y cos."""
+    return SLProblem(a=theta1, b=theta2, p=np.cos, w=np.cos,
+                     ln_pw_prime=lambda t: -2.0 * np.tan(t))
 
-    Each band and grid is solved once, for max(n_max, SL_TERMS) pairs, by
-    the full eigen_solve, node-count check included; every caller gets
-    read-only arrays, a request for fewer pairs their leading slices. So
-    the 5-pair zonal report, the 10-pair spectrum mode and sl_expansion
-    share one solve. One lock serializes the lookups, so threads asking
-    for the same band at once still solve it once.
+
+def homogenize_boundary(config):
+    """Shift the zonal band problem to homogeneous Dirichlet data.
+
+    Subtracting the affine interpolant a*theta + b of (psi1, psi2) from
+    the stream function leaves y = psi - (a theta + b), zero at both
+    walls, with
+
+      (y' cos)' + lam y cos = h(theta),
+      h(theta) = a sin(theta) + [upsilon - lam (a theta + b)] cos(theta)
+                 - omega sin(2 theta):
+
+    band_problem at mu = lam, forced by h.
+
+    Returns the forcing h and the shift coefficients (a, b).
     """
-    if n_max < 1:
-        raise ValidationError("need n_max >= 1")
+    th1, th2 = config.theta1, config.theta2
+    a_shift = (config.psi2 - config.psi1) / (th2 - th1)
+    b_shift = (th2 * config.psi1 - th1 * config.psi2) / (th2 - th1)
+    lam, ups, omg = config.lam, config.upsilon, config.omega
+
+    def forcing(theta):
+        return (
+            a_shift * np.sin(theta)
+            + (ups - lam * (a_shift * theta + b_shift)) * np.cos(theta)
+            - omg * np.sin(2.0 * theta)
+        )
+
+    return forcing, (a_shift, b_shift)
+
+
+def band_spectrum(theta1, theta2) -> SLSpectrum:
+    """The band's spectrum: SL_TERMS eigenpairs on SL_GRID points.
+
+    Each band is solved once, by the full eigen_solve, node-count check
+    included, and every caller gets the same read-only arrays, of which
+    it slices what it needs: the 5-pair zonal report, the 10-pair
+    spectrum mode and sl_expansion share one solve. One lock serializes
+    the lookups, so threads asking for the same band at once still solve
+    it once.
+    """
     with _SPECTRUM_LOCK:
-        spectrum = _band_spectrum(theta1, theta2, max(n_max, SL_TERMS), grid_size)
-    if n_max == len(spectrum):
-        return spectrum
-    return replace(spectrum, eigenvalues=spectrum.eigenvalues[:n_max],
-                   eigenfunctions=spectrum.eigenfunctions[:n_max])
+        return _band_spectrum(theta1, theta2)
 
 
 @functools.lru_cache(maxsize=SPECTRUM_CACHE_SIZE)
-def _band_spectrum(theta1, theta2, n_max, grid_size):
-    # the homogeneous problem reads the band edges and nothing else
-    band = types.SimpleNamespace(theta1=theta1, theta2=theta2)
-    spectrum = eigen_solve(zonal_homogeneous_problem(band),
-                           n_max=n_max, grid_size=grid_size)
+def _band_spectrum(theta1, theta2):
+    spectrum = eigen_solve(band_problem(theta1, theta2),
+                           n_max=SL_TERMS, grid_size=SL_GRID)
     for values in (spectrum.eigenvalues, spectrum.eigenfunctions, spectrum.grid):
         values.flags.writeable = False
     return spectrum
 
 
-def solve_sl_expansion(config, n_terms: int = SL_TERMS,
-                       grid_size: int = SL_GRID) -> ZonalProfile:
-    """Homogenize the boundary data and expand in the band eigenbasis."""
+def solve_sl_expansion(config) -> ZonalProfile:
+    """Homogenize the boundary data and expand in the band's eigenbasis,
+    every pair of band_spectrum, on its grid."""
     forcing, (a_s, b_s) = homogenize_boundary(config)
-    spectrum = band_spectrum(config.theta1, config.theta2, n_terms, grid_size)
+    spectrum = band_spectrum(config.theta1, config.theta2)
     shifted = solve_inhomogeneous(forcing, mu=config.lam, spectrum=spectrum,
-                                  n_terms=n_terms)
+                                  n_terms=len(spectrum))
     th = spectrum.grid.copy()  # the profile must not alias the cached grid
-    psi = shifted + a_s * th + b_s
-    psi[0], psi[-1] = config.psi1, config.psi2  # before _finish's check
-    return _finish(th, psi, config, {"n_terms": n_terms})
+    line = a_s * th
+    psi = shifted + line + b_s
+    sizes = [abs(shifted[i]) + abs(line[i]) + abs(b_s) for i in (0, -1)]
+    return _finish(th, psi, config, {"n_terms": len(spectrum)}, sizes=sizes)
 
 
 # ==================================================================

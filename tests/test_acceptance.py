@@ -21,9 +21,9 @@ from accband.sturm_liouville import (
     eigen_solve,
     prufer_eigenvalues,
     rayleigh_quotient,
-    zonal_homogeneous_problem,
 )
 from accband.zonal import (
+    band_problem,
     closed_form_residual,
     solve_closed_form_lambda0,
     solve_fd,
@@ -103,7 +103,8 @@ class TestAcceptance:
 
     def test_criterion_03_spectrum_validity(self):
         start = time.perf_counter()
-        prob = zonal_homogeneous_problem(BandConfig())
+        config = BandConfig()
+        prob = band_problem(config.theta1, config.theta2)
         spectrum = eigen_solve(prob, n_max=5, grid_size=8193)
         oracle = prufer_eigenvalues(prob, n_max=5, guesses=spectrum.eigenvalues)
         rel = float(np.max(np.abs(spectrum.eigenvalues - oracle) / np.abs(oracle)))

@@ -18,7 +18,8 @@ from accband import cli, euler2d
 from accband.cli import MODES, OPTIONS, ZONAL_METHODS, main, parse_config
 from accband.errors import NearEigenvalue, ParseError, ValidationError
 from accband.geometry import BandConfig
-from accband.sturm_liouville import prufer_eigenvalues, zonal_homogeneous_problem
+from accband.sturm_liouville import prufer_eigenvalues
+from accband.zonal import band_problem
 
 MILD_BAND = [
     "--psi1", "-0.2", "--psi2", "0.2", "--omega", "2.0", "--upsilon", "1.0",
@@ -315,7 +316,8 @@ class TestModes:
         """lambda on the default band's fifth eigenvalue, as shooting finds
         it: the reported spectrum is that close to it, so the warning of
         the non-unique case is printed."""
-        prob = zonal_homogeneous_problem(BandConfig())
+        config = BandConfig()
+        prob = band_problem(config.theta1, config.theta2)
         lam = float(prufer_eigenvalues(prob, n_max=5)[4])
         out = tmp_path / "resonant"
         assert main(["--mode", "zonal", "--lambda", repr(lam), "--out", str(out)]) == 0

@@ -27,14 +27,18 @@ from accband.sturm_liouville import (
     _thomas_solve,
     count_sign_changes,
     eigen_solve,
-    homogenize_boundary,
     prufer_eigenvalues,
     rayleigh_quotient,
     solve_inhomogeneous,
-    zonal_homogeneous_problem,
 )
+from accband.zonal import band_problem, homogenize_boundary
 
 from oracles import difference_matrix
+
+
+def default_band_problem():
+    config = BandConfig()
+    return band_problem(config.theta1, config.theta2)
 
 
 def uniform_problem(length):
@@ -82,8 +86,7 @@ class TestEigenSolve:
         assert np.all(np.diff(spec.eigenvalues) > 0)
 
     def test_orthonormal_in_weighted_inner_product(self):
-        config = BandConfig()
-        spec = eigen_solve(zonal_homogeneous_problem(config), n_max=6, grid_size=2049)
+        spec = eigen_solve(default_band_problem(), n_max=6, grid_size=2049)
         x = spec.grid
         w = np.cos(x)
         gram = np.array(
@@ -96,15 +99,13 @@ class TestEigenSolve:
         assert np.max(np.abs(gram - np.eye(6))) <= 1e-8
 
     def test_oscillation_counts(self):
-        config = BandConfig()
-        spec = eigen_solve(zonal_homogeneous_problem(config), n_max=6, grid_size=2049)
+        spec = eigen_solve(default_band_problem(), n_max=6, grid_size=2049)
         for k in range(6):
             changes = count_sign_changes(spec.eigenfunctions[k][1:-1])
             assert changes == k, f"mode {k + 1}: {changes} sign changes"
 
     def test_zonal_spectrum_positive(self):
-        config = BandConfig()
-        spec = eigen_solve(zonal_homogeneous_problem(config), n_max=5, grid_size=2049)
+        spec = eigen_solve(default_band_problem(), n_max=5, grid_size=2049)
         assert spec.eigenvalues[0] > 0
 
     def test_rejects_coarse_grids(self):
@@ -152,15 +153,14 @@ class TestPruferOracle:
         assert np.max(np.abs(mus - n**2) / n**2) <= 1e-8
 
     def test_zonal_matrix_vs_shooting(self):
-        config = BandConfig()
-        prob = zonal_homogeneous_problem(config)
+        prob = default_band_problem()
         spec = eigen_solve(prob, n_max=5, grid_size=8193)
         oracle = prufer_eigenvalues(prob, n_max=5, guesses=spec.eigenvalues)
         rel = np.abs(spec.eigenvalues - oracle) / np.abs(oracle)
         assert np.max(rel) <= 1e-6, f"matrix vs shooting rel error {np.max(rel):.2e}"
 
     def test_zonal_first_ten_eigenvalues(self):
-        prob = zonal_homogeneous_problem(BandConfig())
+        prob = default_band_problem()
         spec = eigen_solve(prob, n_max=10, grid_size=16385)
         oracle = prufer_eigenvalues(prob, n_max=10, guesses=spec.eigenvalues)
         rel = np.abs(spec.eigenvalues - oracle) / np.abs(oracle)
@@ -208,10 +208,9 @@ class TestPruferOracle:
 BANDS = {"default": (-60.0, -50.0), "wide": (-70.0, -40.0), "narrow": (-60.0, -59.9)}
 
 
-def band_problem(band):
+def named_band_problem(band):
     theta1, theta2 = BANDS[band]
-    return zonal_homogeneous_problem(BandConfig(theta1=math.radians(theta1),
-                                                theta2=math.radians(theta2)))
+    return band_problem(math.radians(theta1), math.radians(theta2))
 
 
 class TestSpectralRoute:
@@ -219,7 +218,7 @@ class TestSpectralRoute:
 
     @pytest.mark.parametrize("band", sorted(BANDS))
     def test_matches_shooting_to_round_off(self, band):
-        prob = band_problem(band)
+        prob = named_band_problem(band)
         spec = eigen_solve(prob, n_max=32, grid_size=2049)
         oracle = prufer_eigenvalues(prob, n_max=32, guesses=spec.eigenvalues)
         rel = np.abs(spec.eigenvalues - oracle) / oracle
@@ -228,7 +227,7 @@ class TestSpectralRoute:
     @pytest.mark.parametrize("band", sorted(BANDS))
     def test_doubled_order_agrees(self, band, monkeypatch):
         """Order N = 96 against N = 192: the solve has converged."""
-        prob = band_problem(band)
+        prob = named_band_problem(band)
         spec = eigen_solve(prob, n_max=32, grid_size=2049)
         monkeypatch.setattr(sturm_liouville, "MIN_ORDER", 2 * sturm_liouville.MIN_ORDER)
         monkeypatch.setattr(sturm_liouville, "ORDER_PER_PAIR",
@@ -242,10 +241,10 @@ class TestSpectralRoute:
 
     @pytest.mark.parametrize("band", sorted(BANDS))
     def test_all_pairs_orthonormal_on_the_grid(self, band):
-        spec = eigen_solve(band_problem(band), n_max=32, grid_size=2049)
+        spec = eigen_solve(named_band_problem(band), n_max=32, grid_size=2049)
         x, funcs = spec.grid, spec.eigenfunctions
         gram = np.trapezoid(funcs[:, None, :] * funcs[None, :, :] * np.cos(x), x, axis=2)
-        assert np.max(np.abs(gram - np.eye(32))) <= 1e-8
+        assert np.max(np.abs(gram - np.eye(32))) <= 1e-12
 
     def test_band_spectrum_calls_no_lapack_eigensolver(self, monkeypatch):
         """With BLAS not pinned to one thread, as the CLI runs, OpenBLAS's
@@ -272,8 +271,7 @@ class TestSpectralRoute:
         zonal._band_spectrum.cache_clear()
         try:
             theta1, theta2 = BANDS["default"]
-            spec = zonal.band_spectrum(math.radians(theta1), math.radians(theta2),
-                                       zonal.SL_TERMS, zonal.SL_GRID)
+            spec = zonal.band_spectrum(math.radians(theta1), math.radians(theta2))
         finally:
             zonal._band_spectrum.cache_clear()
         assert len(spec) == zonal.SL_TERMS and np.all(np.diff(spec.eigenvalues) > 0)
@@ -287,7 +285,7 @@ class TestTridiagonalOracle:
         ("textbook", 8193, 5), ("shifted", 2049, 8), ("shifted", 64, 62),
     ])
     def test_matches_lapack(self, problem, grid_size, k):
-        prob = {"zonal": zonal_homogeneous_problem(BandConfig()),
+        prob = {"zonal": default_band_problem(),
                 "textbook": textbook_problem(), "shifted": shifted_problem()}[problem]
         if problem == "shifted":
             d, e = shifted_matrix(grid_size)
@@ -349,7 +347,7 @@ class TestRayleighQuotient:
         assert abs(val - 1.0) <= 1e-8
 
     def test_recovers_first_zonal_eigenvalue(self):
-        problem = zonal_homogeneous_problem(BandConfig())
+        problem = default_band_problem()
         spec = eigen_solve(problem, n_max=3, grid_size=8193)
         for k in range(3):
             val = rayleigh_quotient(problem, spec.eigenfunctions[k], spec.grid)
@@ -395,7 +393,8 @@ class TestInhomogeneous:
         config = BandConfig(psi1=-5.0, psi2=-25.0, omega=4650.0, lam=-10.0,
                             upsilon=30000.0)
         forcing, _ = homogenize_boundary(config)
-        spec = eigen_solve(zonal_homogeneous_problem(config), n_max=32, grid_size=4097)
+        spec = eigen_solve(band_problem(config.theta1, config.theta2), n_max=32,
+                           grid_size=4097)
         x = spec.grid
         hgrid = x[1] - x[0]
         p = np.cos(x)
@@ -440,8 +439,8 @@ class TestHomogenizeBoundary:
 
     def test_shifted_solution_restores_boundary_values(self, fig1_config):
         forcing, (a_s, b_s) = homogenize_boundary(fig1_config)
-        spec = eigen_solve(zonal_homogeneous_problem(fig1_config), n_max=16,
-                           grid_size=2049)
+        spec = eigen_solve(band_problem(fig1_config.theta1, fig1_config.theta2),
+                           n_max=16, grid_size=2049)
         y = solve_inhomogeneous(forcing, mu=fig1_config.lam, spectrum=spec, n_terms=16)
         psi = y + a_s * spec.grid + b_s
         assert psi[0] == pytest.approx(fig1_config.psi1, abs=1e-10)

@@ -20,15 +20,12 @@ from accband.errors import (
     ValidationError,
 )
 from accband.geometry import BandConfig
-from accband.sturm_liouville import (
-    _lowest_eigenpairs,
-    _solve_pinned,
-    eigen_solve,
-    zonal_homogeneous_problem,
-)
+from accband.sturm_liouville import _lowest_eigenpairs, _solve_pinned, eigen_solve
 from accband.zonal import (
+    SL_GRID,
     SL_TERMS,
     ZonalProfile,
+    band_problem,
     band_spectrum,
     closed_form_residual,
     contraction_factor,
@@ -147,7 +144,7 @@ class TestFiniteDifference:
         config = BandConfig(psi1=0.0, psi2=1.0, omega=1.0, upsilon=0.0)
         n = 513
         # the lowest eigenvalue of solve_fd's own stencil, not the band's
-        _, _, d, e = difference_matrix(zonal_homogeneous_problem(config), n)
+        _, _, d, e = difference_matrix(band_problem(config.theta1, config.theta2), n)
         mu1 = float(_lowest_eigenpairs(d, e, 1)[0][0])
         # lam exactly on the discrete eigenvalue of the same stencil
         bad = BandConfig(psi1=0.0, psi2=1.0, omega=1.0, upsilon=0.0, lam=mu1)
@@ -267,19 +264,22 @@ class TestPicard:
             solve_picard(config, n=257, tol=1e-14, max_iter=3)
 
 
-class TestSLExpansion:
-    def test_matches_fd(self, mild_neg_lam_config):
-        slp = solve_sl_expansion(mild_neg_lam_config, n_terms=64, grid_size=4097)
-        fd = solve_fd(mild_neg_lam_config, 8193)
-        resampled = CubicSpline(slp.thetas, slp.psi)(fd.thetas)
-        assert np.max(np.abs(resampled - fd.psi)) <= 1e-6
-
-
 @pytest.fixture
 def fresh_spectrum_cache():
     zonal._band_spectrum.cache_clear()
     yield
     zonal._band_spectrum.cache_clear()
+
+
+class TestSLExpansion:
+    def test_matches_fd(self, monkeypatch, fresh_spectrum_cache, mild_neg_lam_config):
+        monkeypatch.setattr(zonal, "SL_TERMS", 64)
+        monkeypatch.setattr(zonal, "SL_GRID", 4097)
+        slp = solve_sl_expansion(mild_neg_lam_config)
+        assert (slp.diagnostics["n_terms"], len(slp.thetas)) == (64, 4097)
+        fd = solve_fd(mild_neg_lam_config, 8193)
+        resampled = CubicSpline(slp.thetas, slp.psi)(fd.thetas)
+        assert np.max(np.abs(resampled - fd.psi)) <= 1e-6
 
 
 @pytest.fixture
@@ -298,53 +298,34 @@ def solved_keys(monkeypatch, fresh_spectrum_cache):
 
 class TestBandSpectrum:
     def test_equals_fresh_checked_solve(self, fresh_spectrum_cache, mild_config):
-        full = eigen_solve(zonal_homogeneous_problem(mild_config), n_max=SL_TERMS,
-                           grid_size=2049)
-        for n_max in (5, SL_TERMS):
-            cached = band_spectrum(mild_config.theta1, mild_config.theta2, n_max, 2049)
-            assert len(cached) == n_max
-            assert cached.eigenvalues.tobytes() == full.eigenvalues[:n_max].tobytes()
-            assert (cached.eigenfunctions.tobytes()
-                    == full.eigenfunctions[:n_max].tobytes())
-            assert cached.grid.tobytes() == full.grid.tobytes()
+        full = eigen_solve(band_problem(mild_config.theta1, mild_config.theta2),
+                           n_max=SL_TERMS, grid_size=SL_GRID)
+        cached = band_spectrum(mild_config.theta1, mild_config.theta2)
+        assert len(cached) == SL_TERMS
+        assert cached.eigenvalues.tobytes() == full.eigenvalues.tobytes()
+        assert cached.eigenfunctions.tobytes() == full.eigenfunctions.tobytes()
+        assert cached.grid.tobytes() == full.grid.tobytes()
 
     def test_arrays_reject_writes_and_profiles_stay_writable(
             self, fresh_spectrum_cache, mild_neg_lam_config):
         config = mild_neg_lam_config
-        for n_max in (5, SL_TERMS):
-            spectrum = band_spectrum(config.theta1, config.theta2, n_max, 2049)
-            for values in (spectrum.eigenvalues, spectrum.eigenfunctions, spectrum.grid):
-                with pytest.raises(ValueError, match="read-only"):
-                    values[0] = 0.0
+        spectrum = band_spectrum(config.theta1, config.theta2)
+        for values in (spectrum.eigenvalues, spectrum.eigenfunctions, spectrum.grid):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 0.0
         prof = solve_sl_expansion(config)
         assert not np.shares_memory(prof.thetas, spectrum.grid)
         prof.thetas[0] = prof.psi[0] = 0.0
         assert spectrum.grid[0] == config.theta1
 
-    def test_other_band_or_size_misses(self, solved_keys, mild_config):
+    def test_other_band_misses(self, solved_keys, mild_config):
         t1, t2 = mild_config.theta1, mild_config.theta2
-        full = band_spectrum(t1, t2, SL_TERMS, 513)
-        assert band_spectrum(t1, t2, SL_TERMS, 513) is full
-        for n_max in (1, 4, 5, 10, SL_TERMS - 1):
-            part = band_spectrum(t1, t2, n_max, 513)
-            assert part.eigenvalues.tobytes() == full.eigenvalues[:n_max].tobytes()
-            assert (part.eigenfunctions.tobytes()
-                    == full.eigenfunctions[:n_max].tobytes())
-            assert part.grid is full.grid
-        assert solved_keys == [(t1, t2, SL_TERMS, 513)]
-        others = [band_spectrum(t1, t2, SL_TERMS + 1, 513),
-                  band_spectrum(math.radians(-61.0), t2, 4, 513),
-                  band_spectrum(t1, t2, 4, 1025)]
-        assert not any(np.shares_memory(other.eigenvalues, full.eigenvalues)
-                       for other in others)
-        assert solved_keys[1:] == [(t1, t2, SL_TERMS + 1, 513),
-                                   (math.radians(-61.0), t2, SL_TERMS, 513),
-                                   (t1, t2, SL_TERMS, 1025)]
-
-    def test_rejects_an_empty_request(self, solved_keys, mild_config):
-        with pytest.raises(ValidationError):
-            band_spectrum(mild_config.theta1, mild_config.theta2, 0, 513)
-        assert solved_keys == []
+        full = band_spectrum(t1, t2)
+        assert band_spectrum(t1, t2) is full
+        assert solved_keys == [(t1, t2, SL_TERMS, SL_GRID)]
+        other = band_spectrum(math.radians(-61.0), t2)
+        assert not np.shares_memory(other.eigenvalues, full.eigenvalues)
+        assert solved_keys[1:] == [(math.radians(-61.0), t2, SL_TERMS, SL_GRID)]
 
     def test_sequential_cli_runs_solve_each_key_once(self, solved_keys, tmp_path):
         band = ["--psi1", "-0.2", "--psi2", "0.2", "--omega", "2.0"]
@@ -362,9 +343,8 @@ class TestBandSpectrum:
     def test_racing_threads_solve_once(self, solved_keys, mild_config):
         t1, t2 = mild_config.theta1, mild_config.theta2
         results = []
-        threads = [threading.Thread(
-            target=lambda n_max=n_max: results.append(band_spectrum(t1, t2, n_max, 257)))
-            for n_max in (3, SL_TERMS) * 4]
+        threads = [threading.Thread(target=lambda: results.append(band_spectrum(t1, t2)))
+                   for _ in range(8)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -376,9 +356,7 @@ class TestBandSpectrum:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert len(results) == 8
-        full = next(r for r in results if len(r) == SL_TERMS)
-        assert all(r is full for r in results if len(r) == SL_TERMS)
-        assert all(np.shares_memory(r.eigenvalues, full.eigenvalues) for r in results)
+        assert all(r is results[0] for r in results)
         assert len(solved_keys) == 1
 
     def test_sweep_threads_share_each_solve(self, solved_keys, tmp_path, monkeypatch):
@@ -431,8 +409,9 @@ SOLVERS = {
 }
 # (method, band) pairs; closed_form runs at lam = 0 only, picard on a band
 # narrow enough for its map to contract. The last three are bands whose
-# unpinned ends miss psi1 or psi2 by more than _finish's 1e-12 check
-# through round-off alone: their solvers must still return a profile.
+# ends miss psi1 or psi2 by more than 1e-12 max(1, |psi|) through
+# round-off alone: _finish's check, scaled by the terms each end is summed
+# from, must still pass them.
 EXACT_END_CASES = [
     ("fd", dict(MILD_BAND, lam=-1.0)),
     ("picard", dict(MILD_BAND, lam=-1.0)),
@@ -460,6 +439,35 @@ class TestExactBoundaryValues:
         config = BandConfig(**band)
         profile = SOLVERS[method](config)
         assert (profile.psi[0], profile.psi[-1]) == (config.psi1, config.psi2)
+
+    def test_closed_form_end_error_is_rejected(self, monkeypatch):
+        """eta off by 1e-6 in the profile, not in the 2-point solve of c1, c2."""
+        exact = zonal.eta
+        monkeypatch.setattr(zonal, "eta", lambda th: exact(th) + 1e-6 * (np.size(th) > 2))
+        with pytest.raises(ValidationError, match="lost the boundary values"):
+            solve_closed_form_lambda0(BandConfig(**MILD_BAND, lam=0.0), 201)
+
+    def test_picard_end_error_is_rejected(self, monkeypatch):
+        """The t grid's far end off by 1e-6 of its value, not the span
+        that the boundary constant mu divides by."""
+        linspace = np.linspace
+
+        def skewed(start, stop, num):
+            grid = linspace(start, stop, num)
+            grid[-1] += 1e-6 * abs(stop)
+            return grid
+
+        monkeypatch.setattr(np, "linspace", skewed)
+        with pytest.raises(ValidationError, match="lost the boundary values"):
+            solve_picard(BandConfig(**MILD_BAND, lam=-1.0), 201)
+
+    def test_sl_expansion_end_error_is_rejected(self, monkeypatch):
+        """The expansion off by 1e-6, not the affine shift of the boundary data."""
+        solve = zonal.solve_inhomogeneous
+        monkeypatch.setattr(zonal, "solve_inhomogeneous",
+                            lambda *args, **kwargs: solve(*args, **kwargs) + 1e-6)
+        with pytest.raises(ValidationError, match="lost the boundary values"):
+            solve_sl_expansion(BandConfig(**MILD_BAND, lam=-1.0))
 
     def test_fd_cli_profile_ends_are_exact(self, tmp_path):
         out = tmp_path / "fd"

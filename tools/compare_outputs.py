@@ -61,6 +61,10 @@ SCENARIOS = {
                           *MILD],
     # fd's profile ends, exactly psi1 and psi2 since _finish sets them
     "zonal_fd_exact_ends": ["--mode", "zonal", "--method", "fd", "--lambda", "-1", *MILD],
+    # a band 0.001 degrees wide: the eigenfunctions' norm and the ends'
+    # check, scaled by the terms an end is summed from, at their tightest
+    "zonal_sl_narrow": ["--mode", "zonal", "--method", "sl_expansion", "--lambda", "-10",
+                        "--theta1-deg", "-60", "--theta2-deg", "-59.999", *MILD],
     # worker threads sharing one cached band spectrum
     "zonal_sweep": ["--mode", "zonal", "--method", "sl_expansion", "--sweep=-10,-100", *MILD],
     "figure1": ["--mode", "zonal", "--lambda", "-3000", "--upsilon", "30000",
