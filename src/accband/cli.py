@@ -24,7 +24,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import make_dataclass, replace
 
 import numpy as np
@@ -405,6 +404,9 @@ def main(argv=None) -> int:
             shared = sorted({d for d in dirs if dirs.count(d) > 1})
             if shared:
                 raise ValidationError(f"--sweep lambdas share output directories {shared}")
+            # imported here, so that no other run loads concurrent.futures
+            from concurrent.futures import ThreadPoolExecutor
+
             workers = min(len(subs), os.cpu_count() or 1)
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 futures = [pool.submit(dispatch, sub) for sub in subs]

@@ -383,10 +383,22 @@ def solve_sl_expansion(config) -> ZonalProfile:
 # Export
 # ==================================================================
 
+@functools.lru_cache(maxsize=SPECTRUM_CACHE_SIZE)
+def _row_template(theta_bytes):
+    """The rows of a profile CSV on one theta grid (float64 bytes), theta_deg
+    already written: each row is its repr, then ',%r,%r,%r' for psi and u."""
+    degrees = np.degrees(np.frombuffer(theta_bytes))
+    return "".join([f"{t!r},%r,%r,%r\n" for t in degrees.tolist()])
+
+
 def write_profile_csv(profile: ZonalProfile, path):
-    """CSV export: theta_deg,psi,u_nondim,u_m_per_s, written in one pass."""
-    rows = np.column_stack((np.degrees(profile.thetas), profile.psi,
-                            profile.u, profile.u_dimensional))
+    """CSV export: theta_deg,psi,u_nondim,u_m_per_s, written in one pass.
+
+    The theta column is the same for every profile on a grid, so it is
+    formatted once per grid in a process (_row_template) and each row
+    formats its three other floats."""
+    template = _row_template(np.asarray(profile.thetas, dtype=float).tobytes())
+    values = np.column_stack((profile.psi, profile.u, profile.u_dimensional))
     with open(path, "w", newline="") as fh:
         fh.write("theta_deg,psi,u_nondim,u_m_per_s\n")
-        fh.write("%r,%r,%r,%r\n" * len(rows) % tuple(rows.ravel().tolist()))
+        fh.write(template % tuple(values.ravel().tolist()))

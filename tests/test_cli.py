@@ -1,5 +1,6 @@
 """CLI: config parsing, run modes, exit codes, determinism."""
 
+import concurrent.futures
 import importlib.util
 import math
 import os
@@ -498,7 +499,7 @@ class TestModes:
                                                monkeypatch, capsys):
         sizes, ran = [], []
 
-        class RecordingPool(cli.ThreadPoolExecutor):
+        class RecordingPool(concurrent.futures.ThreadPoolExecutor):
             def __init__(self, max_workers):
                 sizes.append(max_workers)
                 super().__init__(max_workers=max_workers)
@@ -509,7 +510,7 @@ class TestModes:
                 raise NearEigenvalue("forced")
             return 1 if spec.config.lam == -30 else 0
 
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         monkeypatch.setattr(cli, "dispatch", dispatch)
         code = main(["--mode", "zonal", "--out", str(tmp_path),
@@ -539,7 +540,8 @@ class TestModes:
             "stability"])
     def test_never_imports_scipy(self, argv, artifact, tmp_path):
         """No mode imports scipy or numpy.random, perturbed evolve and
-        stability runs included (they draw the perturbation phase)."""
+        stability runs included (they draw the perturbation phase), and
+        none but --sweep loads concurrent.futures for its thread pool."""
         script = (
             "import sys\n"
             "from accband import cli\n"
@@ -547,6 +549,7 @@ class TestModes:
             "assert code == 0, code\n"
             "assert 'scipy' not in sys.modules\n"
             "assert 'numpy.random' not in sys.modules\n"
+            "assert 'concurrent.futures' not in sys.modules\n"
         )
         src = str(pathlib.Path(accband.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
