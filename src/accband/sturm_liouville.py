@@ -716,14 +716,17 @@ def fourth_order_derivative(y, x):
     """dy/dx by fourth-order differences on the uniform grid x.
 
     Centered five-point stencil inside, one-sided five-point stencils on
-    the two nodes nearest each end. Fewer than 5 samples raise
-    TooFewSamples, and a grid whose steps differ from x[1] - x[0] by more
+    the two nodes nearest each end. The step is the mean one,
+    (x[-1] - x[0]) / (len(x) - 1): a single step such as x[1] - x[0]
+    carries linspace's round-off, relative 3.6e-9 on a 0.001 degree band,
+    and so would every derivative. Fewer than 5 samples raise
+    TooFewSamples, and a grid whose steps differ from the mean step by more
     than 1e-10 of it, plus 8 ulps of max|x| (linspace's own round-off on a
     narrow grid far from 0), raises ValidationError.
     """
     if len(x) < 5:
         raise TooFewSamples("fourth-order differences need at least 5 samples")
-    h = x[1] - x[0]
+    h = (x[-1] - x[0]) / (len(x) - 1)
     slack = 1e-10 * abs(h) + 8.0 * np.spacing(np.max(np.abs(x)))
     if np.max(np.abs(np.diff(x) - h)) > slack:
         raise ValidationError("fourth-order differences need a uniform grid")

@@ -393,6 +393,16 @@ class TestVelocityProfile:
         with pytest.raises(TooFewSamples):
             finish(mild_config, th, th)
 
+    def test_fd_velocity_on_a_narrow_band_matches_picard(self, mild_neg_lam_config):
+        """On a 0.001 degree band x[1] - x[0] is off the mean step by 3.6e-9
+        (linspace's round-off), and a velocity differenced with it by as much."""
+        config = replace(mild_neg_lam_config, theta1=math.radians(-60.0),
+                         theta2=math.radians(-59.999))
+        fd = solve_fd(config, 2049)
+        picard = solve_picard(config, 8193, tol=1e-13)
+        want = np.interp(fd.thetas, picard.thetas, picard.u)
+        assert np.max(np.abs(fd.u - want)) <= 5e-10 * np.max(np.abs(want))
+
     def test_non_uniform_grid_rejected(self, mild_config):
         th = np.linspace(mild_config.theta1, mild_config.theta2, 33)
         th[16] += 1e-3 * (th[1] - th[0])
