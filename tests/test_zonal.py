@@ -487,6 +487,22 @@ class TestExactBoundaryValues:
         assert (rows[1].split(",")[1], rows[-1].split(",")[1]) == ("-0.2", "0.2")
 
 
+def one_pass_csv(profile):
+    """A profile CSV by one format string over every value, theta_deg's
+    included: the reference for the writer's row template."""
+    rows = np.column_stack((np.degrees(profile.thetas), profile.psi, profile.u,
+                            profile.u_dimensional))
+    return ("theta_deg,psi,u_nondim,u_m_per_s\n"
+            + "%r,%r,%r,%r\n" * len(rows) % tuple(rows.ravel().tolist()))
+
+
+@pytest.fixture
+def fresh_row_templates():
+    zonal._row_template.cache_clear()
+    yield
+    zonal._row_template.cache_clear()
+
+
 class TestGridVariantsAndExport:
     def test_rho_grid_solution_matches_theta_solver(self, mild_neg_lam_config):
         config = mild_neg_lam_config
@@ -528,6 +544,30 @@ class TestGridVariantsAndExport:
                     fh.write(f"{math.degrees(th)!r},{float(psi)!r},{float(u)!r},"
                              f"{float(ud)!r}\n")
             assert got.read_bytes() == want.read_bytes()
+
+    def test_csv_row_template_matches_one_pass_writer(self, tmp_path, fresh_row_templates,
+                                                      mild_config):
+        lam1 = replace(mild_config, lam=-1.0)
+        profiles = [solve_sl_expansion(lam1)]
+        for n in (65, 257):  # fd's grid is closed_form's: a cache hit
+            profiles += [solve_closed_form_lambda0(mild_config, n), solve_fd(mild_config, n),
+                         solve_picard(lam1, n)]
+        profiles.append(solve_fd(lam1, 257))  # a second write on one grid: a hit
+        for k, profile in enumerate(profiles):
+            path = tmp_path / f"profile_{k}.csv"
+            write_profile_csv(profile, path)
+            assert path.read_bytes() == one_pass_csv(profile).encode()
+        info = zonal._row_template.cache_info()
+        assert (info.misses, info.hits) == (5, 3)
+
+    def test_row_templates_kept_are_bounded(self, tmp_path, fresh_row_templates, mild_config):
+        for n in range(5, 8 + zonal.SPECTRUM_CACHE_SIZE):
+            profile = solve_fd(mild_config, n)
+            write_profile_csv(profile, tmp_path / "profile.csv")
+            assert (tmp_path / "profile.csv").read_bytes() == one_pass_csv(profile).encode()
+        info = zonal._row_template.cache_info()
+        assert info.misses == 3 + zonal.SPECTRUM_CACHE_SIZE
+        assert info.currsize <= zonal.SPECTRUM_CACHE_SIZE
 
     def test_equal_boundary_values_warn(self):
         config = BandConfig(psi1=1.0, psi2=1.0, omega=2.0, upsilon=1.0)

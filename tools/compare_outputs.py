@@ -67,6 +67,9 @@ SCENARIOS = {
                         "--theta1-deg", "-60", "--theta2-deg", "-59.999", *MILD],
     # worker threads sharing one cached band spectrum
     "zonal_sweep": ["--mode", "zonal", "--method", "sl_expansion", "--sweep=-10,-100", *MILD],
+    # two fd profiles on one theta grid, the second CSV's row template
+    # taken from the cache, under the sweep's threads
+    "zonal_sweep_fd": ["--mode", "zonal", "--method", "fd", "--sweep=-10,-100", *MILD],
     "figure1": ["--mode", "zonal", "--lambda", "-3000", "--upsilon", "30000",
                 "--psi1", "-5", "--psi2", "-25"],
     # a grid whose 2-D Poisson solve leaves the zonal stream's rows an ulp apart
